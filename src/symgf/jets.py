@@ -4,9 +4,9 @@ A ``Jet`` stores the value and the symmetric derivative tensors of a smooth
 function at a point, truncated at a fixed order <= 3.  All higher-order
 structure in this library (Hessians of generating functions, third
 derivatives needed for Poisson bivectors of composed functions) is carried
-through these objects, so the arithmetic here is deliberately boring and
-heavily tested: truncated Leibniz products and linear combinations, nothing
-else.
+through these objects.  Sparse polynomials are evaluated by one kernel,
+:class:`PolyKernel`, which holds every polynomial type of the library
+(genfuns, maps, bivectors) as an exponent matrix plus a coefficient matrix.
 
 Conventions
 -----------
@@ -19,6 +19,7 @@ Derivative tensors above ``order`` are ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -53,14 +54,6 @@ def jet_const(value, nvars, order) -> Jet:
     return Jet(order, value, g, h, t)
 
 
-def jet_var(value, index, nvars, order) -> Jet:
-    """Jet of the coordinate function ``v[index]`` evaluated at ``value``."""
-    out = jet_const(value, nvars, order)
-    if order >= 1:
-        out.grad[index] = 1.0
-    return out
-
-
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
     out = Jet(a.order, a.value + b.value)
@@ -71,46 +64,6 @@ def jet_add(a: Jet, b: Jet) -> Jet:
     if a.order >= 3:
         out.third = a.third + b.third
     return out
-
-
-def jet_scale(a: Jet, c: float) -> Jet:
-    out = Jet(a.order, c * a.value)
-    if a.order >= 1:
-        out.grad = c * a.grad
-    if a.order >= 2:
-        out.hess = c * a.hess
-    if a.order >= 3:
-        out.third = c * a.third
-    return out
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    return jet_add(a, jet_scale(b, -1.0))
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Leibniz product of two jets at the same point."""
-    _check_compatible(a, b)
-    out = Jet(a.order, a.value * b.value)
-    if a.order >= 1:
-        out.grad = a.value * b.grad + b.value * a.grad
-    if a.order >= 2:
-        cross = np.outer(a.grad, b.grad)
-        out.hess = a.value * b.hess + b.value * a.hess + cross + cross.T
-    if a.order >= 3:
-        out.third = (
-            a.value * b.third
-            + b.value * a.third
-            + _sym_grad_hess(a.grad, b.hess)
-            + _sym_grad_hess(b.grad, a.hess)
-        )
-    return out
-
-
-def _sym_grad_hess(g, h):
-    # symmetrized g (x) h: the third-order Leibniz cross term
-    gh = np.einsum("i,jk->ijk", g, h)
-    return gh + gh.transpose(1, 0, 2) + gh.transpose(2, 1, 0)
 
 
 def _check_compatible(a: Jet, b: Jet):
@@ -138,29 +91,135 @@ def jet_embed(j: Jet, index_map, nvars_out) -> Jet:
     return out
 
 
-def jet_pullback_linear(j: Jet, E: np.ndarray) -> Jet:
-    """Jet of ``v -> F(E v + const)`` given the jet of ``F`` at the image point.
+def canonical_poly(items, nvars) -> dict:
+    """Canonical form ``{exponent tuple: coeff}`` of a sparse polynomial in
+    ``nvars`` variables given as ``(exponents, coeff)`` pairs.
 
-    ``E`` has shape ``(nvars_in, nvars_out)``; only the chain rule for an
-    affine substitution is applied (no second-derivative-of-the-map terms),
-    which is exactly what stationary-point envelopes need.
+    Keys become int tuples, duplicates are merged and zero coefficients
+    dropped, so two polynomials are equal as functions iff their canonical
+    dicts are equal.  Raises ValueError on a wrong exponent count or a
+    negative exponent (that would be a rational function with a pole).
     """
-    out = Jet(j.order, j.value)
-    if j.order >= 1:
-        out.grad = j.grad @ E
-    if j.order >= 2:
-        out.hess = E.T @ j.hess @ E
-    if j.order >= 3:
-        out.third = np.einsum("abc,ai,bj,ck->ijk", j.third, E, E, E)
-    return out
+    out = {}
+    for exps, coeff in items:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != nvars:
+            raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponents are not allowed, got {exps}")
+        out[exps] = out.get(exps, 0.0) + float(coeff)
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+class PolyKernel:
+    """Exact jets to order 3 of k polynomials in n variables sharing one
+    exponent matrix: output o is ``sum_t C[t, o] * prod_i v_i**E[t, i]``.
+
+    Derivatives come from falling-factorial tables, Taylor-mode propagation
+    for monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    ch. 13), built once per order on first use.  A table holds only the
+    partials that do not vanish identically: per term, the sorted index
+    tuples over the term's support that its exponents allow.  Evaluation is
+    a handful of array operations per order, whatever the term count.
+    """
+
+    def __init__(self, E, C):
+        self.E = np.asarray(E, dtype=np.int64)
+        self.C = np.asarray(C, dtype=float)
+        if self.E.ndim != 2 or self.C.ndim != 2 or self.C.shape[0] != self.E.shape[0]:
+            raise ValueError(f"need E (T, n) and C (T, k), got {self.E.shape} and {self.C.shape}")
+        self.n = self.E.shape[1]
+        self.k = self.C.shape[1]
+        self._powers = np.arange(int(self.E.max(initial=0)) + 1)
+        self._tables = [None] * (MAX_ORDER + 1)
+
+    @classmethod
+    def from_polys(cls, polys, nvars):
+        """Kernel of canonical polynomial dicts over ``nvars`` variables,
+        one output per dict."""
+        rows = {}
+        for poly in polys:
+            for e in poly:
+                rows.setdefault(e, len(rows))
+        C = np.zeros((len(rows), len(polys)))
+        for o, poly in enumerate(polys):
+            for e, c in poly.items():
+                C[rows[e], o] = c
+        return cls(np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars), C)
+
+    def jet(self, v, order) -> list:
+        """``[value (k,), jac (k, n), hess (k, n, n), third (k, n, n, n)]`` at
+        ``v``, truncated after ``order``."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError(f"point has shape {v.shape}, expected ({self.n},)")
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
+        powers = v[:, None] ** self._powers  # powers[i, r] = v_i**r, with 0**0 = 1
+        cols = np.arange(self.n)
+        out = []
+        for q in range(order + 1):
+            if self._tables[q] is None:
+                self._tables[q] = _PartialTable(self.E, self.C, q)
+            tab = self._tables[q]
+            dense = np.zeros((self.k, self.n ** q))
+            if tab.starts.size:
+                mono = powers[cols, tab.reduced].prod(axis=1)
+                sums = np.add.reduceat(mono[:, None] * tab.scaled, tab.starts, axis=0)
+                dense[:, tab.dst] = sums[tab.src].T
+            out.append(dense.reshape((self.k,) + (self.n,) * q))
+        return out
+
+
+class _PartialTable:
+    """The nonzero order-q partials of a :class:`PolyKernel`.
+
+    Entry r differentiates term ``t`` along a sorted index tuple ``w``: it
+    leaves the monomial with exponents ``reduced[r]`` times
+    ``scaled[r] = (falling factorial of E[t] along w) * C[t]``.  Entries are
+    sorted by ``w``, so ``starts`` delimits the runs that ``reduceat`` sums;
+    run ``src[i]`` fills flat position ``dst[i]`` of the dense symmetric
+    tensor, once per distinct permutation of its ``w``.
+    """
+
+    def __init__(self, E, C, q):
+        n = E.shape[1]
+        keys, terms, reduced, factors = [], [], [], []
+        for t, e in enumerate(E.tolist()):
+            support = [i for i, ei in enumerate(e) if ei]
+            for w in combinations_with_replacement(support, q):
+                r = list(e)
+                f = 1
+                for i in w:
+                    f *= r[i]
+                    r[i] -= 1
+                if f:
+                    keys.append(w)
+                    terms.append(t)
+                    reduced.append(r)
+                    factors.append(f)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[r] for r in order]
+        self.reduced = np.array(reduced, dtype=np.int64).reshape(len(keys), n)[order]
+        self.scaled = (np.array(factors, dtype=float)[:, None] * C[terms])[order]
+        self.starts = np.array([r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]],
+                               dtype=np.int64)
+        src, dst = [], []
+        for u, r in enumerate(self.starts):
+            for perm in set(permutations(keys[r])):
+                flat = 0
+                for i in perm:
+                    flat = flat * n + i
+                src.append(u)
+                dst.append(flat)
+        self.src = np.array(src, dtype=np.int64)
+        self.dst = np.array(dst, dtype=np.int64)
 
 
 def poly_term_jet(coeff, exps, point, order) -> Jet:
     """Exact jet of the monomial ``coeff * prod_i v_i**exps[i]`` at ``point``.
 
-    Uses falling-factorial derivative formulas rather than repeated jet
-    products; exact up to float rounding and much faster for sparse
-    polynomials.
+    The one-term reference that :class:`PolyKernel` is tested against.
     """
     exps = np.asarray(exps, dtype=int)
     point = np.asarray(point, dtype=float)

@@ -3,21 +3,19 @@
 Every check samples a deterministic grid, measures a residual that the
 exact structure would make vanish, and returns a :class:`VerificationReport`
 (max/mean residual, sample count, failing points).  The canonical Poisson
-bracket used by the groupoid checks carries an overall sign that is
-calibrated once per process against the closed-form symplectic monoid and
-recorded in every report.
+bracket used by the groupoid checks carries the overall sign +1 (see
+:func:`bracket_sign`), which every report records.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
 from .compose import DEFAULT_NEWTON, compose
 from .genfun import GenFun, identity_genfun, tensor
 from .jets import Jet
-from .monoids import PolyPoisson
+from .monoids import PolyPoisson, jacobi_defect
 
 
 # --------------------------------------------------------------------------
@@ -79,10 +77,7 @@ class PoissonField:
 
     def jacobi(self, x) -> float:
         """max |cyclic Jacobi sum| at one point."""
-        alpha, dalpha = self.with_derivatives(x)
-        t = np.einsum("il,jkl->ijk", alpha, dalpha)
-        cyc = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
-        return float(np.max(np.abs(cyc), initial=0.0))
+        return jacobi_defect(*self.with_derivatives(x))
 
 
 def as_field(obj, scale=1.0) -> PoissonField:
@@ -109,7 +104,6 @@ class GroupoidMaps:
             raise ValueError("source/target extraction expects a monoid-shaped genfun")
         self.S = S
         self.d = d
-        self._memo = {}
 
     def source(self, p, x) -> np.ndarray:
         return self.source_jet(p, x)[0]
@@ -117,44 +111,29 @@ class GroupoidMaps:
     def target(self, p, x) -> np.ndarray:
         return self.target_jet(p, x)[0]
 
-    def _cached(self, which, p, x):
-        p = np.asarray(p, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
-        key = (which, p.tobytes(), x.tobytes())
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+    def _jet(self, which, p, x):
         d = self.d
         pad = np.zeros(2 * d)
         if which == "s":
-            pad[:d] = p
-            j = self.S.eval_jet(pad, x, 2)
-            rows = slice(d, 2 * d)
-            pcols = slice(0, d)
+            pad[:d] = np.asarray(p, dtype=float).ravel()
+            rows, pcols = slice(d, 2 * d), slice(0, d)
         else:
-            pad[d:] = p
-            j = self.S.eval_jet(pad, x, 2)
-            rows = slice(0, d)
-            pcols = slice(d, 2 * d)
-        val = j.grad[rows].copy()
-        dp = j.hess[rows, pcols].copy()
-        dx = j.hess[rows, 2 * d:].copy()
-        if len(self._memo) > 4096:
-            self._memo.clear()
-        self._memo[key] = (val, dp, dx)
-        return val, dp, dx
+            pad[d:] = np.asarray(p, dtype=float).ravel()
+            rows, pcols = slice(0, d), slice(d, 2 * d)
+        j = self.S.eval_jet(pad, x, 2)
+        return j.grad[rows].copy(), j.hess[rows, pcols].copy(), j.hess[rows, 2 * d:].copy()
 
     def source_jet(self, p, x):
         """(s(p,x), ds/dp, ds/dx)."""
-        return self._cached("s", p, x)
+        return self._jet("s", p, x)
 
     def target_jet(self, p, x):
-        return self._cached("t", p, x)
+        return self._jet("t", p, x)
 
     def component(self, which, i):
         """Component i of s or t as a jet-evaluable scalar of (p, x)."""
         def f(p, x):
-            val, dp, dx = self._cached(which, p, x)
+            val, dp, dx = self._jet(which, p, x)
             return Jet(1, val[i], np.concatenate([dp[i], dx[i]]))
         return f
 
@@ -168,14 +147,14 @@ def poisson_bivector(S: GenFun) -> PoissonField:
 
 
 # --------------------------------------------------------------------------
-# Canonical bracket and its sign calibration
+# Canonical bracket
 # --------------------------------------------------------------------------
 
 def canonical_bracket(f, g, p, x, sign=None) -> float:
     """{f, g} at (p, x) for jet-evaluable scalars on phase space.
 
     Computed as sign * sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i); the sign
-    defaults to the per-process calibrated one (see :func:`bracket_sign`).
+    defaults to :func:`bracket_sign`.
     """
     if sign is None:
         sign = bracket_sign()
@@ -188,34 +167,14 @@ def canonical_bracket(f, g, p, x, sign=None) -> float:
     return sign * float(fx @ gp - fp @ gx)
 
 
-@lru_cache(maxsize=1)
 def bracket_sign() -> int:
-    """Calibrate the bracket sign against the closed-form symplectic monoid.
+    """The orientation of the canonical bracket: +1.
 
-    The groupoid identity {s_i, s_j} = alpha^{ij}(s) holds exactly there
-    for exactly one sign convention; that sign is fixed for the process.
+    With this sign the groupoid identity {s_i, s_j} = alpha^{ij}(s) holds
+    exactly on the closed-form symplectic monoid and fails with -1; the test
+    suite re-derives it by that calibration.
     """
-    from .monoids import symplectic_monoid
-
-    S = symplectic_monoid(2)
-    gm = GroupoidMaps(S)
-    field = PoissonField.from_monoid(S)
-    pts = [(np.array([0.07, -0.04]), np.array([0.31, -0.22])),
-           (np.array([-0.05, 0.09]), np.array([-0.6, 0.45]))]
-    worst = {1: 0.0, -1: 0.0}
-    for sgn in (1, -1):
-        for p, x in pts:
-            a = field.matrix(gm.source(p, x))
-            for i in range(2):
-                for j in range(i + 1, 2):
-                    b = canonical_bracket(gm.component("s", i), gm.component("s", j),
-                                          p, x, sign=sgn)
-                    worst[sgn] = max(worst[sgn], abs(b - a[i, j]))
-    sign = 1 if worst[1] <= worst[-1] else -1
-    if worst[sign] > 1e-10:
-        raise RuntimeError(
-            f"bracket sign calibration failed: best residual {worst[sign]:.3e}")
-    return sign
+    return 1
 
 
 # --------------------------------------------------------------------------
@@ -321,30 +280,25 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10, field=None):
 
     Returns three reports (source brackets reproduce the bivector, target
     brackets reproduce its negative, source components commute with target
-    components), all evaluated with the calibrated canonical bracket.
+    components), all evaluated with the canonical bracket.
     """
     d = S.n
     gm = GroupoidMaps(S)
     fld = as_field(field if field is not None else S)
+    upper = np.triu_indices(d, 1)
     res_ss, res_tt, res_st = [], [], []
     pts = []
     for p, x in zip(np.atleast_2d(ps), np.atleast_2d(xs)):
-        a_s = fld.matrix(gm.source(p, x))
-        a_t = fld.matrix(gm.target(p, x))
-        worst_ss = worst_tt = worst_st = 0.0
-        for i in range(d):
-            for j in range(i + 1, d):
-                bss = canonical_bracket(gm.component("s", i), gm.component("s", j), p, x)
-                worst_ss = max(worst_ss, abs(bss - a_s[i, j]))
-                btt = canonical_bracket(gm.component("t", i), gm.component("t", j), p, x)
-                worst_tt = max(worst_tt, abs(btt + a_t[i, j]))
-        for i in range(d):
-            for j in range(d):
-                bst = canonical_bracket(gm.component("s", i), gm.component("t", j), p, x)
-                worst_st = max(worst_st, abs(bst))
-        res_ss.append(worst_ss)
-        res_tt.append(worst_tt)
-        res_st.append(worst_st)
+        s, dps, dxs = gm.source_jet(p, x)
+        t, dpt, dxt = gm.target_jet(p, x)
+        # canonical brackets of all component pairs:
+        # {f_i, g_j} = (Df_x Dg_p^T - Df_p Dg_x^T)[i, j]
+        bss = dxs @ dps.T - dps @ dxs.T
+        btt = dxt @ dpt.T - dpt @ dxt.T
+        bst = dxs @ dpt.T - dps @ dxt.T
+        res_ss.append(float(np.max(np.abs(bss - fld.matrix(s))[upper], initial=0.0)))
+        res_tt.append(float(np.max(np.abs(btt + fld.matrix(t))[upper], initial=0.0)))
+        res_st.append(float(np.max(np.abs(bst), initial=0.0)))
         pts.append(np.concatenate([p, x]))
     return [
         _make_report(GROUPOID_AXIOMS[0], pts, res_ss, tol),

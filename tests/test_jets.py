@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symgf.jets import (Jet, jet_add, jet_const, jet_embed, jet_mul,
-                        jet_pullback_linear, jet_scale, jet_sub, jet_var,
-                        poly_term_jet)
+from symgf import (LieStructure, PolyMap, PolyPoisson, kontsevich_monoid,
+                   lie_monoid, poly_genfun, unit_genfun)
+from symgf.jets import PolyKernel, jet_add, jet_const, jet_embed, poly_term_jet
 
 from conftest import fd_grad
 
@@ -44,32 +44,6 @@ def test_poly_term_jet_exact_quadratic():
     assert np.all(j.third == 0.0)
 
 
-@given(coeffs, coeffs, coeffs)
-def test_jet_ring_ops(a0, b0, c):
-    z = np.array([0.4, -0.7])
-    a = jet_mul(jet_var(z[0], 0, 2, 3), jet_const(a0, 2, 3))
-    b = jet_mul(jet_var(z[1], 1, 2, 3), jet_const(b0, 2, 3))
-    s = jet_add(a, jet_scale(b, c))
-    assert s.value == pytest.approx(a0 * z[0] + c * b0 * z[1], abs=1e-12)
-    np.testing.assert_allclose(s.grad, [a0, c * b0], atol=1e-12)
-    d = jet_sub(s, s)
-    assert d.value == 0.0
-    assert np.all(d.grad == 0.0) and np.all(d.hess == 0.0)
-
-
-def test_jet_mul_third_order_against_poly():
-    # (z0^2 z1) * (z0 z1) = z0^3 z1^2, compare full jets
-    z = np.array([0.9, -1.3])
-    a = poly_term_jet(1.0, (2, 1), z, 3)
-    b = poly_term_jet(1.0, (1, 1), z, 3)
-    prod = jet_mul(a, b)
-    direct = poly_term_jet(1.0, (3, 2), z, 3)
-    np.testing.assert_allclose(prod.value, direct.value, rtol=1e-12)
-    np.testing.assert_allclose(prod.grad, direct.grad, rtol=1e-12)
-    np.testing.assert_allclose(prod.hess, direct.hess, rtol=1e-12)
-    np.testing.assert_allclose(prod.third, direct.third, rtol=1e-12)
-
-
 def test_jet_embed_scatters_indices():
     z = np.array([0.6, 0.25])
     j = poly_term_jet(1.0, (1, 2), z, 3)
@@ -81,30 +55,11 @@ def test_jet_embed_scatters_indices():
     np.testing.assert_allclose(big.third, full.third, rtol=1e-12)
 
 
-def test_jet_pullback_linear_is_chain_rule():
-    # f(z) = z0^2 z1 pulled back through z = E w
-    E = np.array([[1.0, 2.0], [0.5, -1.0]])
-    w = np.array([0.3, 0.8])
-    z = E @ w
-    j = poly_term_jet(1.0, (2, 1), z, 3)
-    pulled = jet_pullback_linear(j, E)
-
-    def f(wv):
-        zv = E @ wv
-        return zv[0] ** 2 * zv[1]
-
-    np.testing.assert_allclose(pulled.grad, fd_grad(f, w), atol=1e-7)
-    h = np.stack([fd_grad(lambda u: fd_grad(f, u)[i], w, 1e-4) for i in range(2)])
-    np.testing.assert_allclose(pulled.hess, h, atol=1e-5)
-
-
 def test_jet_order_mismatch_raises():
     a = jet_const(1.0, 2, 2)
     b = jet_const(1.0, 2, 3)
     with pytest.raises(ValueError):
         jet_add(a, b)
-    with pytest.raises(ValueError):
-        jet_mul(a, jet_const(1.0, 3, 2))
 
 
 def test_zero_exponent_at_zero_point():
@@ -112,3 +67,84 @@ def test_zero_exponent_at_zero_point():
     j = poly_term_jet(3.0, (0, 1), np.array([0.0, 2.0]), 1)
     assert j.value == 6.0
     np.testing.assert_array_equal(j.grad, [0.0, 3.0])
+
+
+# -- the sparse-polynomial kernel against the one-term reference ------------
+
+def _kernel_cases():
+    """(polynomials, nvars, jets) triples: ``jets(v, order)`` evaluates the
+    polynomials through a library object, one leading axis per polynomial."""
+    so3 = LieStructure.so3()
+
+    def genfun(S):
+        def jets(v, order):
+            j = S.eval_jet(v[:S.m], v[S.m:], order)
+            return [np.asarray(t)[None] for t in (j.value, j.grad, j.hess, j.third)[:order + 1]]
+        return [{pe + xe: c for (pe, xe), c in S.terms.items()}], S.m + S.n, jets
+
+    phi = PolyMap([{(1, 0, 0): 1.0, (0, 2, 1): 0.3, (3, 0, 0): -0.1},
+                   {(2, 0, 0): 0.0},
+                   {(0, 1, 0): 1.0, (1, 1, 0): -0.2, (0, 0, 0): 0.7}], 3)
+    alpha = PolyPoisson(3, {(0, 1): {(0, 0, 1): 1.0, (2, 0, 0): 0.4},
+                            (1, 2): {(1, 0, 0): 1.0, (0, 0, 0): 0.3, (0, 1, 2): -0.5}})
+    rows, cols = zip(*alpha.entries)
+    kernel = PolyKernel.from_polys(list(alpha.entries.values()), 3)
+
+    def map_jets(v, order):
+        mj = phi.jet(v, order)
+        return [mj.value, mj.jac, mj.hess, mj.third][:order + 1]
+
+    def poisson_jets(v, order):
+        A, dA = alpha.matrix_jet(v, min(order, 1))
+        upper = [A[rows, cols]] + ([] if dA is None else [dA[rows, cols]])
+        return upper + kernel.jet(v, order)[2:]
+
+    return {
+        "lie-so3-trunc4": genfun(lie_monoid(so3, trunc=4)),
+        "kontsevich-order2": genfun(kontsevich_monoid(
+            PolyPoisson.linear_from_structure(so3), eps=0.5, order=2,
+            weights=(-1.0 / 12.0, 1.0 / 12.0))),
+        "empty": genfun(unit_genfun(3)),
+        "polymap-with-zero-component": (phi.components, 3, map_jets),
+        "polypoisson": (list(alpha.entries.values()), 3, poisson_jets),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def _reference(polys, nvars, v):
+    """Order-3 jets of each polynomial as sums of poly_term_jet over terms."""
+    out = [np.zeros((len(polys),) + (nvars,) * q) for q in range(4)]
+    for o, poly in enumerate(polys):
+        for exps, c in poly.items():
+            j = poly_term_jet(c, exps, v, 3)
+            for q, t in enumerate((j.value, j.grad, j.hess, j.third)):
+                out[q][o] += t
+    return out
+
+
+coords = st.one_of(st.just(0.0), st.floats(-1.2, 1.2, allow_nan=False))
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@given(data=st.data())
+def test_kernel_matches_sum_of_term_jets(case, data):
+    polys, nvars, jets = KERNEL_CASES[case]
+    drawn = np.array(data.draw(st.lists(coords, min_size=nvars, max_size=nvars)))
+    for v in (drawn, np.zeros(nvars)):  # the origin exercises 0**0 = 1
+        ref = _reference(polys, nvars, v)
+        for order in range(4):
+            got = jets(v, order)
+            assert len(got) == order + 1
+            for q in range(order + 1):
+                np.testing.assert_allclose(got[q], ref[q], rtol=1e-13, atol=1e-13)
+
+
+def test_negative_exponents_rejected_by_every_polynomial_type():
+    with pytest.raises(ValueError, match="negative"):
+        PolyMap([{(-1, 0): 1.0}, {(0, 1): 1.0}], 2)
+    with pytest.raises(ValueError, match="negative"):
+        PolyPoisson(2, {(0, 1): {(-2, 0): 1.0}})
+    with pytest.raises(ValueError, match="negative"):
+        poly_genfun({((1,), (-1,)): 1.0}, 1, 1)

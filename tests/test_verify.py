@@ -10,6 +10,20 @@ from symgf.jets import Jet
 
 
 def test_bracket_sign_calibrates_positive():
+    # {s_i, s_j} = alpha^{ij}(s) holds exactly on the closed-form symplectic
+    # monoid for one sign only; it must be the constant bracket_sign()
+    S = symplectic_monoid(2)
+    gm = GroupoidMaps(S)
+    field = PoissonField.from_monoid(S)
+    pts = [(np.array([0.07, -0.04]), np.array([0.31, -0.22])),
+           (np.array([-0.05, 0.09]), np.array([-0.6, 0.45]))]
+    worst = {1: 0.0, -1: 0.0}
+    for sgn in (1, -1):
+        for p, x in pts:
+            a = field.matrix(gm.source(p, x))
+            b = canonical_bracket(gm.component("s", 0), gm.component("s", 1), p, x, sign=sgn)
+            worst[sgn] = max(worst[sgn], abs(b - a[0, 1]))
+    assert worst[1] < 1e-10 < worst[-1]
     assert bracket_sign() == 1
 
 
