@@ -11,9 +11,11 @@ critical point
     pb = grad_x G(p1, xb),        xb = grad_p F(pb, xb -> x3).
 
 The critical point is found by damped Newton from the canonical anchor
-pb = 0, xb = grad_p F(0, x3) (the exact solution at p1 = 0 for normalized
-inputs).  First derivatives of the composite come from the envelope
-identities
+pb = 0, xb = grad_p F(0, x3).  For normalized operands the anchor is the
+exact critical point at p1 = 0, where Newton stops before its first step
+and the stationary value is exactly 0: the composite is normalized by
+construction and no constant is subtracted from its values.  First
+derivatives of the composite come from the envelope identities
 
     grad_p (F o G) = grad_p G(p1, xb),   grad_x (F o G) = grad_x F(pb, x3),
 
@@ -23,7 +25,7 @@ composed again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,25 +79,18 @@ class StationaryPoint:
     condition: float
 
 
-def _middle_jets(F, G, p1, x3, z, order):
+def _residual_and_jac(F, G, p1, x3, z):
     k = F.m
-    return (F.eval_jet(z[:k], x3, order), G.eval_jet(p1, z[k:], order))
-
-
-def _residual_and_jac(F, G, p1, x3, z, with_jac=True):
-    k = F.m
-    order = 2 if with_jac else 1
-    jF, jG = _middle_jets(F, G, p1, x3, z, order)
+    jF = F.eval_jet(z[:k], x3, 2)
+    jG = G.eval_jet(p1, z[k:], 2)
     r = np.concatenate([
         z[:k] - jG.grad[G.m:],          # pb - grad_x G(p1, xb)
         z[k:] - jF.grad[:k],            # xb - grad_p F(pb, x3)
     ])
-    if not with_jac:
-        return r, None, jF, jG
     J = np.eye(2 * k)
     J[:k, k:] = -jG.hess[G.m:, G.m:]
     J[k:, :k] = -jF.hess[:k, :k]
-    return r, J, jF, jG
+    return r, J
 
 
 def _anchor(F, G, p1, x3):
@@ -107,9 +102,9 @@ def _anchor(F, G, p1, x3):
 
 def _newton(F, G, p1, x3, opts, z0=None):
     z = _anchor(F, G, p1, x3) if z0 is None else np.array(z0, dtype=float)
+    r, J = _residual_and_jac(F, G, p1, x3, z)
     cond = 1.0
     for it in range(opts.max_iter + 1):
-        r, J, jF, jG = _residual_and_jac(F, G, p1, x3, z)
         rn = np.linalg.norm(r, ord=np.inf)
         cond = np.linalg.cond(J)
         if not np.isfinite(cond) or cond > opts.cond_limit:
@@ -124,11 +119,13 @@ def _newton(F, G, p1, x3, opts, z0=None):
         step = np.linalg.solve(J, -r)
         lam = 1.0
         while True:
-            r_try, _, _, _ = _residual_and_jac(F, G, p1, x3, z + lam * step, with_jac=False)
-            if np.linalg.norm(r_try, ord=np.inf) <= (1.0 - 0.5 * lam) * rn or lam < 1e-6:
+            # the accepted trial's (r, J) serve the next iterate
+            z_try = z + lam * step
+            r, J = _residual_and_jac(F, G, p1, x3, z_try)
+            if np.linalg.norm(r, ord=np.inf) <= (1.0 - 0.5 * lam) * rn or lam < 1e-6:
                 break
             lam *= opts.damping
-        z = z + lam * step
+        z = z_try
     raise ConvergenceError(
         f"stationary-point Newton did not reach tol {opts.tol:.1e} in "
         f"{opts.max_iter} iterations (residual {rn:.3e}) at p1={p1}, x3={x3}"
@@ -184,10 +181,10 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
 class ComposedGenFun(GenFun):
     """The composite F o G as a lazily evaluated generating function.
 
-    Values subtract the p = 0 stationary value at the same base point, so
-    the composite satisfies S(0, x) = 0 exactly even when the operands are
-    only approximately normalized; the subtracted constant is available
-    from :meth:`renorm_constant`.
+    Normalization is exact by construction: at p = 0 Newton starts at the
+    anchor, which is already the critical point of normalized operands, so
+    S(0, x) = 0 and grad_x S(0, x) = 0 hold without any correction and
+    nothing is subtracted from the stationary value.
     """
 
     def __init__(self, F: GenFun, G: GenFun, opts: NewtonOptions = DEFAULT_NEWTON,
@@ -207,59 +204,45 @@ class ComposedGenFun(GenFun):
         return stationary_point(self.F, self.G, p, x, self.opts, check_branch)
 
     def renorm_constant(self, x) -> float:
-        """The raw stationary value at p = 0 (subtracted from every value)."""
-        return self._raw_jet(np.zeros(self.m), np.asarray(x, float).ravel(), 0).value
+        """The composite value at p = 0; exactly 0.0 for normalized operands."""
+        # a diagnostic kept by name: perfbench/tracer.py patches it
+        return self.eval_jet(np.zeros(self.m), x, 0).value
 
     def eval_jet(self, p, x, order) -> Jet:
-        p = np.asarray(p, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
-        out = self._raw_jet(p, x, order)
-        if np.any(p):
-            out.value -= self.renorm_constant(x)
-        else:
-            out.value = 0.0
-        return out
-
-    def _raw_jet(self, p1, x3, order) -> Jet:
         F, G, k = self.F, self.G, self.F.m
         m, n = self.m, self.n
+        p1 = np.asarray(p, dtype=float).ravel()
+        x3 = np.asarray(x, dtype=float).ravel()
         sp = stationary_point(F, G, p1, x3, self.opts)
-        z = np.concatenate([sp.p_mid, sp.x_mid])
-        q = max(order, 2) if order > 0 else 0
-
-        if q == 0:
-            jF, jG = _middle_jets(F, G, p1, x3, z, 0)
-            return Jet(0, jF.value + jG.value - float(sp.p_mid @ sp.x_mid))
-
-        jF, jG = _middle_jets(F, G, p1, x3, z, q)
-        # L(pb, xb, p1, x3) = F(pb, x3) + G(p1, xb) - <pb, xb>
+        jF = F.eval_jet(sp.p_mid, x3, order)
+        jG = G.eval_jet(p1, sp.x_mid, order)
+        out = Jet(order, jF.value + jG.value - float(sp.p_mid @ sp.x_mid))
+        if order == 0:
+            return out
+        # envelope identities give the exact first derivatives
+        out.grad = np.concatenate([jG.grad[:m], jF.grad[k:]])
+        if order == 1:
+            return out
+        # Hessian of L(pb, xb, p1, x3) = F(pb, x3) + G(p1, xb) - <pb, xb>
         nv = 2 * k + m + n
         idx_F = list(range(k)) + list(range(2 * k + m, nv))
         idx_G = list(range(2 * k, 2 * k + m)) + list(range(k, 2 * k))
         L = jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
-        L.value -= float(sp.p_mid @ sp.x_mid)
-        L.grad[:k] -= sp.x_mid
-        L.grad[k:2 * k] -= sp.p_mid
         for i in range(k):
             L.hess[i, k + i] -= 1.0
             L.hess[k + i, i] -= 1.0
-
-        out = Jet(order, L.value)
-        # envelope identities give the exact first derivatives
-        out.grad = np.concatenate([jG.grad[:m], jF.grad[k:]])
-        if order >= 2:
-            Lzz = L.hess[:2 * k, :2 * k]
-            Lzu = L.hess[:2 * k, 2 * k:]
-            try:
-                zu = -np.linalg.solve(Lzz, Lzu)
-            except np.linalg.LinAlgError as exc:
-                raise DegeneracyError(
-                    f"second-derivative block is singular at p1={p1}, x3={x3}"
-                ) from exc
-            E = np.vstack([zu, np.eye(m + n)])
-            out.hess = E.T @ L.hess @ E
-            if order >= 3:
-                out.third = np.einsum("abc,ai,bj,ck->ijk", L.third, E, E, E)
+        Lzz = L.hess[:2 * k, :2 * k]
+        Lzu = L.hess[:2 * k, 2 * k:]
+        try:
+            zu = -np.linalg.solve(Lzz, Lzu)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneracyError(
+                f"second-derivative block is singular at p1={p1}, x3={x3}"
+            ) from exc
+        E = np.vstack([zu, np.eye(m + n)])
+        out.hess = E.T @ L.hess @ E
+        if order >= 3:
+            out.third = np.einsum("abc,ai,bj,ck->ijk", L.third, E, E, E, optimize=True)
         return out
 
 

@@ -110,11 +110,11 @@ class InverseMap:
         out.jac = zy
         if order >= 2:
             # A z_uv = -g''[z_u, z_v]
-            rhs = np.einsum("abc,bu,cv->auv", bj.hess, zy, zy)
+            rhs = np.einsum("abc,bu,cv->auv", bj.hess, zy, zy, optimize=True)
             out.hess = -np.linalg.solve(A, rhs.reshape(self.d_in, -1)).reshape(rhs.shape)
         if order >= 3:
-            t3 = np.einsum("abcd,bu,cv,dw->auvw", bj.third, zy, zy, zy)
-            m = np.einsum("abc,buv,cw->auvw", bj.hess, out.hess, zy)
+            t3 = np.einsum("abcd,bu,cv,dw->auvw", bj.third, zy, zy, zy, optimize=True)
+            m = np.einsum("abc,buv,cw->auvw", bj.hess, out.hess, zy, optimize=True)
             rhs = t3 + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2)
             out.third = -np.linalg.solve(A, rhs.reshape(self.d_in, -1)).reshape(rhs.shape)
         return out

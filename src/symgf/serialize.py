@@ -77,9 +77,17 @@ def dump(obj, path, indent=2):
     return text
 
 
+def _finite_float(text):
+    # json accepts NaN, Infinity and -Infinity, and reads 1e999 as inf
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text} is not allowed in JSON input")
+    return v
+
+
 def load(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
 
 
 # --------------------------------------------------------------------------

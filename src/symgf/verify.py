@@ -8,6 +8,7 @@ bracket used by the groupoid checks carries the overall sign +1 (see
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -217,9 +218,10 @@ class VerificationReport:
 
 def _make_report(axiom, points, residuals, tol, grid=None) -> VerificationReport:
     residuals = np.asarray(residuals, dtype=float)
+    # written so that a NaN residual or tolerance fails
     failures = [
         {"point": list(np.asarray(points[i], float).ravel()), "residual": float(residuals[i])}
-        for i in np.nonzero(residuals > tol)[0]
+        for i in np.nonzero(~(residuals <= tol))[0]
     ]
     return VerificationReport(
         axiom=axiom,
@@ -280,8 +282,11 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10, field=None):
 
     Returns three reports (source brackets reproduce the bivector, target
     brackets reproduce its negative, source components commute with target
-    components), all evaluated with the canonical bracket.
+    components), all evaluated with the canonical bracket.  ``tol`` is one
+    tolerance for all three or a mapping with one per name in
+    :data:`GROUPOID_AXIOMS`.
     """
+    tols = tol if isinstance(tol, Mapping) else dict.fromkeys(GROUPOID_AXIOMS, tol)
     d = S.n
     gm = GroupoidMaps(S)
     fld = as_field(field if field is not None else S)
@@ -300,11 +305,8 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10, field=None):
         res_tt.append(float(np.max(np.abs(btt + fld.matrix(t))[upper], initial=0.0)))
         res_st.append(float(np.max(np.abs(bst), initial=0.0)))
         pts.append(np.concatenate([p, x]))
-    return [
-        _make_report(GROUPOID_AXIOMS[0], pts, res_ss, tol),
-        _make_report(GROUPOID_AXIOMS[1], pts, res_tt, tol),
-        _make_report(GROUPOID_AXIOMS[2], pts, res_st, tol),
-    ]
+    return [_make_report(axiom, pts, res, tols[axiom])
+            for axiom, res in zip(GROUPOID_AXIOMS, (res_ss, res_tt, res_st))]
 
 
 def check_jacobi(field, xs, tol=1e-10) -> VerificationReport:

@@ -8,6 +8,7 @@ import pytest
 from symgf import symplectic_monoid
 from symgf.cli import main
 from symgf.serialize import dump, genfun_to_dict
+from symgf.verify import GROUPOID_AXIOMS
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -53,6 +54,37 @@ def test_verify_failure_exits_one(tmp_path):
     failed = {r["axiom"] for r in rep["reports"] if r["failures"]}
     assert "associativity" in failed
     assert "unit" not in failed
+
+
+def test_groupoid_tolerances_are_per_axiom(tmp_path):
+    # all three groupoid residuals are about 8e-2 here, so only the axiom
+    # whose tolerance is raised above that passes
+    out = tmp_path / "report.json"
+    code = main(["verify", "--builtin", "lie", "--trunc", "2", "--grid-n", "5",
+                 "--p-radius", "0.5", "--tol", "source-poisson=1", "--out", str(out)])
+    assert code == 1
+    reports = {r["axiom"]: r for r in json.loads(out.read_text())["reports"]}
+    assert all(reports[a]["max"] > 1e-2 for a in GROUPOID_AXIOMS)
+    failed = {a for a in GROUPOID_AXIOMS if reports[a]["failures"]}
+    assert failed == {"target-anti-poisson", "source-target-commute"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_non_finite_or_non_positive_tolerance_exits_two(value, capsys):
+    # a NaN tolerance used to turn an associativity defect of 1.3e-3 into a pass
+    code = main(["verify", "--builtin", "lie", "--lie", "so3", "--trunc", "2",
+                 "--grid-n", "5", "--p-radius", "0.5", "--tol", f"associativity={value}"])
+    assert code == 2
+    assert "finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_json_number_exits_two(tmp_path, number, capsys):
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"d": 2, "terms": [{"coeff": %s, "p1": [1, 0], "p2": [0, 0], '
+                    '"x": [1, 0]}]}' % number)
+    assert main(["verify", "--monoid", str(path), "--grid-n", "3"]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):

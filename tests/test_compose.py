@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
-from symgf import (ConvergenceError, DegeneracyError, Diffeo, NewtonOptions,
-                   PolyMap, change_coordinates, compose, identity_genfun,
-                   poisson_bivector, poly_genfun, sample_ball, sample_box,
-                   source_target, standard_bivector, stationary_point,
-                   symplectic_monoid, tensor)
+from symgf import (ConvergenceError, DegeneracyError, Diffeo, LieStructure,
+                   NewtonOptions, PolyMap, PolyPoisson, change_coordinates, compose,
+                   identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
+                   poly_genfun, sample_ball, sample_box, source_target,
+                   standard_bivector, stationary_point, symplectic_monoid, tensor)
 from symgf.maps import InverseMap
 
 from conftest import fd_grad, fd_jac
@@ -136,6 +138,47 @@ def test_composed_value_is_renormalized():
     C = compose(F, G)
     xs = sample_box(8, 2, -0.6, 0.6, 2)
     assert C.normalization_residual(xs) < 1e-12
+
+
+def _triple_product(S):
+    return compose(S, tensor(S, identity_genfun(S.n)))
+
+
+@pytest.mark.parametrize("make", [
+    # lift(g^-1) o S o (lift(g) (+) lift(g)): the outer lift is a LiftGenFun
+    # of an InverseMap
+    lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
+        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
+    lambda: _triple_product(lie_monoid(LieStructure.so3(), trunc=4)),
+    lambda: _triple_product(kontsevich_monoid(
+        PolyPoisson.linear_from_structure(LieStructure.so3()), eps=0.05, order=2,
+        weights=(-1.0 / 12.0, 1.0 / 12.0))),
+], ids=["coordinate-change", "so3-trunc4-triple", "kontsevich-order2-triple"])
+def test_composite_is_exactly_normalized(make):
+    # Newton stops at the anchor when p = 0, so S(0, x) = 0 with no
+    # correction subtracted
+    C = make()
+    for x in sample_box(4, C.n, -0.25, 0.25, 9):
+        assert C.renorm_constant(x) == 0.0
+
+
+def test_composite_jet_makes_one_stationary_solve(monkeypatch):
+    module = sys.modules["symgf.compose"]
+    real = module.stationary_point
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "stationary_point", counting)
+    C = _triple_product(symplectic_monoid(2))
+    x = np.array([0.4, -0.3])
+    for p in (np.array([0.1, -0.2, 0.05, 0.03, 0.07, -0.04]), np.zeros(6)):
+        for order in range(4):
+            calls.clear()
+            C.eval_jet(p, x, order)
+            assert len(calls) == 1, (p, order)
 
 
 # -- solver behaviour -------------------------------------------------------

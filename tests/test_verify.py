@@ -91,6 +91,19 @@ def test_reports_carry_failures_and_points():
     assert len(rep2.failures[0]["point"]) == 4
 
 
+def test_non_finite_residuals_and_tolerances_fail():
+    # NaN > tol is False: the verdict must not rest on that comparison
+    def backend(x, order):
+        return np.full((2, 2), x[0]), np.full((2, 2, 2), x[0])
+
+    field = PoissonField(2, backend)
+    rep = check_jacobi(field, [[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]], tol=1.0)
+    assert not rep.passed
+    assert [f["point"][0] for f in rep.failures] == pytest.approx([np.nan, np.inf],
+                                                                  nan_ok=True)
+    assert not check_jacobi(field, [[0.0, 0.0]], tol=np.nan).passed
+
+
 def test_groupoid_residual_scaling_so3():
     # truncation error of the cubic-order group law is bidegree (1,3) in
     # (x, p): halving p alone scales residuals by 8
