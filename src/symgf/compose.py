@@ -14,7 +14,10 @@ The critical point is found by damped Newton from the canonical anchor
 pb = 0, xb = grad_p F(0, x3).  For normalized operands the anchor is the
 exact critical point at p1 = 0, where Newton stops before its first step
 and the stationary value is exactly 0: the composite is normalized by
-construction and no constant is subtracted from its values.  First
+construction and no constant is subtracted from its values.  Newton
+evaluates the operands once per iterate, at order 2, and the solve returns
+the jets of its accepted iterate: the composite reads value, gradient and
+Hessian off them, and only order 3 evaluates the operands again.  First
 derivatives of the composite come from the envelope identities
 
     grad_p (F o G) = grad_p G(p1, xb),   grad_x (F o G) = grad_x F(pb, x3),
@@ -25,7 +28,7 @@ composed again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,11 +80,14 @@ class StationaryPoint:
     iterations: int
     residual: float
     condition: float
+    # order-2 jets (F at (p_mid, x3), G at (p1, x_mid)) of the accepted iterate
+    jets: tuple | None = field(default=None, repr=False)
 
 
-def _residual_and_jac(F, G, p1, x3, z):
+def _residual_and_jac(F, G, p1, x3, z, jF=None):
     k = F.m
-    jF = F.eval_jet(z[:k], x3, 2)
+    if jF is None:
+        jF = F.eval_jet(z[:k], x3, 2)
     jG = G.eval_jet(p1, z[k:], 2)
     r = np.concatenate([
         z[:k] - jG.grad[G.m:],          # pb - grad_x G(p1, xb)
@@ -90,19 +96,17 @@ def _residual_and_jac(F, G, p1, x3, z):
     J = np.eye(2 * k)
     J[:k, k:] = -jG.hess[G.m:, G.m:]
     J[k:, :k] = -jF.hess[:k, :k]
-    return r, J
-
-
-def _anchor(F, G, p1, x3):
-    k = F.m
-    z = np.zeros(2 * k)
-    z[k:] = F.eval_jet(np.zeros(k), x3, 1).grad[:k]
-    return z
+    return r, J, (jF, jG)
 
 
 def _newton(F, G, p1, x3, opts, z0=None):
-    z = _anchor(F, G, p1, x3) if z0 is None else np.array(z0, dtype=float)
-    r, J = _residual_and_jac(F, G, p1, x3, z)
+    k, jF = F.m, None
+    if z0 is None:
+        # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
+        jF = F.eval_jet(np.zeros(k), x3, 2)
+        z0 = np.concatenate([np.zeros(k), jF.grad[:k]])
+    z = np.array(z0, dtype=float)
+    r, J, jets = _residual_and_jac(F, G, p1, x3, z, jF)
     cond = 1.0
     for it in range(opts.max_iter + 1):
         rn = np.linalg.norm(r, ord=np.inf)
@@ -113,15 +117,15 @@ def _newton(F, G, p1, x3, opts, z0=None):
                 f"exceeds {opts.cond_limit:.1e}) at p1={p1}, x3={x3}"
             )
         if rn <= opts.tol:
-            return z, it, rn, cond
+            return z, it, rn, cond, jets
         if it == opts.max_iter:
             break
         step = np.linalg.solve(J, -r)
         lam = 1.0
         while True:
-            # the accepted trial's (r, J) serve the next iterate
+            # the accepted trial's (r, J, jets) serve the next iterate
             z_try = z + lam * step
-            r, J = _residual_and_jac(F, G, p1, x3, z_try)
+            r, J, jets = _residual_and_jac(F, G, p1, x3, z_try)
             if np.linalg.norm(r, ord=np.inf) <= (1.0 - 0.5 * lam) * rn or lam < 1e-6:
                 break
             lam *= opts.damping
@@ -139,9 +143,9 @@ def _homotopy(F, G, p1, x3, opts):
     total_it = 0
     for s in range(1, steps + 1):
         tau = s / steps
-        z, it, rn, cond = _newton(F, G, tau * np.asarray(p1, float), x3, opts, z0=z)
+        z, it, rn, cond, jets = _newton(F, G, tau * np.asarray(p1, float), x3, opts, z0=z)
         total_it += it
-    return z, total_it, rn, cond
+    return z, total_it, rn, cond, jets
 
 
 def stationary_point(F: GenFun, G: GenFun, p1, x3,
@@ -160,22 +164,22 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     p1 = np.asarray(p1, dtype=float).ravel()
     x3 = np.asarray(x3, dtype=float).ravel()
     try:
-        z, it, rn, cond = _newton(F, G, p1, x3, opts)
+        z, it, rn, cond, jets = _newton(F, G, p1, x3, opts)
         direct_failed = False
     except ConvergenceError:
         if opts.homotopy_steps <= 0:
             raise
-        z, it, rn, cond = _homotopy(F, G, p1, x3, opts)
+        z, it, rn, cond, jets = _homotopy(F, G, p1, x3, opts)
         direct_failed = True
     if check_branch and not direct_failed:
-        zh, _, _, _ = _homotopy(F, G, p1, x3, opts)
+        zh = _homotopy(F, G, p1, x3, opts)[0]
         if np.linalg.norm(z - zh, ord=np.inf) > opts.branch_tol * (1.0 + np.linalg.norm(z, ord=np.inf)):
             raise BranchJumpError(
                 f"direct Newton landed on a different branch than the "
                 f"homotopy continuation at p1={p1}, x3={x3}"
             )
     k = F.m
-    return StationaryPoint(z[:k].copy(), z[k:].copy(), it, rn, cond)
+    return StationaryPoint(z[:k].copy(), z[k:].copy(), it, rn, cond, jets)
 
 
 class ComposedGenFun(GenFun):
@@ -214,8 +218,9 @@ class ComposedGenFun(GenFun):
         p1 = np.asarray(p, dtype=float).ravel()
         x3 = np.asarray(x, dtype=float).ravel()
         sp = stationary_point(F, G, p1, x3, self.opts)
-        jF = F.eval_jet(sp.p_mid, x3, order)
-        jG = G.eval_jet(p1, sp.x_mid, order)
+        # orders 0-2 read the solve's operand jets at the critical point
+        jF, jG = sp.jets if order <= 2 else (F.eval_jet(sp.p_mid, x3, 3),
+                                             G.eval_jet(p1, sp.x_mid, 3))
         out = Jet(order, jF.value + jG.value - float(sp.p_mid @ sp.x_mid))
         if order == 0:
             return out

@@ -100,14 +100,6 @@ class PolyGenFun(GenFun):
                                 np.asarray(x, dtype=float).ravel()])
         return Jet(order, *(t[0] for t in self._kernel.jet(point, order)))
 
-    def scaled(self, factor, label=None):
-        """The genfun with every coefficient multiplied by ``factor``."""
-        return PolyGenFun(
-            {k: factor * v for k, v in self.terms.items()},
-            self.m, self.n, self.domain_radius,
-            label if label is not None else self.label,
-        )
-
 
 class TensorGenFun(GenFun):
     """External tensor product: (F (+) G)(p, q, x, y) = F(p, x) + G(q, y)."""

@@ -95,7 +95,8 @@ class InverseMap:
             if np.linalg.norm(r, ord=np.inf) < self.tol:
                 return z
             z = z - np.linalg.solve(mj.jac, r)
-        raise RuntimeError("InverseMap: Newton solve for the inverse did not converge")
+        from .compose import ConvergenceError
+        raise ConvergenceError("InverseMap: Newton solve for the inverse did not converge")
 
     def jet(self, y, order) -> MapJet:
         y = np.asarray(y, dtype=float)

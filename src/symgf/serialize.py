@@ -77,17 +77,18 @@ def dump(obj, path, indent=2):
     return text
 
 
-def _finite_float(text):
-    # json accepts NaN, Infinity and -Infinity, and reads 1e999 as inf
-    v = float(text)
-    if not math.isfinite(v):
+def _finite(text, kind=float):
+    # json accepts NaN, Infinity and -Infinity, reads 1e999 as inf, and reads
+    # a 401-digit integer exactly although it overflows as a coefficient
+    if not math.isfinite(float(text)):
         raise ValueError(f"non-finite number {text} is not allowed in JSON input")
-    return v
+    return kind(text)
 
 
 def load(path):
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite,
+                         parse_int=lambda text: _finite(text, int))
 
 
 # --------------------------------------------------------------------------

@@ -61,14 +61,8 @@ class PoissonField:
         return cls(d, backend, label=f"bivector[{S.label}]")
 
     @classmethod
-    def from_poly(cls, poly: PolyPoisson, scale=1.0):
-        def backend(x, order):
-            alpha, dalpha = poly.matrix_jet(x, order)
-            if scale != 1.0:
-                alpha = scale * alpha
-                dalpha = None if dalpha is None else scale * dalpha
-            return alpha, dalpha
-        return cls(poly.d, backend, label="poly-bivector")
+    def from_poly(cls, poly: PolyPoisson):
+        return cls(poly.d, poly.matrix_jet, label="poly-bivector")
 
     def matrix(self, x) -> np.ndarray:
         return self._backend(np.asarray(x, float), 0)[0]
@@ -81,11 +75,11 @@ class PoissonField:
         return jacobi_defect(*self.with_derivatives(x))
 
 
-def as_field(obj, scale=1.0) -> PoissonField:
+def as_field(obj) -> PoissonField:
     if isinstance(obj, PoissonField):
         return obj
     if isinstance(obj, PolyPoisson):
-        return PoissonField.from_poly(obj, scale)
+        return PoissonField.from_poly(obj)
     if isinstance(obj, GenFun):
         return PoissonField.from_monoid(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a Poisson field")

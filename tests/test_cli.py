@@ -78,7 +78,8 @@ def test_non_finite_or_non_positive_tolerance_exits_two(value, capsys):
     assert "finite and > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
+                                    pytest.param("9" * 401, id="401-digit-int")])
 def test_non_finite_json_number_exits_two(tmp_path, number, capsys):
     path = tmp_path / "nonfinite.json"
     path.write_text('{"d": 2, "terms": [{"coeff": %s, "p1": [1, 0], "p2": [0, 0], '

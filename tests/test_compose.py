@@ -144,7 +144,7 @@ def _triple_product(S):
     return compose(S, tensor(S, identity_genfun(S.n)))
 
 
-@pytest.mark.parametrize("make", [
+composites = pytest.mark.parametrize("make", [
     # lift(g^-1) o S o (lift(g) (+) lift(g)): the outer lift is a LiftGenFun
     # of an InverseMap
     lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
@@ -154,6 +154,9 @@ def _triple_product(S):
         PolyPoisson.linear_from_structure(LieStructure.so3()), eps=0.05, order=2,
         weights=(-1.0 / 12.0, 1.0 / 12.0))),
 ], ids=["coordinate-change", "so3-trunc4-triple", "kontsevich-order2-triple"])
+
+
+@composites
 def test_composite_is_exactly_normalized(make):
     # Newton stops at the anchor when p = 0, so S(0, x) = 0 with no
     # correction subtracted
@@ -179,6 +182,44 @@ def test_composite_jet_makes_one_stationary_solve(monkeypatch):
             calls.clear()
             C.eval_jet(p, x, order)
             assert len(calls) == 1, (p, order)
+
+
+@composites
+def test_solve_returns_the_operand_jets_at_the_critical_point(make):
+    C = make()
+    p = sample_ball(1, C.m, 0.05, 4)[0]
+    x = sample_box(1, C.n, -0.25, 0.25, 9)[0]
+    sp = C.stationary(p, x)
+    fresh = (C.F.eval_jet(sp.p_mid, x, 2), C.G.eval_jet(p, sp.x_mid, 2))
+    for got, want in zip(sp.jets, fresh):
+        assert got.order == 2 and got.value == want.value
+        assert np.array_equal(got.grad, want.grad)
+        assert np.array_equal(got.hess, want.hess)
+
+
+def test_operands_are_evaluated_once_per_newton_iterate(monkeypatch):
+    # the anchor's F jet serves iterate 0 and the accepted iterate's jets
+    # serve orders 0-2 of the composite; only order 3 evaluates them again
+    C = _triple_product(symplectic_monoid(2))
+    p = np.array([0.1, -0.2, 0.05, 0.03, 0.07, -0.04])
+    x = np.array([0.4, -0.3])
+    orders = {"F": [], "G": []}
+    for name, log in orders.items():
+        op = getattr(C, name)
+
+        def counting(q, y, order, _real=op.eval_jet, _log=log):
+            _log.append(order)
+            return _real(q, y, order)
+
+        monkeypatch.setattr(op, "eval_jet", counting)
+    sp = C.stationary(p, x)
+    assert sp.iterations == 1
+    for order in range(4):
+        for log in orders.values():
+            log.clear()
+        C.eval_jet(p, x, order)
+        want = [2] * (sp.iterations + 1) + [3] * (order == 3)
+        assert orders == {"F": want, "G": want}, order
 
 
 # -- solver behaviour -------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from symgf import ConvergenceError
 from symgf.maps import InverseMap, PolyMap
 
 from conftest import fd_jac
@@ -60,3 +61,10 @@ def test_inverse_of_linear_is_exact():
     np.testing.assert_allclose(mj.value, np.linalg.solve(A, y), rtol=1e-13)
     np.testing.assert_allclose(mj.jac, np.linalg.inv(A), rtol=1e-13)
     np.testing.assert_allclose(mj.hess, 0.0, atol=1e-12)
+
+
+def test_inverse_map_nonconvergence_raises_convergence_error():
+    # a CompositionError, which the CLI maps to exit 1 instead of a traceback
+    phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    with pytest.raises(ConvergenceError):
+        InverseMap(phi, max_iter=1).jet(np.array([0.21, -0.13]), 0)
