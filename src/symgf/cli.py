@@ -13,6 +13,7 @@ down (non-convergence, degenerate phase), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -97,13 +98,14 @@ def parse_genfun_source(token: str) -> GenFun:
     parts = token.split(":")[1:]
     kind = parts[0] if parts else ""
     rest = parts[1:]
+    builders = {"identity": identity_genfun, "abelian": abelian_monoid,
+                "symplectic": symplectic_monoid}
     try:
-        if kind == "identity":
-            return identity_genfun(int(rest[0]) if rest else 2)
-        if kind == "abelian":
-            return abelian_monoid(int(rest[0]) if rest else 2)
-        if kind == "symplectic":
-            return symplectic_monoid(int(rest[0]) if rest else 2)
+        if kind in builders:
+            d = int(rest[0]) if rest else 2
+            if d < 1:
+                raise ValueError(f"dimension must be at least 1, got {d}")
+            return builders[kind](d)
         if kind == "lie":
             if not rest:
                 raise UserInputError("builtin:lie needs a structure name, e.g. builtin:lie:so3")
@@ -119,6 +121,8 @@ def _parse_floats(text, what, expect=None):
         vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
     except ValueError as exc:
         raise UserInputError(f"{what}: expected comma-separated numbers, got {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise UserInputError(f"{what}: numbers must be finite, got {text!r}")
     if expect is not None and len(vals) != expect:
         raise UserInputError(f"{what}: expected {expect} numbers, got {len(vals)}")
     return vals
@@ -260,8 +264,14 @@ def cmd_compose(args) -> int:
         if not isinstance(data, list):
             raise UserInputError(f"{args.points}: expected a JSON list of points")
         for row in data:
-            points.append((np.array([float(v) for v in row["p"]], dtype=float),
-                           np.array([float(v) for v in row["x"]], dtype=float)))
+            try:
+                p, x = (np.array([float(v) for v in row[key]]) for key in ("p", "x"))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise UserInputError(
+                    f"{args.points}: each point needs number lists 'p' and 'x' ({exc!r})") from exc
+            if not (np.isfinite(p).all() and np.isfinite(x).all()):
+                raise UserInputError(f"{args.points}: point coordinates must be finite")
+            points.append((p, x))
     if args.p or args.x:
         if not (args.p and args.x):
             raise UserInputError("--p and --x must be given together")
@@ -331,28 +341,49 @@ def cmd_morphism(args) -> int:
 # Argument parsing
 # --------------------------------------------------------------------------
 
+def _finite(text) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _positive(text) -> float:
+    v = _finite(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return v
+
+
+def _count(text) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return v
+
+
 def _add_monoid_flags(sp):
     sp.add_argument("--builtin", choices=("symplectic", "lie", "kontsevich", "identity"),
                     help="built-in monoid family")
     sp.add_argument("--monoid", help="path to a monoid genfun JSON")
-    sp.add_argument("--d", type=int, default=2, help="dimension for symplectic/identity")
+    sp.add_argument("--d", type=_count, default=2, help="dimension for symplectic/identity")
     sp.add_argument("--lie", default="so3",
                     help="structure constants: so3, heisenberg, or a JSON path")
     sp.add_argument("--trunc", type=int, default=4,
                     help="truncation order of the group law (1..4)")
     sp.add_argument("--alpha", help="bivector for kontsevich: so3, heisenberg, or JSON path")
-    sp.add_argument("--eps", type=float, default=0.1, help="formal parameter value")
+    sp.add_argument("--eps", type=_finite, default=0.1, help="formal parameter value")
     sp.add_argument("--order", type=int, default=1, choices=(1, 2),
                     help="expansion order of the kontsevich monoid")
     sp.add_argument("--weights", help="override order-2 weights as 'c1,c2'")
 
 
 def _add_grid_flags(sp):
-    sp.add_argument("--grid-n", type=int, default=200, dest="grid_n",
+    sp.add_argument("--grid-n", type=_count, default=200, dest="grid_n",
                     help="sample count per check")
-    sp.add_argument("--p-radius", type=float, default=0.1, dest="p_radius",
+    sp.add_argument("--p-radius", type=_finite, default=0.1, dest="p_radius",
                     help="momentum ball radius")
-    sp.add_argument("--x-box", type=float, default=1.0, dest="x_box",
+    sp.add_argument("--x-box", type=_finite, default=1.0, dest="x_box",
                     help="base-point box half-width")
     sp.add_argument("--seed", type=int, default=0, help="grid scramble seed")
 
@@ -360,7 +391,7 @@ def _add_grid_flags(sp):
 def _add_common(sp):
     sp.add_argument("--tol", action="append", metavar="AXIOM=VAL",
                     help="override a tolerance (repeatable)")
-    sp.add_argument("--newton-tol", type=float, default=None, dest="newton_tol",
+    sp.add_argument("--newton-tol", type=_positive, default=None, dest="newton_tol",
                     help="stationary-point solver tolerance")
     sp.add_argument("--out", help="write a JSON report here")
 
@@ -391,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="momentum coordinates, comma-separated")
     sp.add_argument("--x", help="base coordinates, comma-separated")
     sp.add_argument("--points", help="JSON file with a list of {p, x} points")
-    sp.add_argument("--newton-tol", type=float, default=None, dest="newton_tol")
+    sp.add_argument("--newton-tol", type=_positive, default=None, dest="newton_tol")
     sp.add_argument("--out", help="write a JSON report here")
     sp.set_defaults(func=cmd_compose)
 
@@ -415,7 +446,7 @@ def main(argv=None) -> int:
     except (NormalizationError,) as exc:
         print(f"error: input genfun violates normalization: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError,) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

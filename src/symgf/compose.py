@@ -25,9 +25,16 @@ derivatives of the composite come from the envelope identities
 and second/third derivatives by implicit differentiation of the critical
 equations, so a composite is itself a full jet-evaluable GenFun and can be
 composed again.
+
+Newton runs on stacks of points: a grid is solved as one stack, each point
+with its own iterate, line search and convergence test, and points that
+direct Newton cannot solve are continued by homotopy as a sub-stack.  A
+single point is a stack of one.  When points fail, the error raised names
+the first of them in stack order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,68 +91,184 @@ class StationaryPoint:
     jets: tuple | None = field(default=None, repr=False)
 
 
-def _residual_and_jac(F, G, p1, x3, z, jF=None):
+def _residual_and_jac(F, G, P1, X3, Z, jF=None):
+    """Residuals ``(B, 2k)``, Jacobians ``(B, 2k, 2k)`` and the order-2
+    operand jets of the critical-point systems at a stack of iterates."""
     k = F.m
     if jF is None:
-        jF = F.eval_jet(z[:k], x3, 2)
-    jG = G.eval_jet(p1, z[k:], 2)
+        jF = F.eval_jet(Z[:, :k], X3, 2)
+    jG = G.eval_jet(P1, Z[:, k:], 2)
     r = np.concatenate([
-        z[:k] - jG.grad[G.m:],          # pb - grad_x G(p1, xb)
-        z[k:] - jF.grad[:k],            # xb - grad_p F(pb, x3)
-    ])
-    J = np.eye(2 * k)
-    J[:k, k:] = -jG.hess[G.m:, G.m:]
-    J[k:, :k] = -jF.hess[:k, :k]
+        Z[:, :k] - jG.grad[:, G.m:],          # pb - grad_x G(p1, xb)
+        Z[:, k:] - jF.grad[:, :k],            # xb - grad_p F(pb, x3)
+    ], axis=1)
+    J = np.zeros((len(Z), 2 * k, 2 * k))
+    J.reshape(len(Z), -1)[:, ::2 * k + 1] = 1.0
+    J[:, :k, k:] = -jG.hess[:, G.m:, G.m:]
+    J[:, k:, :k] = -jF.hess[:, :k, :k]
     return r, J, (jF, jG)
 
 
-def _newton(F, G, p1, x3, opts, z0=None):
-    k, jF = F.m, None
-    if z0 is None:
+def _put(dst, rows, src, sel=slice(None)):
+    """Copy rows ``sel`` of the stacked order-2 jets ``src`` into rows
+    ``rows`` of ``dst``."""
+    for d, s in zip(dst, src):
+        d.value[rows] = s.value[sel]
+        d.grad[rows] = s.grad[sel]
+        d.hess[rows] = s.hess[sel]
+
+
+def _at(P1, X3, i):
+    return f"at p1={P1[i]}, x3={X3[i]}"
+
+
+@dataclass
+class _Solution:
+    """Per-point results of a stacked solve: iterates ``Z (B, 2k)``,
+    iterations, final residuals, condition numbers, the order-2 operand
+    jets of the accepted iterates, and the error that ended each point's
+    solve (None where it converged)."""
+
+    Z: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
+    conditions: np.ndarray
+    jets: tuple
+    errors: list
+
+    def solved(self) -> np.ndarray:
+        return np.array([i for i, e in enumerate(self.errors) if e is None], dtype=int)
+
+    def put(self, rows, other: _Solution):
+        """Overwrite the points ``rows`` with the points of ``other``."""
+        self.Z[rows] = other.Z
+        self.iterations[rows] = other.iterations
+        self.residuals[rows] = other.residuals
+        self.conditions[rows] = other.conditions
+        _put(self.jets, rows, other.jets)
+        for i, e in zip(rows, other.errors):
+            self.errors[i] = e
+
+
+def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
+    """Damped Newton on the critical-point systems at a stack of points
+    ``(P1[i], X3[i])``, from the anchors or from the iterates ``Z``.
+
+    Every point keeps its own iterate, backtracking line search and
+    convergence test; the condition numbers of all active Jacobians are
+    checked at every iterate.  A point whose system is degenerate, whose
+    line search finds no descent step, or which runs out of iterations ends
+    with its error recorded, and the others go on.
+    """
+    B, k, jF = len(P1), F.m, None
+    if Z is None:
         # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
-        jF = F.eval_jet(np.zeros(k), x3, 2)
-        z0 = np.concatenate([np.zeros(k), jF.grad[:k]])
-    z = np.array(z0, dtype=float)
-    r, J, jets = _residual_and_jac(F, G, p1, x3, z, jF)
-    cond = 1.0
+        jF = F.eval_jet(np.zeros((B, k)), X3, 2)
+        Z = np.concatenate([np.zeros((B, k)), jF.grad[:, :k]], axis=1)
+    z = np.array(Z, dtype=float)
+    r, J, jets = _residual_and_jac(F, G, P1, X3, z, jF)
+    sol = _Solution(z, np.zeros(B, dtype=int), np.zeros(B), np.ones(B), jets, [None] * B)
+    act = list(range(B))  # the points still iterating, in stack order
+    sel = slice(None)     # act as an index; a slice while it holds every point
     for it in range(opts.max_iter + 1):
-        rn = np.linalg.norm(r, ord=np.inf)
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > opts.cond_limit:
-            raise DegeneracyError(
-                f"critical-point system is degenerate (condition {cond:.3e} "
-                f"exceeds {opts.cond_limit:.1e}) at p1={p1}, x3={x3}"
-            )
-        if rn <= opts.tol:
-            return z, it, rn, cond, jets
-        if it == opts.max_iter:
+        going, rn = [], []
+        for i, c, e in zip(act, np.linalg.cond(J[sel]).tolist(),
+                           np.abs(r[sel]).max(axis=1).tolist()):
+            sol.iterations[i], sol.residuals[i], sol.conditions[i] = it, e, c
+            if not (math.isfinite(c) and c <= opts.cond_limit):
+                sol.errors[i] = DegeneracyError(
+                    f"critical-point system is degenerate (condition {c:.3e} "
+                    f"exceeds {opts.cond_limit:.1e}) {_at(P1, X3, i)}")
+            elif e <= opts.tol:
+                pass
+            elif it == opts.max_iter:
+                sol.errors[i] = ConvergenceError(
+                    f"stationary-point Newton did not reach tol {opts.tol:.1e} in "
+                    f"{opts.max_iter} iterations (residual {e:.3e}) {_at(P1, X3, i)}")
+            else:
+                going.append(i)
+                rn.append(e)
+        if len(going) < len(act):
+            act, sel = going, np.array(going, dtype=int)
+        if not act:
             break
-        step = np.linalg.solve(J, -r)
-        lam = 1.0
+        step = np.linalg.solve(J[sel], -r[sel][:, :, None])[:, :, 0]
+        # backtracking per point; the accepted trial's (r, J, jets) serve
+        # the next iterate
+        search, lam = sel, [1.0] * len(act)
         while True:
-            # the accepted trial's (r, J, jets) serve the next iterate
-            z_try = z + lam * step
-            r, J, jets = _residual_and_jac(F, G, p1, x3, z_try)
-            if np.linalg.norm(r, ord=np.inf) <= (1.0 - 0.5 * lam) * rn or lam < 1e-6:
+            zt = z[search] + np.array(lam)[:, None] * step
+            rt, Jt, jt = _residual_and_jac(F, G, P1[search], X3[search], zt)
+            ok = [a <= (1.0 - 0.5 * s) * b
+                  for a, s, b in zip(np.abs(rt).max(axis=1).tolist(), lam, rn)]
+            if all(ok):
+                z[search], r[search], J[search] = zt, rt, Jt
+                _put(jets, search, jt)
                 break
-            lam *= opts.damping
-        z = z_try
-    raise ConvergenceError(
-        f"stationary-point Newton did not reach tol {opts.tol:.1e} in "
-        f"{opts.max_iter} iterations (residual {rn:.3e}) at p1={p1}, x3={x3}"
-    )
+            okm = np.array(ok)
+            pos = np.arange(B)[search]
+            z[pos[okm]], r[pos[okm]], J[pos[okm]] = zt[okm], rt[okm], Jt[okm]
+            _put(jets, pos[okm], jt, okm)
+            retry = []
+            for j in np.flatnonzero(~okm).tolist():
+                if lam[j] < 1e-6:
+                    sol.errors[pos[j]] = ConvergenceError(
+                        f"stationary-point Newton found no descent step down to damping "
+                        f"1e-6 (residual {rn[j]:.3e}) {_at(P1, X3, pos[j])}")
+                else:
+                    retry.append(j)
+            if not retry:
+                break
+            search, step = pos[retry], step[retry]
+            lam = [lam[j] * opts.damping for j in retry]
+            rn = [rn[j] for j in retry]
+        if any(sol.errors[i] is not None for i in act):
+            act = [i for i in act if sol.errors[i] is None]
+            sel = np.array(act, dtype=int)
+    return sol
 
 
-def _homotopy(F, G, p1, x3, opts):
-    """Continuation in the incoming momenta from 0 to p1, warm-started."""
+def _homotopy(F, G, P1, X3, opts) -> _Solution:
+    """Continuation in the incoming momenta from 0 to p1, warm-started, on a
+    stack; iterations are summed over the continuation steps."""
     steps = max(1, opts.homotopy_steps)
-    z = None
-    total_it = 0
-    for s in range(1, steps + 1):
-        tau = s / steps
-        z, it, rn, cond, jets = _newton(F, G, tau * np.asarray(p1, float), x3, opts, z0=z)
-        total_it += it
-    return z, total_it, rn, cond, jets
+    sol = _newton(F, G, 1 / steps * P1, X3, opts)
+    for s in range(2, steps + 1):
+        live = sol.solved()
+        if not live.size:
+            break
+        nxt = _newton(F, G, s / steps * P1[live], X3[live], opts, sol.Z[live])
+        nxt.iterations += sol.iterations[live]
+        sol.put(live, nxt)
+    return sol
+
+
+def _solve(F, G, P1, X3, opts, check_branch=False) -> _Solution:
+    """Solve the critical-point systems of F o G at a stack of points.
+
+    Points on which direct Newton fails to converge are continued by
+    homotopy as a sub-stack.  If any point fails for good, the error of the
+    first such point in stack order is raised.
+    """
+    sol = _newton(F, G, P1, X3, opts)
+    direct = sol.solved()
+    stray = np.array([i for i, e in enumerate(sol.errors) if isinstance(e, ConvergenceError)],
+                     dtype=int)
+    if stray.size and opts.homotopy_steps > 0:
+        sol.put(stray, _homotopy(F, G, P1[stray], X3[stray], opts))
+    if check_branch and direct.size:
+        ref = _homotopy(F, G, P1[direct], X3[direct], opts)
+        for i, z, zh, err in zip(direct, sol.Z[direct], ref.Z, ref.errors):
+            if err is None and (np.linalg.norm(z - zh, ord=np.inf)
+                                > opts.branch_tol * (1.0 + np.linalg.norm(z, ord=np.inf))):
+                err = BranchJumpError(
+                    f"direct Newton landed on a different branch than the "
+                    f"homotopy continuation {_at(P1, X3, i)}")
+            sol.errors[i] = err
+    for err in sol.errors:
+        if err is not None:
+            raise err
+    return sol
 
 
 def stationary_point(F: GenFun, G: GenFun, p1, x3,
@@ -156,30 +279,20 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     Damped Newton from the canonical anchor; if that fails and
     ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  With
     ``check_branch=True`` the continuation is always run and a disagreement
-    with direct Newton raises :class:`BranchJumpError`.
+    with direct Newton raises :class:`BranchJumpError`.  The point is solved
+    as a stack of one by the same stacked solver that composites use for
+    grids.
     """
     if F.m != G.n:
         raise ValueError(
             f"cannot compose: F has {F.m} momenta but G has base dimension {G.n}")
     p1 = np.asarray(p1, dtype=float).ravel()
     x3 = np.asarray(x3, dtype=float).ravel()
-    try:
-        z, it, rn, cond, jets = _newton(F, G, p1, x3, opts)
-        direct_failed = False
-    except ConvergenceError:
-        if opts.homotopy_steps <= 0:
-            raise
-        z, it, rn, cond, jets = _homotopy(F, G, p1, x3, opts)
-        direct_failed = True
-    if check_branch and not direct_failed:
-        zh = _homotopy(F, G, p1, x3, opts)[0]
-        if np.linalg.norm(z - zh, ord=np.inf) > opts.branch_tol * (1.0 + np.linalg.norm(z, ord=np.inf)):
-            raise BranchJumpError(
-                f"direct Newton landed on a different branch than the "
-                f"homotopy continuation at p1={p1}, x3={x3}"
-            )
-    k = F.m
-    return StationaryPoint(z[:k].copy(), z[k:].copy(), it, rn, cond, jets)
+    sol = _solve(F, G, p1[None], x3[None], opts, check_branch)
+    k, z = F.m, sol.Z[0]
+    jets = tuple(Jet(2, j.value[0], j.grad[0], j.hess[0]) for j in sol.jets)
+    return StationaryPoint(z[:k].copy(), z[k:].copy(), int(sol.iterations[0]),
+                           float(sol.residuals[0]), float(sol.conditions[0]), jets)
 
 
 class ComposedGenFun(GenFun):
@@ -215,17 +328,24 @@ class ComposedGenFun(GenFun):
     def eval_jet(self, p, x, order) -> Jet:
         F, G, k = self.F, self.G, self.F.m
         m, n = self.m, self.n
-        p1 = np.asarray(p, dtype=float).ravel()
-        x3 = np.asarray(x, dtype=float).ravel()
-        sp = stationary_point(F, G, p1, x3, self.opts)
+        p1, x3 = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p1.ndim < 2:
+            p1, x3 = p1.ravel(), x3.ravel()
+            sp = stationary_point(F, G, p1, x3, self.opts)
+            pm, xm, jets = sp.p_mid, sp.x_mid, sp.jets
+            pair = float(pm @ xm)
+        else:
+            sol = _solve(F, G, p1, x3, self.opts)
+            pm, xm, jets = sol.Z[:, :k], sol.Z[:, k:], sol.jets
+            # <pb, xb> row by row with @: an einsum over the rows rounds differently
+            pair = np.array([a @ b for a, b in zip(pm, xm)])
         # orders 0-2 read the solve's operand jets at the critical point
-        jF, jG = sp.jets if order <= 2 else (F.eval_jet(sp.p_mid, x3, 3),
-                                             G.eval_jet(p1, sp.x_mid, 3))
-        out = Jet(order, jF.value + jG.value - float(sp.p_mid @ sp.x_mid))
+        jF, jG = jets if order <= 2 else (F.eval_jet(pm, x3, 3), G.eval_jet(p1, xm, 3))
+        out = Jet(order, jF.value + jG.value - pair)
         if order == 0:
             return out
         # envelope identities give the exact first derivatives
-        out.grad = np.concatenate([jG.grad[:m], jF.grad[k:]])
+        out.grad = np.concatenate([jG.grad[..., :m], jF.grad[..., k:]], axis=-1)
         if order == 1:
             return out
         # Hessian of L(pb, xb, p1, x3) = F(pb, x3) + G(p1, xb) - <pb, xb>
@@ -234,20 +354,22 @@ class ComposedGenFun(GenFun):
         idx_G = list(range(2 * k, 2 * k + m)) + list(range(k, 2 * k))
         L = jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
         for i in range(k):
-            L.hess[i, k + i] -= 1.0
-            L.hess[k + i, i] -= 1.0
-        Lzz = L.hess[:2 * k, :2 * k]
-        Lzu = L.hess[:2 * k, 2 * k:]
+            L.hess[..., i, k + i] -= 1.0
+            L.hess[..., k + i, i] -= 1.0
+        Lzz = L.hess[..., :2 * k, :2 * k]
+        Lzu = L.hess[..., :2 * k, 2 * k:]
         try:
             zu = -np.linalg.solve(Lzz, Lzu)
         except np.linalg.LinAlgError as exc:
-            raise DegeneracyError(
-                f"second-derivative block is singular at p1={p1}, x3={x3}"
-            ) from exc
-        E = np.vstack([zu, np.eye(m + n)])
-        out.hess = E.T @ L.hess @ E
+            at = _at(np.atleast_2d(p1), np.atleast_2d(x3), int(np.argmax(np.linalg.cond(Lzz))))
+            raise DegeneracyError(f"second-derivative block is singular {at}") from exc
+        E = np.zeros(zu.shape[:-2] + (nv, m + n))
+        E[..., :2 * k, :] = zu
+        E[..., 2 * k:, :] = np.eye(m + n)
+        out.hess = E.swapaxes(-1, -2) @ L.hess @ E
         if order >= 3:
-            out.third = np.einsum("abc,ai,bj,ck->ijk", L.third, E, E, E, optimize=True)
+            out.third = np.einsum("...abc,...ai,...bj,...ck->...ijk", L.third, E, E, E,
+                                  optimize=True)
         return out
 
 

@@ -12,13 +12,15 @@ and the elementary builders; the monoid families live in
 :mod:`symgf.monoids` and composition in :mod:`symgf.compose`.
 
 Variable convention for jets: a genfun jet is taken with respect to the
-m + n variables (p_1..p_m, x_1..x_n), momenta first.
+m + n variables (p_1..p_m, x_1..x_n), momenta first.  ``eval_jet`` takes
+one point, ``p (m,)`` and ``x (n,)``, or a stack of B points, ``p (B, m)``
+and ``x (B, n)``, and then returns a stacked :class:`~symgf.jets.Jet`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed
+from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed, jet_stack
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 from .maps import GenFunBaseMap, PolyMap
@@ -96,9 +98,12 @@ class PolyGenFun(GenFun):
         self._kernel = PolyKernel.from_polys([flat], self.m + self.n)
 
     def eval_jet(self, p, x, order) -> Jet:
-        point = np.concatenate([np.asarray(p, dtype=float).ravel(),
-                                np.asarray(x, dtype=float).ravel()])
-        return Jet(order, *(t[0] for t in self._kernel.jet(point, order)))
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.ndim < 2:
+            p, x = p.ravel(), x.ravel()
+        point = np.concatenate([p, x], axis=-1)
+        # drop the kernel's output axis, which follows the stack axis if any
+        return Jet(order, *(t.squeeze(p.ndim - 1) for t in self._kernel.jet(point, order)))
 
 
 class TensorGenFun(GenFun):
@@ -112,25 +117,32 @@ class TensorGenFun(GenFun):
         self.G = G
 
     def eval_jet(self, p, x, order) -> Jet:
-        p = np.asarray(p, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.ndim < 2:
+            p, x = p.ravel(), x.ravel()
         F, G = self.F, self.G
         nv = self.m + self.n
-        jF = F.eval_jet(p[: F.m], x[: F.n], order)
-        jG = G.eval_jet(p[F.m:], x[F.n:], order)
+        jF = F.eval_jet(p[..., :F.m], x[..., :F.n], order)
+        jG = G.eval_jet(p[..., F.m:], x[..., F.n:], order)
         idx_F = list(range(F.m)) + list(range(self.m, self.m + F.n))
         idx_G = list(range(F.m, self.m)) + list(range(self.m + F.n, nv))
         return jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
 
 
 class LiftGenFun(GenFun):
-    """Cotangent lift of a jet-evaluable map: S(p, x) = <p, phi(x)>."""
+    """Cotangent lift of a jet-evaluable map: S(p, x) = <p, phi(x)>.
+
+    A stack is evaluated row by row, because phi may be an
+    :class:`~symgf.maps.InverseMap`, which solves one point at a time.
+    """
 
     def __init__(self, phi, label=""):
         super().__init__(phi.d_out, phi.d_in, np.inf, label or "lift")
         self.phi = phi
 
     def eval_jet(self, p, x, order) -> Jet:
+        if np.ndim(p) == 2:
+            return jet_stack([self.eval_jet(pb, xb, order) for pb, xb in zip(p, x)])
         p = np.asarray(p, dtype=float).ravel()
         x = np.asarray(x, dtype=float).ravel()
         m, n = self.m, self.n

@@ -14,7 +14,9 @@ Conventions
 * ``hess[i, j] = d^2 F / dv_i dv_j`` (symmetric)
 * ``third[i, j, k] = d^3 F / dv_i dv_j dv_k`` (fully symmetric)
 
-Derivative tensors above ``order`` are ``None``.
+Derivative tensors above ``order`` are ``None``.  A jet may carry a leading
+stack axis of B points: ``value`` of shape ``(B,)``, ``grad`` ``(B, n)`` and
+so on; the indices above then count from the end.
 """
 from __future__ import annotations
 
@@ -28,30 +30,42 @@ MAX_ORDER = 3
 
 @dataclass
 class Jet:
-    """Taylor data of a scalar function of ``nvars`` variables at a point."""
+    """Taylor data of a scalar function of ``nvars`` variables at a point,
+    or at each point of a stack (``value`` then has shape ``(B,)``)."""
 
     order: int
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
     third: np.ndarray | None = None
 
     @property
     def nvars(self) -> int:
-        return 0 if self.grad is None else self.grad.shape[0]
+        return 0 if self.grad is None else self.grad.shape[-1]
 
     def __post_init__(self):
         if not 0 <= self.order <= MAX_ORDER:
             raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {self.order}")
-        self.value = float(self.value)
+        if np.ndim(self.value) == 0:
+            self.value = float(self.value)
 
 
 def jet_const(value, nvars, order) -> Jet:
-    """Jet of the constant function ``value``."""
-    g = np.zeros(nvars) if order >= 1 else None
-    h = np.zeros((nvars, nvars)) if order >= 2 else None
-    t = np.zeros((nvars, nvars, nvars)) if order >= 3 else None
+    """Jet of the constant function ``value`` (one per point for a stack)."""
+    lead = np.shape(value)
+    g = np.zeros(lead + (nvars,)) if order >= 1 else None
+    h = np.zeros(lead + (nvars,) * 2) if order >= 2 else None
+    t = np.zeros(lead + (nvars,) * 3) if order >= 3 else None
     return Jet(order, value, g, h, t)
+
+
+def jet_stack(jets) -> Jet:
+    """One stacked jet from a sequence of single-point jets of equal order."""
+    order = jets[0].order
+    fields = [np.array([j.value for j in jets])]
+    fields += [np.stack([(j.grad, j.hess, j.third)[q - 1] for j in jets])
+               for q in range(1, order + 1)]
+    return Jet(order, *fields)
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
@@ -83,11 +97,11 @@ def jet_embed(j: Jet, index_map, nvars_out) -> Jet:
     idx = np.asarray(index_map, dtype=int)
     out = jet_const(j.value, nvars_out, j.order)
     if j.order >= 1:
-        out.grad[idx] = j.grad
+        out.grad[..., idx] = j.grad
     if j.order >= 2:
-        out.hess[np.ix_(idx, idx)] = j.hess
+        out.hess[..., idx[:, None], idx] = j.hess
     if j.order >= 3:
-        out.third[np.ix_(idx, idx, idx)] = j.third
+        out.third[..., idx[:, None, None], idx[:, None], idx] = j.third
     return out
 
 
@@ -120,7 +134,8 @@ class PolyKernel:
     ch. 13), built once per order on first use.  A table holds only the
     partials that do not vanish identically: per term, the sorted index
     tuples over the term's support that its exponents allow.  Evaluation is
-    a handful of array operations per order, whatever the term count.
+    a handful of array operations for all orders together, whatever the
+    term count, and takes one point or a stack of points in the same body.
     """
 
     def __init__(self, E, C):
@@ -130,7 +145,7 @@ class PolyKernel:
             raise ValueError(f"need E (T, n) and C (T, k), got {self.E.shape} and {self.C.shape}")
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
-        self._powers = np.arange(int(self.E.max(initial=0)) + 1)
+        self._powers = np.arange(int(self.E.max(initial=0)) + 1, dtype=float)
         self._tables = [None] * (MAX_ORDER + 1)
 
     @classmethod
@@ -149,69 +164,81 @@ class PolyKernel:
 
     def jet(self, v, order) -> list:
         """``[value (k,), jac (k, n), hess (k, n, n), third (k, n, n, n)]`` at
-        ``v``, truncated after ``order``."""
+        ``v``, truncated after ``order``.  For a stack ``v`` of shape
+        ``(B, n)`` every output gets a leading ``B`` axis."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"point has shape {v.shape}, expected ({self.n},)")
+        if v.shape[-1:] != (self.n,) or v.ndim > 2:
+            raise ValueError(f"point has shape {v.shape}, expected ({self.n},) or (B, {self.n})")
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
-        powers = v[:, None] ** self._powers  # powers[i, r] = v_i**r, with 0**0 = 1
-        cols = np.arange(self.n)
-        out = []
-        for q in range(order + 1):
-            if self._tables[q] is None:
-                self._tables[q] = _PartialTable(self.E, self.C, q)
-            tab = self._tables[q]
-            dense = np.zeros((self.k, self.n ** q))
-            if tab.starts.size:
-                mono = powers[cols, tab.reduced].prod(axis=1)
-                sums = np.add.reduceat(mono[:, None] * tab.scaled, tab.starts, axis=0)
-                dense[:, tab.dst] = sums[tab.src].T
-            out.append(dense.reshape((self.k,) + (self.n,) * q))
-        return out
+        stack = v.reshape(-1, self.n)
+        # powers[b, i * P + r] = v_bi**r, with 0**0 = 1
+        powers = (stack[:, :, None] ** self._powers).reshape(len(stack), -1)
+        if self._tables[order] is None:
+            self._tables[order] = _PartialTable(self.E, self.C, order, self._powers.size)
+        tab = self._tables[order]
+        dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
+        if tab.starts.size:
+            mono = np.multiply.reduce(powers[:, tab.flat], axis=2)
+            sums = np.add.reduceat(mono[:, :, None] * tab.scaled, tab.starts, axis=1)
+            dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
+        lead = v.shape[:-1] + (self.k,)
+        return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
+                for q in range(order + 1)]
 
 
 class _PartialTable:
-    """The nonzero order-q partials of a :class:`PolyKernel`.
+    """The nonzero partials of orders 0..``order`` of a :class:`PolyKernel`.
 
     Entry r differentiates term ``t`` along a sorted index tuple ``w``: it
-    leaves the monomial with exponents ``reduced[r]`` times
-    ``scaled[r] = (falling factorial of E[t] along w) * C[t]``.  Entries are
-    sorted by ``w``, so ``starts`` delimits the runs that ``reduceat`` sums;
-    run ``src[i]`` fills flat position ``dst[i]`` of the dense symmetric
-    tensor, once per distinct permutation of its ``w``.
+    leaves the monomial ``prod_j powers[flat[r, j]]`` (``flat = i * P + e``
+    picks ``v_i**e`` out of the flattened power table) times
+    ``scaled[r] = (falling factorial of E[t] along w) * C[t]``.  ``flat``
+    runs over the support of the reduced exponents in ascending order,
+    padded with exponent 0, so it is at most the total degree wide.  Entries
+    are sorted by ``(len(w), w)``, so ``starts`` delimits the runs that
+    ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of the
+    flattened dense tensors of all orders, order q at ``offsets[q]``, once
+    per distinct permutation of its ``w``.
     """
 
-    def __init__(self, E, C, q):
+    def __init__(self, E, C, order, P):
         n = E.shape[1]
         keys, terms, reduced, factors = [], [], [], []
         for t, e in enumerate(E.tolist()):
             support = [i for i, ei in enumerate(e) if ei]
-            for w in combinations_with_replacement(support, q):
-                r = list(e)
-                f = 1
-                for i in w:
-                    f *= r[i]
-                    r[i] -= 1
-                if f:
-                    keys.append(w)
-                    terms.append(t)
-                    reduced.append(r)
-                    factors.append(f)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[r] for r in order]
-        self.reduced = np.array(reduced, dtype=np.int64).reshape(len(keys), n)[order]
-        self.scaled = (np.array(factors, dtype=float)[:, None] * C[terms])[order]
+            for q in range(order + 1):
+                for w in combinations_with_replacement(support, q):
+                    r = list(e)
+                    f = 1
+                    for i in w:
+                        f *= r[i]
+                        r[i] -= 1
+                    if f:
+                        keys.append((q, w))
+                        terms.append(t)
+                        reduced.append(r)
+                        factors.append(f)
+        rank = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[r] for r in rank]
+        reduced = np.array(reduced, dtype=np.int64).reshape(len(keys), n)[rank]
+        support = reduced > 0
+        width = int(support.sum(axis=1).max(initial=0))
+        cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
+        self.flat = cols * P + np.take_along_axis(reduced, cols, axis=1)
+        self.scaled = (np.array(factors, dtype=float)[:, None] * C[terms])[rank]
         self.starts = np.array([r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]],
                                dtype=np.int64)
+        self.offsets = np.cumsum([0] + [n ** q for q in range(order + 1)])
         src, dst = [], []
         for u, r in enumerate(self.starts):
-            for perm in set(permutations(keys[r])):
+            q, w = keys[r]
+            for perm in set(permutations(w)):
                 flat = 0
                 for i in perm:
                     flat = flat * n + i
                 src.append(u)
-                dst.append(flat)
+                dst.append(self.offsets[q] + flat)
         self.src = np.array(src, dtype=np.int64)
         self.dst = np.array(dst, dtype=np.int64)
 

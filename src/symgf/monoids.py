@@ -303,10 +303,11 @@ def symplectic_monoid(d, jinv=None) -> PolyGenFun:
 # --------------------------------------------------------------------------
 
 def jacobi_defect(alpha, dalpha) -> float:
-    """max |cyclic Jacobi sum| of a bivector at one point, given its value
-    ``alpha[i, j]`` and derivatives ``dalpha[i, j, l] = d alpha^{ij} / dx_l``."""
-    t = np.einsum("il,jkl->ijk", alpha, dalpha)
-    cyc = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    """max |cyclic Jacobi sum| of a bivector at one point, or over a stack
+    of points, given its value ``alpha[..., i, j]`` and derivatives
+    ``dalpha[..., i, j, l] = d alpha^{ij} / dx_l``."""
+    t = np.einsum("...il,...jkl->...ijk", alpha, dalpha)
+    cyc = t + np.moveaxis(t, -3, -1) + np.moveaxis(t, -1, -3)
     return float(np.max(np.abs(cyc), initial=0.0))
 
 
@@ -376,26 +377,28 @@ class PolyPoisson:
 
     def matrix_jet(self, x, order=0):
         """(alpha(x), d alpha(x)) with dalpha[i, j, l] = d alpha^{ij} / dx_l
-        (the derivative array is None for order 0)."""
+        (the derivative array is None for order 0).  A stack of points
+        ``x (B, d)`` gives both arrays a leading ``B`` axis."""
         d, rows, cols = self.d, self._rows, self._cols
         upper = self._kernel.jet(x, min(order, 1))
-        alpha = np.zeros((d, d))
-        alpha[rows, cols] = upper[0]
-        alpha[cols, rows] = -upper[0]
+        lead = upper[0].shape[:-1]
+        alpha = np.zeros(lead + (d, d))
+        alpha[..., rows, cols] = upper[0]
+        alpha[..., cols, rows] = -upper[0]
         if order < 1:
             return alpha, None
-        dalpha = np.zeros((d, d, d))
-        dalpha[rows, cols] = upper[1]
-        dalpha[cols, rows] = -upper[1]
+        dalpha = np.zeros(lead + (d, d, d))
+        dalpha[..., rows, cols, :] = upper[1]
+        dalpha[..., cols, rows, :] = -upper[1]
         return alpha, dalpha
 
     def __call__(self, x):
         return self.matrix_jet(x, 0)[0]
 
     def jacobi_residual(self, xs) -> float:
-        """max over sample points of the cyclic Jacobi sum."""
-        return max((jacobi_defect(*self.matrix_jet(x, 1)) for x in np.atleast_2d(xs)),
-                   default=0.0)
+        """max over sample points of the cyclic Jacobi sum, evaluated as one
+        stack."""
+        return jacobi_defect(*self.matrix_jet(np.atleast_2d(xs), 1))
 
     def coeff_scale(self) -> float:
         return max((abs(c) for poly in self.entries.values() for c in poly.values()),
@@ -614,10 +617,8 @@ def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
                 I = identity_genfun(d)
                 left = compose(S, tensor(S, I))
                 right = compose(S, tensor(I, S))
-                for qi in range(n_points):
-                    p = ps[qi]
-                    x = xs[qi]
-                    defect[ci, lev, qi] = left(p, x) - right(p, x)
+                # each side solves all n_points as one stack
+                defect[ci, lev] = left(ps, xs) - right(ps, xs)
         for qi in range(n_points):
             base = _richardson_leading(defect[0, :, qi], eps)
             col1 = _richardson_leading(defect[1, :, qi], eps) - base

@@ -153,8 +153,19 @@ def genfun_from_dict(data: dict, label="") -> PolyGenFun:
     return poly_genfun(terms, m, n, label=label or data.get("label", ""))
 
 
+def _parse(path, from_dict, what, **kwargs):
+    """``from_dict`` applied to the JSON document at ``path``; a document of
+    the wrong shape (a missing key, a list where an object belongs) raises
+    ValueError like any other malformed input."""
+    data = load(path)
+    try:
+        return from_dict(data, **kwargs)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed {what} JSON ({exc!r})") from exc
+
+
 def load_genfun(path) -> PolyGenFun:
-    return genfun_from_dict(load(path), label=str(path))
+    return _parse(path, genfun_from_dict, "generating function", label=str(path))
 
 
 def save_genfun(gf: PolyGenFun, path):
@@ -206,7 +217,7 @@ def structure_from_dict(data: dict) -> LieStructure:
 
 
 def load_structure(path) -> LieStructure:
-    return structure_from_dict(load(path))
+    return _parse(path, structure_from_dict, "structure-constant")
 
 
 def save_structure(ls: LieStructure, path):
@@ -248,7 +259,7 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
 
 
 def load_poisson(path) -> PolyPoisson:
-    return poisson_from_dict(load(path))
+    return _parse(path, poisson_from_dict, "bivector")
 
 
 def save_poisson(poly: PolyPoisson, path):

@@ -2,8 +2,10 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symgf import symplectic_monoid
 from symgf.cli import main
@@ -175,3 +177,80 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--builtin", "nonsense"])
     assert exc.value.code == 2
+
+
+# -- the 0/1/2 exit-code contract under fuzzed input --------------------------
+
+MONOID_TEXT = (DATA / "monoid_symplectic_d2.json").read_text().rstrip()
+NON_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999"])
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments with status 2
+        return exc.code
+
+
+# each case is (argv, file text or None, expected exit code); "{file}" in
+# argv is replaced by the path of a file holding the text
+_truncated_json = st.integers(0, len(MONOID_TEXT) - 1).map(
+    lambda i: (["verify", "--monoid", "{file}", "--grid-n", "3"], MONOID_TEXT[:i], 2))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["d", "m", "n", "terms", "p", "p1", "p2", "x", "coeff"]),
+                      inner, max_size=4),
+    max_leaves=8)
+# a well-formed document can still describe a genfun that fails a check, or
+# a valid list of points
+_misshapen_json = st.one_of(
+    _json_values.map(
+        lambda doc: (["verify", "--monoid", "{file}", "--grid-n", "3"], json.dumps(doc), (1, 2))),
+    _json_values.map(
+        lambda doc: (["compose", "--f", "builtin:identity:1", "--g", "builtin:identity:1",
+                      "--points", "{file}"], json.dumps(doc), (0, 2))))
+_tokens = st.builds(
+    lambda kind, args: ":".join(["builtin", kind, *args]),
+    st.sampled_from(["identity", "abelian", "symplectic", "lie", ""]) | st.text(max_size=5),
+    st.lists(st.integers(-3, 9).map(str) | st.text(alphabet="abxz-./", max_size=3),
+             max_size=3))
+# no point is given, so the command is malformed whatever the tokens build
+_bad_tokens = st.tuples(_tokens, _tokens).map(
+    lambda fg: (["compose", "--f", fg[0], "--g", fg[1]], None, 2))
+_bad_dimensions = st.one_of(
+    st.integers(-3, 0).map(
+        lambda d: (["verify", "--builtin", "identity", "--d", str(d)], None, 2)),
+    st.sampled_from([1, 3, 5]).map(
+        lambda d: (["verify", "--builtin", "symplectic", "--d", str(d)], None, 2)),
+    st.integers(-3, 0).map(
+        lambda n: (["verify", "--builtin", "symplectic", "--grid-n", str(n)], None, 2)),
+    st.lists(st.integers(-1, 1).map(str), max_size=5).filter(lambda p: len(p) != 4).map(
+        lambda p: (["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
+                    "--p", ",".join(p) or ",", "--x", "0,0"], None, 2)))
+_non_finite = st.one_of(
+    st.tuples(NON_FINITE, st.integers(0, 3)).map(
+        lambda vi: (["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
+                     "--p", ",".join(vi[0] if i == vi[1] else "0.1" for i in range(4)),
+                     "--x", "0,0"], None, 2)),
+    st.tuples(st.sampled_from(["--eps", "--p-radius", "--x-box", "--newton-tol"]),
+              NON_FINITE).map(
+        lambda fv: (["verify", "--builtin", "kontsevich", "--alpha", "so3", "--grid-n", "3",
+                     fv[0], fv[1]], None, 2)),
+    NON_FINITE.map(lambda v: (["verify", "--builtin", "kontsevich", "--alpha", "so3",
+                               "--order", "2", "--weights", f"{v},0.1", "--grid-n", "3"],
+                              None, 2)),
+    NON_FINITE.map(lambda v: (["verify", "--monoid", "{file}", "--grid-n", "3"],
+                              MONOID_TEXT.replace("-0.5", v, 1), 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(_truncated_json, _misshapen_json, _bad_tokens, _bad_dimensions, _non_finite))
+def test_exit_code_contract_under_fuzzed_input(case):
+    argv, text, want = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.json"
+        if text is not None:
+            path.write_text(text)
+        code = _exit_code([str(path) if a == "{file}" else a for a in argv])
+    assert code in (want if isinstance(want, tuple) else (want,)), (argv, text, code)

@@ -3,11 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from symgf import (ConvergenceError, DegeneracyError, Diffeo, LieStructure,
-                   NewtonOptions, PolyMap, PolyPoisson, change_coordinates, compose,
-                   identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
+from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
+                   LieStructure, NewtonOptions, PolyMap, PolyPoisson, change_coordinates,
+                   compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
+from symgf.compose import _solve
+from symgf.genfun import GenFun
 from symgf.maps import InverseMap
 
 from conftest import fd_grad, fd_jac
@@ -195,6 +197,88 @@ def test_solve_returns_the_operand_jets_at_the_critical_point(make):
         assert got.order == 2 and got.value == want.value
         assert np.array_equal(got.grad, want.grad)
         assert np.array_equal(got.hess, want.hess)
+
+
+@composites
+def test_stacked_solve_matches_one_point_solves(make):
+    # a stack keeps one Newton per row: same iterates, same iteration
+    # counts, same composite jets as one point at a time
+    C = make()
+    ps = sample_ball(5, C.m, 0.05, 4)
+    xs = sample_box(5, C.n, -0.25, 0.25, 9)
+    sol = _solve(C.F, C.G, ps, xs, C.opts)
+    for order in range(4):
+        stacked = C.eval_jet(ps, xs, order)
+        for b, (p, x) in enumerate(zip(ps, xs)):
+            one = C.eval_jet(p, x, order)
+            assert stacked.value[b] == one.value
+            for q in range(1, order + 1):
+                got, want = (getattr(j, ("grad", "hess", "third")[q - 1]) for j in (stacked, one))
+                assert np.array_equal(got[b], want), (order, q, b)
+    for b, (p, x) in enumerate(zip(ps, xs)):
+        sp = C.stationary(p, x)
+        assert np.array_equal(sol.Z[b], np.concatenate([sp.p_mid, sp.x_mid]))
+        assert sol.iterations[b] == sp.iterations
+
+
+def test_stacked_solve_sends_only_stragglers_to_homotopy():
+    # x_mid solves 1.5 p1 x^2 - x + p1 + 0.2 = 0: from the anchor, p1 = 0.3
+    # needs six direct Newton steps, the others at most four
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((1,), (3,)): 0.5}, 1, 1)
+    ps = np.array([[0.0], [0.3], [0.1], [0.2]])
+    xs = np.full((4, 1), 0.2)
+    opts = NewtonOptions(max_iter=4, homotopy_steps=10)
+    with pytest.raises(ConvergenceError, match=r"p1=\[0\.3\]"):
+        stationary_point(F, G, ps[1], xs[1], NewtonOptions(max_iter=4, homotopy_steps=0))
+    sol = _solve(F, G, ps, xs, opts)
+    for b, (p, x) in enumerate(zip(ps, xs)):
+        sp = stationary_point(F, G, p, x, opts)
+        assert np.array_equal(sol.Z[b], np.concatenate([sp.p_mid, sp.x_mid]))
+        assert sol.iterations[b] == sp.iterations
+    assert list(sol.iterations) == [0, 33, 3, 4]
+
+
+def test_stacked_solve_names_the_degenerate_point():
+    # the system of test_degenerate_phase_raises, singular at p1 = x3 = 1
+    # only; the error names that point, not the stack
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (1,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 0.5}, 1, 1)
+    ps = np.array([[0.1], [1.0], [0.2]])
+    xs = np.array([[0.1], [1.0], [-0.3]])
+    with pytest.raises(DegeneracyError, match=r"at p1=\[1\.\], x3=\[1\.\]$"):
+        _solve(F, G, ps, xs, DEFAULT_NEWTON)
+    with pytest.raises(DegeneracyError, match=r"at p1=\[1\.\], x3=\[1\.\]$"):
+        compose(F, G).eval_jet(ps, xs, 0)
+    _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
+
+
+class _WrongHessian(GenFun):
+    """A genfun that reports its Hessian with the wrong sign."""
+
+    def __init__(self, inner):
+        super().__init__(inner.m, inner.n)
+        self.inner = inner
+        self.calls = 0
+
+    def eval_jet(self, p, x, order):
+        self.calls += 1
+        j = self.inner.eval_jet(p, x, order)
+        if order >= 2:
+            j.hess = -j.hess
+        return j
+
+
+def test_line_search_floor_ends_the_direct_solve():
+    # with G_xx reported as -1.5 instead of 1.5 (and F_pp = 1.5) every Newton
+    # step raises the residual; the solve ends in its first line search, at
+    # damping 2**-20, instead of accepting a step that does not descend
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.75}, 1, 1)
+    G = _WrongHessian(poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 0.75}, 1, 1))
+    with pytest.raises(ConvergenceError, match="no descent step"):
+        stationary_point(F, G, np.array([1.0]), np.array([0.2]),
+                         NewtonOptions(homotopy_steps=0))
+    assert G.calls == 1 + 21  # iterate 0, then lam = 1, 1/2, ..., 2**-20
 
 
 def test_operands_are_evaluated_once_per_newton_iterate(monkeypatch):

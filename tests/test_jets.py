@@ -73,13 +73,15 @@ def test_zero_exponent_at_zero_point():
 
 def _kernel_cases():
     """(polynomials, nvars, jets) triples: ``jets(v, order)`` evaluates the
-    polynomials through a library object, one leading axis per polynomial."""
+    polynomials through a library object at a point ``v (n,)`` or a stack
+    ``v (B, n)``, with one axis per polynomial after the stack axis."""
     so3 = LieStructure.so3()
 
     def genfun(S):
         def jets(v, order):
-            j = S.eval_jet(v[:S.m], v[S.m:], order)
-            return [np.asarray(t)[None] for t in (j.value, j.grad, j.hess, j.third)[:order + 1]]
+            j = S.eval_jet(v[..., :S.m], v[..., S.m:], order)
+            return [np.expand_dims(t, v.ndim - 1)
+                    for t in (j.value, j.grad, j.hess, j.third)[:order + 1]]
         return [{pe + xe: c for (pe, xe), c in S.terms.items()}], S.m + S.n, jets
 
     phi = PolyMap([{(1, 0, 0): 1.0, (0, 2, 1): 0.3, (3, 0, 0): -0.1},
@@ -96,7 +98,7 @@ def _kernel_cases():
 
     def poisson_jets(v, order):
         A, dA = alpha.matrix_jet(v, min(order, 1))
-        upper = [A[rows, cols]] + ([] if dA is None else [dA[rows, cols]])
+        upper = [A[..., rows, cols]] + ([] if dA is None else [dA[..., rows, cols, :]])
         return upper + kernel.jet(v, order)[2:]
 
     return {
@@ -139,6 +141,13 @@ def test_kernel_matches_sum_of_term_jets(case, data):
             assert len(got) == order + 1
             for q in range(order + 1):
                 np.testing.assert_allclose(got[q], ref[q], rtol=1e-13, atol=1e-13)
+    # a stack of points evaluates each row exactly as that point alone
+    stack = np.stack([drawn, np.zeros(nvars), -drawn])
+    for order in range(4):
+        got = jets(stack, order)
+        for b, v in enumerate(stack):
+            for q, want in enumerate(jets(v, order)):
+                assert np.array_equal(got[q][b], want), (order, q, b)
 
 
 def test_negative_exponents_rejected_by_every_polynomial_type():
