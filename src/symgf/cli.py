@@ -102,16 +102,13 @@ def parse_genfun_source(token: str) -> GenFun:
                 "symplectic": symplectic_monoid}
     try:
         if kind in builders:
-            d = int(rest[0]) if rest else 2
-            if d < 1:
-                raise ValueError(f"dimension must be at least 1, got {d}")
-            return builders[kind](d)
+            return builders[kind](_dimension(rest[0] if rest else "2"))
         if kind == "lie":
             if not rest:
                 raise UserInputError("builtin:lie needs a structure name, e.g. builtin:lie:so3")
             trunc = int(rest[1]) if len(rest) > 1 else 4
             return lie_monoid(_structure(rest[0]), trunc=trunc)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, argparse.ArgumentTypeError) as exc:
         raise UserInputError(f"bad builtin token {token!r}: {exc}") from exc
     raise UserInputError(f"unknown builtin token {token!r}")
 
@@ -362,11 +359,23 @@ def _count(text) -> int:
     return v
 
 
+# The order-3 jet of a monoid genfun on R^d holds (3d)^3 floats: 57 MB at d = 64.
+MAX_DIM = 64
+
+
+def _dimension(text) -> int:
+    """A dimension of a built-in genfun, from 1 to :data:`MAX_DIM`."""
+    d = _count(text)
+    if d > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"expected a dimension <= {MAX_DIM}, got {text!r}")
+    return d
+
+
 def _add_monoid_flags(sp):
     sp.add_argument("--builtin", choices=("symplectic", "lie", "kontsevich", "identity"),
                     help="built-in monoid family")
     sp.add_argument("--monoid", help="path to a monoid genfun JSON")
-    sp.add_argument("--d", type=_count, default=2, help="dimension for symplectic/identity")
+    sp.add_argument("--d", type=_dimension, default=2, help="dimension for symplectic/identity")
     sp.add_argument("--lie", default="so3",
                     help="structure constants: so3, heisenberg, or a JSON path")
     sp.add_argument("--trunc", type=int, default=4,

@@ -139,6 +139,13 @@ class _Solution:
     def solved(self) -> np.ndarray:
         return np.array([i for i, e in enumerate(self.errors) if e is None], dtype=int)
 
+    def checked(self) -> _Solution:
+        """Raise the error of the first failing point, if any."""
+        for err in self.errors:
+            if err is not None:
+                raise err
+        return self
+
     def put(self, rows, other: _Solution):
         """Overwrite the points ``rows`` with the points of ``other``."""
         self.Z[rows] = other.Z
@@ -150,23 +157,20 @@ class _Solution:
             self.errors[i] = e
 
 
-def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
-    """Damped Newton on the critical-point systems at a stack of points
-    ``(P1[i], X3[i])``, from the anchors or from the iterates ``Z``.
+def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
+    """Damped Newton on a stack of square systems from the iterates ``Z (B, q)``.
 
-    Every point keeps its own iterate, backtracking line search and
-    convergence test; the condition numbers of all active Jacobians are
-    checked at every iterate.  A point whose system is degenerate, whose
-    line search finds no descent step, or which runs out of iterations ends
-    with its error recorded, and the others go on.
+    ``system(rows, Z)`` gives residuals ``(b, q)``, Jacobians ``(b, q, q)``
+    and a tuple of stacked order-2 jets (maybe empty) for the points
+    ``rows`` at ``Z``; ``start`` is that triple at ``Z``, if known.  Every
+    point keeps its own iterate, backtracking line search and convergence
+    test, and the conditioning of all active Jacobians is checked at every
+    iterate.  A point that is degenerate, finds no descent step or runs out
+    of iterations records its error, named by ``at(i)``, and the rest go on.
     """
-    B, k, jF = len(P1), F.m, None
-    if Z is None:
-        # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
-        jF = F.eval_jet(np.zeros((B, k)), X3, 2)
-        Z = np.concatenate([np.zeros((B, k)), jF.grad[:, :k]], axis=1)
+    B = len(Z)
     z = np.array(Z, dtype=float)
-    r, J, jets = _residual_and_jac(F, G, P1, X3, z, jF)
+    r, J, jets = system(slice(None), z) if start is None else start
     sol = _Solution(z, np.zeros(B, dtype=int), np.zeros(B), np.ones(B), jets, [None] * B)
     act = list(range(B))  # the points still iterating, in stack order
     sel = slice(None)     # act as an index; a slice while it holds every point
@@ -177,14 +181,14 @@ def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
             sol.iterations[i], sol.residuals[i], sol.conditions[i] = it, e, c
             if not (math.isfinite(c) and c <= opts.cond_limit):
                 sol.errors[i] = DegeneracyError(
-                    f"critical-point system is degenerate (condition {c:.3e} "
-                    f"exceeds {opts.cond_limit:.1e}) {_at(P1, X3, i)}")
+                    f"{label} system is degenerate (condition {c:.3e} "
+                    f"exceeds {opts.cond_limit:.1e}) {at(i)}")
             elif e <= opts.tol:
                 pass
             elif it == opts.max_iter:
                 sol.errors[i] = ConvergenceError(
-                    f"stationary-point Newton did not reach tol {opts.tol:.1e} in "
-                    f"{opts.max_iter} iterations (residual {e:.3e}) {_at(P1, X3, i)}")
+                    f"{label} Newton did not reach tol {opts.tol:.1e} in "
+                    f"{opts.max_iter} iterations (residual {e:.3e}) {at(i)}")
             else:
                 going.append(i)
                 rn.append(e)
@@ -198,7 +202,7 @@ def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
         search, lam = sel, [1.0] * len(act)
         while True:
             zt = z[search] + np.array(lam)[:, None] * step
-            rt, Jt, jt = _residual_and_jac(F, G, P1[search], X3[search], zt)
+            rt, Jt, jt = system(search, zt)
             ok = [a <= (1.0 - 0.5 * s) * b
                   for a, s, b in zip(np.abs(rt).max(axis=1).tolist(), lam, rn)]
             if all(ok):
@@ -213,8 +217,8 @@ def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
             for j in np.flatnonzero(~okm).tolist():
                 if lam[j] < 1e-6:
                     sol.errors[pos[j]] = ConvergenceError(
-                        f"stationary-point Newton found no descent step down to damping "
-                        f"1e-6 (residual {rn[j]:.3e}) {_at(P1, X3, pos[j])}")
+                        f"{label} Newton found no descent step down to damping "
+                        f"1e-6 (residual {rn[j]:.3e}) {at(pos[j])}")
                 else:
                     retry.append(j)
             if not retry:
@@ -226,6 +230,20 @@ def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
             act = [i for i in act if sol.errors[i] is None]
             sel = np.array(act, dtype=int)
     return sol
+
+
+def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
+    """:func:`_damped_newton` on the critical-point systems at a stack of
+    points ``(P1[i], X3[i])``, from the anchors or from the iterates ``Z``."""
+    jF = None
+    if Z is None:
+        # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
+        jF = F.eval_jet(np.zeros((len(P1), F.m)), X3, 2)
+        Z = np.concatenate([np.zeros((len(P1), F.m)), jF.grad[:, :F.m]], axis=1)
+    return _damped_newton(
+        lambda rows, Zr: _residual_and_jac(F, G, P1[rows], X3[rows], Zr),
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i),
+        _residual_and_jac(F, G, P1, X3, Z, jF))
 
 
 def _homotopy(F, G, P1, X3, opts) -> _Solution:
@@ -265,10 +283,7 @@ def _solve(F, G, P1, X3, opts, check_branch=False) -> _Solution:
                     f"direct Newton landed on a different branch than the "
                     f"homotopy continuation {_at(P1, X3, i)}")
             sol.errors[i] = err
-    for err in sol.errors:
-        if err is not None:
-            raise err
-    return sol
+    return sol.checked()
 
 
 def stationary_point(F: GenFun, G: GenFun, p1, x3,

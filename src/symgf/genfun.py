@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed, jet_stack
+from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 from .maps import GenFunBaseMap, PolyMap
@@ -57,12 +57,9 @@ class GenFun:
 
     def normalization_residual(self, xs) -> float:
         """max over sample base points of |S(0,x)| and |grad_x S(0,x)|."""
-        z = np.zeros(self.m)
-        worst = 0.0
-        for x in np.atleast_2d(xs):
-            j = self.eval_jet(z, x, 1)
-            worst = max(worst, abs(j.value), float(np.max(np.abs(j.grad[self.m:]), initial=0.0)))
-        return worst
+        xs = np.atleast_2d(xs)
+        j = self.eval_jet(np.zeros((len(xs), self.m)), xs, 1)
+        return float(np.max(np.abs(np.column_stack([j.value, j.grad[:, self.m:]])), initial=0.0))
 
     def __repr__(self):
         name = self.label or type(self).__name__
@@ -130,40 +127,35 @@ class TensorGenFun(GenFun):
 
 
 class LiftGenFun(GenFun):
-    """Cotangent lift of a jet-evaluable map: S(p, x) = <p, phi(x)>.
-
-    A stack is evaluated row by row, because phi may be an
-    :class:`~symgf.maps.InverseMap`, which solves one point at a time.
-    """
+    """Cotangent lift of a jet-evaluable map: S(p, x) = <p, phi(x)>."""
 
     def __init__(self, phi, label=""):
         super().__init__(phi.d_out, phi.d_in, np.inf, label or "lift")
         self.phi = phi
 
     def eval_jet(self, p, x, order) -> Jet:
-        if np.ndim(p) == 2:
-            return jet_stack([self.eval_jet(pb, xb, order) for pb, xb in zip(p, x)])
-        p = np.asarray(p, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.ndim < 2:
+            p, x = p.ravel(), x.ravel()
         m, n = self.m, self.n
         mj = self.phi.jet(x, order)
-        out = Jet(order, float(p @ mj.value))
+        row = p[..., None, :]
+        out = Jet(order, (row @ mj.value[..., None])[..., 0, 0])
         if order >= 1:
-            out.grad = np.concatenate([mj.value, p @ mj.jac])
+            out.grad = np.concatenate([mj.value, (row @ mj.jac)[..., 0, :]], axis=-1)
         if order >= 2:
-            H = np.zeros((m + n, m + n))
-            H[:m, m:] = mj.jac
-            H[m:, :m] = mj.jac.T
-            H[m:, m:] = np.einsum("i,imn->mn", p, mj.hess)
+            H = np.zeros(p.shape[:-1] + (m + n, m + n))
+            H[..., :m, m:] = mj.jac
+            H[..., m:, :m] = mj.jac.swapaxes(-1, -2)
+            H[..., m:, m:] = np.einsum("...i,...imn->...mn", p, mj.hess)
             out.hess = H
         if order >= 3:
-            T = np.zeros((m + n, m + n, m + n))
+            T = np.zeros(p.shape[:-1] + (m + n,) * 3)
             # d^3 S / dp_i dx_a dx_b = phi''_i[a,b], symmetrized over slots
-            for i in range(m):
-                T[i, m:, m:] = mj.hess[i]
-                T[m:, i, m:] = mj.hess[i]
-                T[m:, m:, i] = mj.hess[i]
-            T[m:, m:, m:] = np.einsum("i,iabc->abc", p, mj.third)
+            T[..., :m, m:, m:] = mj.hess
+            T[..., m:, :m, m:] = mj.hess.swapaxes(-3, -2)
+            T[..., m:, m:, :m] = np.moveaxis(mj.hess, -3, -1)
+            T[..., m:, m:, m:] = np.einsum("...i,...iabc->...abc", p, mj.third)
             out.third = T
         return out
 

@@ -59,15 +59,6 @@ def jet_const(value, nvars, order) -> Jet:
     return Jet(order, value, g, h, t)
 
 
-def jet_stack(jets) -> Jet:
-    """One stacked jet from a sequence of single-point jets of equal order."""
-    order = jets[0].order
-    fields = [np.array([j.value for j in jets])]
-    fields += [np.stack([(j.grad, j.hess, j.third)[q - 1] for j in jets])
-               for q in range(1, order + 1)]
-    return Jet(order, *fields)
-
-
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
     out = Jet(a.order, a.value + b.value)

@@ -9,7 +9,8 @@ generating function.  Every map exposes
 
 with ``value (k,)``, ``jac (k, n)``, ``hess (k, n, n)``, ``third
 (k, n, n, n)`` (entries above ``order`` are None), where k = d_out and
-n = d_in.
+n = d_in.  ``x`` may also be a stack ``(B, n)`` of points; every entry then
+carries the leading stack axis.
 """
 from __future__ import annotations
 
@@ -68,56 +69,57 @@ class PolyMap:
 
 
 class InverseMap:
-    """The inverse of a jet-evaluable map, computed pointwise.
+    """The inverse of a jet-evaluable map.
 
-    ``jet(y, order)`` solves base(z) = y by Newton from ``z0 = guess(y)``
-    (default: y itself, right for near-identity diffeomorphisms), then fills
-    in derivative tensors of the inverse by implicit differentiation.
+    ``jet(y, order)`` solves base(z) = y by the damped Newton of
+    :mod:`symgf.compose`, from z = y (right for near-identity
+    diffeomorphisms) to a residual of 1e-14, then fills in derivative
+    tensors of the inverse by implicit differentiation.
     """
 
-    def __init__(self, base, guess=None, tol=1e-14, max_iter=60):
+    def __init__(self, base, max_iter=60):
         self.base = base
         if base.d_in != base.d_out:
             raise ValueError("only same-dimension maps can be inverted")
         self.d_in = self.d_out = base.d_in
-        self.guess = guess
-        self.tol = tol
         self.max_iter = max_iter
 
     def __call__(self, y):
         return self.jet(y, 0).value
 
-    def _solve(self, y):
-        z = np.array(y, dtype=float) if self.guess is None else np.asarray(self.guess(y), dtype=float)
-        for _ in range(self.max_iter):
-            mj = self.base.jet(z, 1)
-            r = mj.value - y
-            if np.linalg.norm(r, ord=np.inf) < self.tol:
-                return z
-            z = z - np.linalg.solve(mj.jac, r)
-        from .compose import ConvergenceError
-        raise ConvergenceError("InverseMap: Newton solve for the inverse did not converge")
-
     def jet(self, y, order) -> MapJet:
+        from .compose import NewtonOptions, _damped_newton
         y = np.asarray(y, dtype=float)
-        z = self._solve(y)
-        base_order = max(order, 1)
-        bj = self.base.jet(z, min(3, base_order))
-        out = MapJet(order, z)
+        Y = np.atleast_2d(y)
+
+        def system(rows, Z):
+            bj = self.base.jet(Z, 1)
+            return bj.value - Y[rows], bj.jac, ()
+
+        sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=self.max_iter),
+                             "inverse-map", lambda i: f"at y={Y[i]}").checked()
+        out = MapJet(order, sol.Z.reshape(y.shape))
         if order == 0:
             return out
+        bj = self.base.jet(out.value, min(3, order))
         A = bj.jac
-        zy = np.linalg.solve(A, np.eye(self.d_in))
+        zy = np.linalg.solve(A, np.broadcast_to(np.eye(self.d_in), A.shape))
         out.jac = zy
+        # matmul chains contract one slot at a time, broadcast over components
+        Z = zy[..., None, :, :]
+        Zt = Z.swapaxes(-1, -2)
         if order >= 2:
             # A z_uv = -g''[z_u, z_v]
-            rhs = np.einsum("abc,bu,cv->auv", bj.hess, zy, zy, optimize=True)
-            out.hess = -np.linalg.solve(A, rhs.reshape(self.d_in, -1)).reshape(rhs.shape)
+            rhs = Zt @ bj.hess @ Z
+            out.hess = -np.linalg.solve(A, rhs.reshape(rhs.shape[:-2] + (-1,))).reshape(rhs.shape)
         if order >= 3:
-            t3 = np.einsum("abcd,bu,cv,dw->auvw", bj.third, zy, zy, zy, optimize=True)
-            m = np.einsum("abc,buv,cw->auvw", bj.hess, out.hess, zy, optimize=True)
-            rhs = t3 + m + m.transpose(0, 1, 3, 2) + m.transpose(0, 3, 1, 2)
-            out.third = -np.linalg.solve(A, rhs.reshape(self.d_in, -1)).reshape(rhs.shape)
+            # A z_uvw = -(g'''[z_u, z_v, z_w] + g''[z_uv, z_w] + 2 permutations)
+            t3 = Zt[..., None, :, :] @ (bj.third @ Z[..., None, :, :])
+            t3 = (Zt @ t3.reshape(t3.shape[:-2] + (-1,))).reshape(t3.shape)
+            Hz = out.hess.reshape(out.hess.shape[:-2] + (-1,))[..., None, :, :]
+            m = (Hz.swapaxes(-1, -2) @ (bj.hess @ Z)).reshape(t3.shape)
+            rhs = t3 + m + m.swapaxes(-1, -2) + np.moveaxis(m, -1, -3)
+            out.third = -np.linalg.solve(A, rhs.reshape(rhs.shape[:-3] + (-1,))).reshape(rhs.shape)
         return out
 
 
@@ -140,11 +142,11 @@ class GenFunBaseMap:
         if order > 2:
             raise ValueError("GenFunBaseMap supports jets to order 2 only")
         x = np.asarray(x, dtype=float)
-        m, n = self.d_out, self.d_in
-        sj = self.genfun.eval_jet(np.zeros(m), x, order + 1)
-        out = MapJet(order, sj.grad[:m].copy())
+        m = self.d_out
+        sj = self.genfun.eval_jet(np.zeros(x.shape[:-1] + (m,)), x, order + 1)
+        out = MapJet(order, sj.grad[..., :m].copy())
         if order >= 1:
-            out.jac = sj.hess[:m, m:].copy()
+            out.jac = sj.hess[..., :m, m:].copy()
         if order >= 2:
-            out.hess = sj.third[:m, m:, m:].copy()
+            out.hess = sj.third[..., :m, m:, m:].copy()
         return out

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symgf import symplectic_monoid
+from symgf import cli, poly_genfun, sample_ball, symplectic_monoid
 from symgf.cli import main
 from symgf.serialize import dump, genfun_to_dict
 from symgf.verify import GROUPOID_AXIOMS
@@ -148,6 +148,53 @@ def test_compose_dimension_mismatch_exits_two(capsys):
     code = main(["compose", "--f", "builtin:identity:2", "--g",
                  "builtin:identity:3", "--p", "0,0,0", "--x", "0,0"])
     assert code == 2
+
+
+def _breakdown_commands(tmp_path):
+    # F = p x + p^2/2 composed with G = p x + c p x^2 has the stationary
+    # system I - G_xx F_pp = 1 - 2 c p, singular at the anchor for p = 1/(2c):
+    # compose at p = 0.5 with c = 1, and in verify and morphism at the
+    # second grid momentum (the first has p_1 = 0), drawn as cmd_verify and
+    # cmd_morphism draw them
+    q = sample_ball(2, 3, 0.1, 2)[1, 0]
+    a = sample_ball(2, 2, 0.1, 0)[1, 0]
+    unit = {((1, 0), (1,)): 1.0, ((0, 1), (1,)): 1.0}
+    genfuns = {
+        "F": poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.5}, 1, 1),
+        "G": poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 1.0}, 1, 1),
+        "S": poly_genfun({**unit, ((2, 0), (0,)): 0.5, ((1, 0), (2,)): 0.5 / q}, 2, 1),
+        "S_M": poly_genfun({**unit, ((1, 0), (2,)): 0.5 / a}, 2, 1),
+    }
+    paths = {name: str(tmp_path / f"{name}.json") for name in genfuns}
+    for name, genfun in genfuns.items():
+        dump(genfun_to_dict(genfun), paths[name])
+    return [
+        ["compose", "--f", paths["F"], "--g", paths["G"], "--p", "0.5", "--x", "0"],
+        ["verify", "--monoid", paths["S"], "--grid-n", "2"],
+        ["morphism", "--f", paths["F"], "--dom", paths["S_M"], "--cod", "builtin:abelian:1",
+         "--grid-n", "2"],
+    ]
+
+
+@pytest.mark.parametrize("command", range(3), ids=["compose", "verify", "morphism"])
+def test_singular_stationary_system_exits_one(tmp_path, capsys, command):
+    argv = _breakdown_commands(tmp_path)[command]
+    assert main(argv) == 1
+    assert "composition failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "identity", "--d", "100000000"],
+    ["compose", "--f", "builtin:identity:100000000", "--g", "builtin:identity:2",
+     "--p", "0,0", "--x", "0,0"],
+], ids=["--d", "token"])
+def test_oversized_builtin_dimension_exits_two(monkeypatch, argv):
+    def refuse(d):
+        raise AssertionError(f"built a genfun of dimension {d}")
+
+    for name in ("identity_genfun", "abelian_monoid", "symplectic_monoid"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert _exit_code(argv) == 2
 
 
 def test_morphism_positive_and_negative(tmp_path):

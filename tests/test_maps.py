@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symgf import ConvergenceError
+from symgf import ConvergenceError, DegeneracyError
 from symgf.maps import InverseMap, PolyMap
 
 from conftest import fd_jac
@@ -68,3 +68,30 @@ def test_inverse_map_nonconvergence_raises_convergence_error():
     phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
     with pytest.raises(ConvergenceError):
         InverseMap(phi, max_iter=1).jet(np.array([0.21, -0.13]), 0)
+
+
+def test_inverse_map_stack_matches_one_point_jets():
+    # a stack is solved by one Newton with a line search per row: every row
+    # equals the one-point jet
+    phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.25}, {(0, 1): 1.0, (2, 0): 0.1}], d_in=2)
+    inv = InverseMap(phi)
+    ys = np.array([[0.18, -0.22], [0.0, 0.0], [-0.3, 0.1], [0.05, 0.27]])
+    for order in range(4):
+        stacked = inv.jet(ys, order)
+        for b, y in enumerate(ys):
+            one = inv.jet(y, order)
+            for f in ("value", "jac", "hess", "third")[:order + 1]:
+                assert np.array_equal(getattr(stacked, f)[b], getattr(one, f)), (order, f, b)
+
+
+def test_singular_inverse_raises_degeneracy_naming_the_point():
+    # g = (x1^3, x2) has a singular Jacobian at 0, where Newton starts for
+    # y = 0; the other rows are regular
+    g = PolyMap([{(3, 0): 1.0}, {(0, 1): 1.0}], d_in=2)
+    ys = np.array([[0.008, 0.2], [0.0, 0.0], [0.001, -0.1]])
+    with pytest.raises(DegeneracyError, match=r"at y=\[0\. 0\.\]$"):
+        InverseMap(g).jet(ys, 1)
+    with pytest.raises(DegeneracyError, match=r"at y=\[0\. 0\.\]$"):
+        InverseMap(g).jet(ys[1], 0)
+    np.testing.assert_allclose(InverseMap(g).jet(ys[[0, 2]], 0).value,
+                               [[0.2, 0.2], [0.1, -0.1]], rtol=1e-12)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from symgf import (GroupoidMaps, LieStructure, PoissonField, PolyPoisson,
-                   bracket_sign, canonical_bracket, check_associativity,
+from symgf import (Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap, PolyPoisson,
+                   bracket_sign, canonical_bracket, change_coordinates, check_associativity,
                    check_groupoid, check_jacobi, check_unit, lie_monoid,
                    poisson_bivector, poly_genfun, sample_ball, sample_box,
                    source_target, standard_bivector, symplectic_monoid)
@@ -55,6 +55,25 @@ def test_symplectic_bivector_is_jinv():
     J = standard_bivector(4)
     for x in sample_box(5, 4, -1.0, 1.0, 0):
         np.testing.assert_allclose(field.matrix(x), J, atol=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lie_monoid(LieStructure.so3(), trunc=4),
+    # a composite whose outer operand is the lift of an InverseMap
+    lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
+        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
+], ids=["so3-trunc4", "coordinate-change"])
+def test_bivector_of_a_stack_matches_one_point_rows(make):
+    S = make()
+    field = poisson_bivector(S)
+    ys = sample_box(4, S.n, -0.3, 0.3, 5)
+    alpha, dalpha = field.with_derivatives(ys)
+    assert np.array_equal(field.matrix(ys), alpha)
+    assert np.array_equal(alpha, -alpha.swapaxes(-1, -2))
+    for b, y in enumerate(ys):
+        a, da = field.with_derivatives(y)
+        assert np.array_equal(alpha[b], a) and np.array_equal(dalpha[b], da)
+        assert np.array_equal(field.matrix(y), a)
 
 
 def test_lie_bivector_derivatives_are_structure_constants():
