@@ -8,7 +8,7 @@ from symgf.cli import main as cli_main
 
 PRESETS = [
     "verify --builtin symplectic --d 2",
-    "verify --builtin symplectic --d 3",
+    "verify --builtin symplectic --d 4",
     "verify --builtin identity --d 2",
     "verify --builtin lie --lie heisenberg --trunc 2",
     ("verify --builtin lie --lie so3 --trunc 4 --p-radius 0.05 "

@@ -217,28 +217,22 @@ def cmd_poisson(args) -> int:
         xs = sample_box(args.grid_n, d, -args.x_box, args.x_box, seed + 1)
     ps = sample_ball(min(args.grid_n, len(xs)), d, args.p_radius, seed)
 
-    alpha_rows = []
-    for x in xs:
-        a = field.matrix(x)
-        entries = [[i, j, float(a[i, j])] for i in range(d) for j in range(i + 1, d)]
-        alpha_rows.append({"x": [float(v) for v in x], "entries": entries})
-    st_rows = []
-    for p, x in zip(ps, xs):
-        st_rows.append({
-            "p": [float(v) for v in p],
-            "x": [float(v) for v in x],
-            "source": [float(v) for v in gm.source(p, x)],
-            "target": [float(v) for v in gm.target(p, x)],
-        })
+    alpha = field.matrix(xs)
+    alpha_rows = [{"x": [float(v) for v in x],
+                   "entries": [[i, j, float(a[i, j])] for i in range(d) for j in range(i + 1, d)]}
+                  for x, a in zip(xs, alpha)]
+    pxs = xs[:len(ps)]
+    src, tgt = gm.source(ps, pxs), gm.target(ps, pxs)
+    st_rows = [{"p": [float(v) for v in p], "x": [float(v) for v in x],
+                "source": [float(v) for v in s], "target": [float(v) for v in t]}
+               for p, x, s, t in zip(ps, pxs, src, tgt)]
 
     print(f"monoid: {S.label}  (d={d})")
-    x0 = xs[0]
-    print(f"alpha at x = {np.array2string(np.asarray(x0), precision=6)}:")
-    print(np.array2string(field.matrix(x0), precision=6, suppress_small=True))
-    p0 = ps[0]
-    print(f"source/target at p = {np.array2string(np.asarray(p0), precision=6)}, x above:")
-    print("  s =", np.array2string(gm.source(p0, x0), precision=6))
-    print("  t =", np.array2string(gm.target(p0, x0), precision=6))
+    print(f"alpha at x = {np.array2string(xs[0], precision=6)}:")
+    print(np.array2string(alpha[0], precision=6, suppress_small=True))
+    print(f"source/target at p = {np.array2string(ps[0], precision=6)}, x above:")
+    print("  s =", np.array2string(src[0], precision=6))
+    print("  t =", np.array2string(tgt[0], precision=6))
     if args.out:
         config = _config_dict(args, ("builtin", "monoid", "d", "lie", "trunc", "alpha",
                                      "eps", "order", "grid_n", "p_radius", "x_box", "seed"))

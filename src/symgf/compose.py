@@ -35,7 +35,7 @@ the first of them in stack order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,6 @@ class StationaryPoint:
     iterations: int
     residual: float
     condition: float
-    # order-2 jets (F at (p_mid, x3), G at (p1, x_mid)) of the accepted iterate
-    jets: tuple | None = field(default=None, repr=False)
 
 
 def _residual_and_jac(F, G, P1, X3, Z, jF=None):
@@ -305,9 +303,8 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     x3 = np.asarray(x3, dtype=float).ravel()
     sol = _solve(F, G, p1[None], x3[None], opts, check_branch)
     k, z = F.m, sol.Z[0]
-    jets = tuple(Jet(2, j.value[0], j.grad[0], j.hess[0]) for j in sol.jets)
     return StationaryPoint(z[:k].copy(), z[k:].copy(), int(sol.iterations[0]),
-                           float(sol.residuals[0]), float(sol.conditions[0]), jets)
+                           float(sol.residuals[0]), float(sol.conditions[0]))
 
 
 class ComposedGenFun(GenFun):
@@ -341,21 +338,19 @@ class ComposedGenFun(GenFun):
         return self.eval_jet(np.zeros(self.m), x, 0).value
 
     def eval_jet(self, p, x, order) -> Jet:
-        F, G, k = self.F, self.G, self.F.m
-        m, n = self.m, self.n
         p1, x3 = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
         if p1.ndim < 2:
-            p1, x3 = p1.ravel(), x3.ravel()
-            sp = stationary_point(F, G, p1, x3, self.opts)
-            pm, xm, jets = sp.p_mid, sp.x_mid, sp.jets
-            pair = float(pm @ xm)
-        else:
-            sol = _solve(F, G, p1, x3, self.opts)
-            pm, xm, jets = sol.Z[:, :k], sol.Z[:, k:], sol.jets
-            # <pb, xb> row by row with @: an einsum over the rows rounds differently
-            pair = np.array([a @ b for a, b in zip(pm, xm)])
+            # one point is row 0 of a stack of one
+            j = self.eval_jet(p1.ravel()[None], x3.ravel()[None], order)
+            return Jet(order, j.value[0], *(t[0] for t in (j.grad, j.hess, j.third)[:order]))
+        F, G, k = self.F, self.G, self.F.m
+        m, n = self.m, self.n
+        sol = _solve(F, G, p1, x3, self.opts)
+        pm, xm = sol.Z[:, :k], sol.Z[:, k:]
+        # <pb, xb> row by row with @: an einsum over the rows rounds differently
+        pair = np.array([a @ b for a, b in zip(pm, xm)])
         # orders 0-2 read the solve's operand jets at the critical point
-        jF, jG = jets if order <= 2 else (F.eval_jet(pm, x3, 3), G.eval_jet(p1, xm, 3))
+        jF, jG = sol.jets if order <= 2 else (F.eval_jet(pm, x3, 3), G.eval_jet(p1, xm, 3))
         out = Jet(order, jF.value + jG.value - pair)
         if order == 0:
             return out
@@ -376,7 +371,7 @@ class ComposedGenFun(GenFun):
         try:
             zu = -np.linalg.solve(Lzz, Lzu)
         except np.linalg.LinAlgError as exc:
-            at = _at(np.atleast_2d(p1), np.atleast_2d(x3), int(np.argmax(np.linalg.cond(Lzz))))
+            at = _at(p1, x3, int(np.argmax(np.linalg.cond(Lzz))))
             raise DegeneracyError(f"second-derivative block is singular {at}") from exc
         E = np.zeros(zu.shape[:-2] + (nv, m + n))
         E[..., :2 * k, :] = zu

@@ -49,12 +49,6 @@ class GenFun:
     def value(self, p, x) -> float:
         return self.eval_jet(p, x, 0).value
 
-    def grad_p(self, p, x) -> np.ndarray:
-        return self.eval_jet(p, x, 1).grad[: self.m].copy()
-
-    def grad_x(self, p, x) -> np.ndarray:
-        return self.eval_jet(p, x, 1).grad[self.m:].copy()
-
     def normalization_residual(self, xs) -> float:
         """max over sample base points of |S(0,x)| and |grad_x S(0,x)|."""
         xs = np.atleast_2d(xs)

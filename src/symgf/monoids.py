@@ -302,13 +302,14 @@ def symplectic_monoid(d, jinv=None) -> PolyGenFun:
 # Polynomial Poisson bivectors
 # --------------------------------------------------------------------------
 
-def jacobi_defect(alpha, dalpha) -> float:
+def jacobi_defect(alpha, dalpha, axis=None):
     """max |cyclic Jacobi sum| of a bivector at one point, or over a stack
     of points, given its value ``alpha[..., i, j]`` and derivatives
-    ``dalpha[..., i, j, l] = d alpha^{ij} / dx_l``."""
+    ``dalpha[..., i, j, l] = d alpha^{ij} / dx_l``; with ``axis=(1, 2, 3)``
+    the maxima of a stack, one per point."""
     t = np.einsum("...il,...jkl->...ijk", alpha, dalpha)
     cyc = t + np.moveaxis(t, -3, -1) + np.moveaxis(t, -1, -3)
-    return float(np.max(np.abs(cyc), initial=0.0))
+    return np.max(np.abs(cyc), axis=axis, initial=0.0)
 
 
 class PolyPoisson:
@@ -398,7 +399,7 @@ class PolyPoisson:
     def jacobi_residual(self, xs) -> float:
         """max over sample points of the cyclic Jacobi sum, evaluated as one
         stack."""
-        return jacobi_defect(*self.matrix_jet(np.atleast_2d(xs), 1))
+        return float(jacobi_defect(*self.matrix_jet(np.atleast_2d(xs), 1)))
 
     def coeff_scale(self) -> float:
         return max((abs(c) for poly in self.entries.values() for c in poly.values()),

@@ -2,9 +2,9 @@
 
 Every check samples a deterministic grid, measures a residual that the
 exact structure would make vanish, and returns a :class:`VerificationReport`
-(max/mean residual, sample count, failing points).  The checks that compose
-generating functions pass their grids to the composition engine in stacks
-of at most :data:`BLOCK` points.  The canonical Poisson
+(max/mean residual, sample count, failing points).  Every check evaluates
+its grid as stacks of points: :func:`check_poisson_map` as one stack, the
+others in blocks of at most :data:`BLOCK` points.  The canonical Poisson
 bracket used by the groupoid checks carries the overall sign +1 (see
 :func:`bracket_sign`), which every report records.
 """
@@ -17,24 +17,23 @@ import numpy as np
 
 from .compose import DEFAULT_NEWTON, compose
 from .genfun import GenFun, identity_genfun, tensor
-from .jets import Jet
 from .monoids import PolyPoisson, jacobi_defect
 
-# Points per stacked evaluation in the composing checks, a bound on memory:
+# Points per stacked evaluation in the blocked checks, a bound on memory:
 # the traced peak of one stacked composite value on the order-2 Kontsevich
 # triple product grows with the stack, 0.19 / 0.73 / 2.9 MB at 8 / 32 / 128
 # points (tracemalloc).
 BLOCK = 32
 
 
-def _blocks(ps, xs):
-    """Paired ``(p, x)`` sample stacks of at most :data:`BLOCK` rows, in
-    grid order."""
-    ps, xs = np.atleast_2d(ps), np.atleast_2d(xs)
-    n = min(len(ps), len(xs))
+def _blocks(*samples):
+    """Row-aligned slices of at most :data:`BLOCK` rows of the sample
+    stacks, in grid order, over as many rows as the shortest holds."""
+    samples = [np.atleast_2d(s) for s in samples]
+    n = min(len(s) for s in samples)
     for i in range(0, n, BLOCK):
         j = min(i + BLOCK, n)
-        yield ps[i:j], xs[i:j]
+        yield tuple(s[i:j] for s in samples)
 
 
 # --------------------------------------------------------------------------
@@ -80,10 +79,6 @@ class PoissonField:
     def with_derivatives(self, x):
         return self._backend(np.asarray(x, float), 1)
 
-    def jacobi(self, x) -> float:
-        """max |cyclic Jacobi sum| at one point."""
-        return jacobi_defect(*self.with_derivatives(x))
-
 
 def as_field(obj) -> PoissonField:
     if isinstance(obj, PoissonField):
@@ -101,6 +96,7 @@ class GroupoidMaps:
         s(p, x) = grad_{p2} S(p, 0, x),     t(p, x) = grad_{p1} S(0, p, x),
 
     with first derivatives with respect to (p, x) for bracket evaluation.
+    ``p`` and ``x`` may be one point ``(d,)`` each or stacks ``(B, d)``.
     """
 
     def __init__(self, S: GenFun):
@@ -118,29 +114,24 @@ class GroupoidMaps:
 
     def _jet(self, which, p, x):
         d = self.d
-        pad = np.zeros(2 * d)
+        p = np.asarray(p, dtype=float)
+        pad = np.zeros(p.shape[:-1] + (2 * d,))
         if which == "s":
-            pad[:d] = np.asarray(p, dtype=float).ravel()
+            pad[..., :d] = p
             rows, pcols = slice(d, 2 * d), slice(0, d)
         else:
-            pad[d:] = np.asarray(p, dtype=float).ravel()
+            pad[..., d:] = p
             rows, pcols = slice(0, d), slice(d, 2 * d)
         j = self.S.eval_jet(pad, x, 2)
-        return j.grad[rows].copy(), j.hess[rows, pcols].copy(), j.hess[rows, 2 * d:].copy()
+        return j.grad[..., rows], j.hess[..., rows, pcols], j.hess[..., rows, 2 * d:]
 
     def source_jet(self, p, x):
         """(s(p,x), ds/dp, ds/dx)."""
         return self._jet("s", p, x)
 
     def target_jet(self, p, x):
+        """(t(p,x), dt/dp, dt/dx)."""
         return self._jet("t", p, x)
-
-    def component(self, which, i):
-        """Component i of s or t as a jet-evaluable scalar of (p, x)."""
-        def f(p, x):
-            val, dp, dx = self._jet(which, p, x)
-            return Jet(1, val[i], np.concatenate([dp[i], dx[i]]))
-        return f
 
 
 def source_target(S: GenFun) -> GroupoidMaps:
@@ -280,7 +271,7 @@ def check_associativity(S: GenFun, ps, xs, tol=1e-9,
 GROUPOID_AXIOMS = ("source-poisson", "target-anti-poisson", "source-target-commute")
 
 
-def check_groupoid(S: GenFun, ps, xs, tol=1e-10, field=None):
+def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
     """The three bracket identities of the source/target maps.
 
     Returns three reports (source brackets reproduce the bivector, target
@@ -290,35 +281,35 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10, field=None):
     :data:`GROUPOID_AXIOMS`.
     """
     tols = tol if isinstance(tol, Mapping) else dict.fromkeys(GROUPOID_AXIOMS, tol)
-    d = S.n
     gm = GroupoidMaps(S)
-    fld = as_field(field if field is not None else S)
-    upper = np.triu_indices(d, 1)
+    fld = PoissonField.from_monoid(S)
+    iu, ju = np.triu_indices(S.n, 1)
     res_ss, res_tt, res_st = [], [], []
     pts = []
-    for p, x in zip(np.atleast_2d(ps), np.atleast_2d(xs)):
+    for p, x in _blocks(ps, xs):
         s, dps, dxs = gm.source_jet(p, x)
         t, dpt, dxt = gm.target_jet(p, x)
         # canonical brackets of all component pairs:
         # {f_i, g_j} = (Df_x Dg_p^T - Df_p Dg_x^T)[i, j]
-        bss = dxs @ dps.T - dps @ dxs.T
-        btt = dxt @ dpt.T - dpt @ dxt.T
-        bst = dxs @ dpt.T - dps @ dxt.T
-        res_ss.append(float(np.max(np.abs(bss - fld.matrix(s))[upper], initial=0.0)))
-        res_tt.append(float(np.max(np.abs(btt + fld.matrix(t))[upper], initial=0.0)))
-        res_st.append(float(np.max(np.abs(bst), initial=0.0)))
-        pts.append(np.concatenate([p, x]))
+        bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
+        btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
+        bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
+        res_ss.extend(np.max(np.abs(bss - fld.matrix(s))[:, iu, ju], axis=1, initial=0.0))
+        res_tt.extend(np.max(np.abs(btt + fld.matrix(t))[:, iu, ju], axis=1, initial=0.0))
+        res_st.extend(np.max(np.abs(bst), axis=(1, 2), initial=0.0))
+        pts.extend(np.concatenate([p, x], axis=1))
     return [_make_report(axiom, pts, res, tols[axiom])
             for axiom, res in zip(GROUPOID_AXIOMS, (res_ss, res_tt, res_st))]
 
 
 def check_jacobi(field, xs, tol=1e-10) -> VerificationReport:
+    """The cyclic Jacobi sum of the bivector vanishes at every sample."""
     fld = as_field(field)
     res = []
     pts = []
-    for x in np.atleast_2d(xs):
-        res.append(fld.jacobi(x))
-        pts.append(x)
+    for (x,) in _blocks(xs):
+        res.extend(jacobi_defect(*fld.with_derivatives(x), axis=(1, 2, 3)))
+        pts.extend(x)
     return _make_report("jacobi", pts, res, tol)
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,16 @@ from symgf.cli import main
 from symgf.serialize import dump, genfun_to_dict
 from symgf.verify import GROUPOID_AXIOMS
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+
+
+def _builtin_presets():
+    spec = importlib.util.spec_from_file_location(
+        "verify_builtins", ROOT / "scripts" / "verify_builtins.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PRESETS
 
 
 def test_verify_symplectic_passes(tmp_path, capsys):
@@ -209,6 +220,12 @@ def test_morphism_positive_and_negative(tmp_path):
             "builtin:symplectic:2", "--grid-n", "25"]
     assert main(base + ["--f", str(good)]) == 0
     assert main(base + ["--f", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("preset", _builtin_presets())
+def test_verify_builtins_presets_pass(preset, capsys):
+    # every preset of scripts/verify_builtins.py holds on a small grid
+    assert main(shlex.split(preset) + ["--grid-n", "8"]) == 0
 
 
 def test_console_script_entry_point(tmp_path):

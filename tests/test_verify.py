@@ -7,6 +7,7 @@ from symgf import (Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap, Po
                    poisson_bivector, poly_genfun, sample_ball, sample_box,
                    source_target, standard_bivector, symplectic_monoid)
 from symgf.jets import Jet
+from symgf.monoids import jacobi_defect
 
 
 def test_bracket_sign_calibrates_positive():
@@ -15,14 +16,13 @@ def test_bracket_sign_calibrates_positive():
     S = symplectic_monoid(2)
     gm = GroupoidMaps(S)
     field = PoissonField.from_monoid(S)
-    pts = [(np.array([0.07, -0.04]), np.array([0.31, -0.22])),
-           (np.array([-0.05, 0.09]), np.array([-0.6, 0.45]))]
-    worst = {1: 0.0, -1: 0.0}
-    for sgn in (1, -1):
-        for p, x in pts:
-            a = field.matrix(gm.source(p, x))
-            b = canonical_bracket(gm.component("s", 0), gm.component("s", 1), p, x, sign=sgn)
-            worst[sgn] = max(worst[sgn], abs(b - a[0, 1]))
+    ps = np.array([[0.07, -0.04], [-0.05, 0.09]])
+    xs = np.array([[0.31, -0.22], [-0.6, 0.45]])
+    s, dps, dxs = gm.source_jet(ps, xs)
+    # {s_0, s_1} / sign at both points, from the bracket matrices
+    b = (dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2))[:, 0, 1]
+    a = field.matrix(s)[:, 0, 1]
+    worst = {sgn: np.max(np.abs(sgn * b - a)) for sgn in (1, -1)}
     assert worst[1] < 1e-10 < worst[-1]
     assert bracket_sign() == 1
 
@@ -57,12 +57,15 @@ def test_symplectic_bivector_is_jinv():
         np.testing.assert_allclose(field.matrix(x), J, atol=1e-14)
 
 
-@pytest.mark.parametrize("make", [
+monoids = pytest.mark.parametrize("make", [
     lambda: lie_monoid(LieStructure.so3(), trunc=4),
     # a composite whose outer operand is the lift of an InverseMap
     lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
         [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
 ], ids=["so3-trunc4", "coordinate-change"])
+
+
+@monoids
 def test_bivector_of_a_stack_matches_one_point_rows(make):
     S = make()
     field = poisson_bivector(S)
@@ -74,6 +77,36 @@ def test_bivector_of_a_stack_matches_one_point_rows(make):
         a, da = field.with_derivatives(y)
         assert np.array_equal(alpha[b], a) and np.array_equal(dalpha[b], da)
         assert np.array_equal(field.matrix(y), a)
+
+
+@monoids
+def test_stacked_geometry_matches_one_point_rows(make):
+    # 40 points span two check blocks; every row of the stacked source and
+    # target jets, and every per-point residual of the groupoid and Jacobi
+    # checks, equals its one-point evaluation
+    S = make()
+    d = S.n
+    gm, field = GroupoidMaps(S), poisson_bivector(S)
+    ps = sample_ball(40, d, 0.05, 3)
+    xs = sample_box(40, d, -0.3, 0.3, 4)
+    stacked = gm.source_jet(ps, xs), gm.target_jet(ps, xs)
+    upper = np.triu_indices(d, 1)
+    want_ss, want_tt, want_st, want_jac = [], [], [], []
+    for b, (p, x) in enumerate(zip(ps, xs)):
+        (s, dps, dxs), (t, dpt, dxt) = one = gm.source_jet(p, x), gm.target_jet(p, x)
+        for got, row in zip(stacked, one):
+            assert all(np.array_equal(g[b], r) for g, r in zip(got, row))
+        bss = dxs @ dps.T - dps @ dxs.T
+        btt = dxt @ dpt.T - dpt @ dxt.T
+        want_ss.append(np.max(np.abs(bss - field.matrix(s))[upper], initial=0.0))
+        want_tt.append(np.max(np.abs(btt + field.matrix(t))[upper], initial=0.0))
+        want_st.append(np.max(np.abs(dxs @ dpt.T - dps @ dxt.T), initial=0.0))
+        want_jac.append(jacobi_defect(*field.with_derivatives(x)))
+    # a negative tolerance fails every point, so each failure carries its residual
+    reports = [*check_groupoid(S, ps, xs, tol=-1.0), check_jacobi(S, xs, tol=-1.0)]
+    for rep, want in zip(reports, (want_ss, want_tt, want_st, want_jac)):
+        assert rep.n == 40
+        assert np.array_equal([f["residual"] for f in rep.failures], want), rep.axiom
 
 
 def test_lie_bivector_derivatives_are_structure_constants():
@@ -113,7 +146,8 @@ def test_reports_carry_failures_and_points():
 def test_non_finite_residuals_and_tolerances_fail():
     # NaN > tol is False: the verdict must not rest on that comparison
     def backend(x, order):
-        return np.full((2, 2), x[0]), np.full((2, 2, 2), x[0])
+        v = x[..., 0, None, None]
+        return v * np.ones((2, 2)), v[..., None] * np.ones((2, 2, 2))
 
     field = PoissonField(2, backend)
     rep = check_jacobi(field, [[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]], tol=1.0)
