@@ -48,6 +48,10 @@ __all__ = [
     "ComposedGenFun", "change_coordinates", "Diffeo",
 ]
 
+DAMPING = 0.5       # backtracking factor of the Newton line search
+COND_LIMIT = 1e10   # a Jacobian worse conditioned than this is degenerate
+BRANCH_TOL = 1e-6   # relative distance at which direct Newton and homotopy disagree
+
 
 class CompositionError(RuntimeError):
     pass
@@ -71,10 +75,7 @@ class BranchJumpError(ConvergenceError):
 class NewtonOptions:
     tol: float = 1e-12
     max_iter: int = 50
-    damping: float = 0.5
-    cond_limit: float = 1e10
     homotopy_steps: int = 10
-    branch_tol: float = 1e-6
 
 
 DEFAULT_NEWTON = NewtonOptions()
@@ -177,10 +178,10 @@ def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
         for i, c, e in zip(act, np.linalg.cond(J[sel]).tolist(),
                            np.abs(r[sel]).max(axis=1).tolist()):
             sol.iterations[i], sol.residuals[i], sol.conditions[i] = it, e, c
-            if not (math.isfinite(c) and c <= opts.cond_limit):
+            if not (math.isfinite(c) and c <= COND_LIMIT):
                 sol.errors[i] = DegeneracyError(
                     f"{label} system is degenerate (condition {c:.3e} "
-                    f"exceeds {opts.cond_limit:.1e}) {at(i)}")
+                    f"exceeds {COND_LIMIT:.1e}) {at(i)}")
             elif e <= opts.tol:
                 pass
             elif it == opts.max_iter:
@@ -222,7 +223,7 @@ def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
             if not retry:
                 break
             search, step = pos[retry], step[retry]
-            lam = [lam[j] * opts.damping for j in retry]
+            lam = [lam[j] * DAMPING for j in retry]
             rn = [rn[j] for j in retry]
         if any(sol.errors[i] is not None for i in act):
             act = [i for i in act if sol.errors[i] is None]
@@ -276,7 +277,7 @@ def _solve(F, G, P1, X3, opts, check_branch=False) -> _Solution:
         ref = _homotopy(F, G, P1[direct], X3[direct], opts)
         for i, z, zh, err in zip(direct, sol.Z[direct], ref.Z, ref.errors):
             if err is None and (np.linalg.norm(z - zh, ord=np.inf)
-                                > opts.branch_tol * (1.0 + np.linalg.norm(z, ord=np.inf))):
+                                > BRANCH_TOL * (1.0 + np.linalg.norm(z, ord=np.inf))):
                 err = BranchJumpError(
                     f"direct Newton landed on a different branch than the "
                     f"homotopy continuation {_at(P1, X3, i)}")

@@ -23,22 +23,25 @@ def _digit_permutations(dims, seed):
     return perms
 
 
-def halton(n, dims, seed=0, start=1) -> np.ndarray:
-    """``n`` scrambled Halton points in [0, 1)^dims."""
+def halton(n, dims, seed=0) -> np.ndarray:
+    """``n`` scrambled Halton points in [0, 1)^dims.
+
+    Each coordinate runs the radical-inverse digit loop on all points at
+    once; a point that has run out of digits adds ``f * perm[0] = 0``, so
+    every point sees the same floating-point operations as a scalar loop.
+    """
     if dims > len(_PRIMES):
         raise ValueError(f"at most {len(_PRIMES)} dimensions supported, got {dims}")
-    perms = _digit_permutations(dims, seed)
     out = np.empty((n, dims))
-    for j, (b, perm) in enumerate(zip(_PRIMES[:dims], perms)):
-        for i in range(n):
-            k = start + i
-            f = 1.0
-            r = 0.0
-            while k > 0:
-                f /= b
-                k, digit = divmod(k, b)
-                r += f * perm[digit]
-            out[i, j] = r
+    for j, (b, perm) in enumerate(zip(_PRIMES, _digit_permutations(dims, seed))):
+        k = np.arange(1, n + 1)
+        f = 1.0
+        r = np.zeros(n)
+        while k.any():
+            f /= b
+            k, digit = np.divmod(k, b)
+            r += f * perm[digit]
+        out[:, j] = r
     return out
 
 

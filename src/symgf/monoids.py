@@ -80,10 +80,6 @@ class LieStructure:
         c[2, 1, 0] = -1.0
         return cls(3, c, name="heisenberg")
 
-    @classmethod
-    def abelian(cls, d):
-        return cls(d, np.zeros((d, d, d)), name=f"abelian{d}")
-
 
 @dataclass
 class MatrixRep:
@@ -155,20 +151,6 @@ def group_log(rep: MatrixRep, u, v) -> np.ndarray:
 # Truncated group law as a polynomial, and the lie monoid
 # --------------------------------------------------------------------------
 
-def _vp_zero(d):
-    return [dict() for _ in range(d)]
-
-
-def _vp_slot(d, slot):
-    """The vector polynomial p^(slot) itself, as a function of (p1, p2)."""
-    out = _vp_zero(d)
-    for k in range(d):
-        e = [0] * (2 * d)
-        e[slot * d + k] = 1
-        out[k] = {tuple(e): 1.0}
-    return out
-
-
 def _poly_mul(a, b):
     out = {}
     for ea, ca in a.items():
@@ -178,26 +160,18 @@ def _poly_mul(a, b):
     return out
 
 
-def _vp_bracket(u, v, structure: LieStructure):
-    d = structure.d
-    out = _vp_zero(d)
-    for k in range(d):
+def _bracket(u, v, c):
+    """[u, v]^k = sum_ij c^k_{ij} u_i v_j for vector polynomials u, v."""
+    out = []
+    for ck in c:
         acc = {}
-        for i in range(d):
-            for j in range(d):
-                cij = structure.c[k, i, j]
-                if cij == 0.0 or not u[i] or not v[j]:
-                    continue
-                for e, cc in _poly_mul(u[i], v[j]).items():
-                    acc[e] = acc.get(e, 0.0) + cij * cc
-        out[k] = {e: c for e, c in acc.items() if c != 0.0}
+        for i, j in zip(*np.nonzero(ck)):
+            if not u[i] or not v[j]:
+                continue
+            for e, cc in _poly_mul(u[i], v[j]).items():
+                acc[e] = acc.get(e, 0.0) + ck[i, j] * cc
+        out.append({e: x for e, x in acc.items() if x != 0.0})
     return out
-
-
-def _vp_axpy(out, scale, u):
-    for k, comp in enumerate(u):
-        for e, c in comp.items():
-            out[k][e] = out[k].get(e, 0.0) + scale * c
 
 
 def truncated_group_law(structure: LieStructure, trunc: int):
@@ -205,23 +179,23 @@ def truncated_group_law(structure: LieStructure, trunc: int):
     (1 <= trunc <= 4), as a vector of sparse polynomials in (p1, p2)."""
     if not 1 <= trunc <= 4:
         raise ValueError(f"trunc must be between 1 and 4, got {trunc}")
-    d = structure.d
-    X = _vp_slot(d, 0)
-    Y = _vp_slot(d, 1)
-    A = _vp_zero(d)
-    _vp_axpy(A, 1.0, X)
-    _vp_axpy(A, 1.0, Y)
+    d, c = structure.d, structure.c
+    unit = [{tuple(e): 1.0} for e in np.eye(2 * d, dtype=int).tolist()]
+    X, Y = unit[:d], unit[d:]
+    series = [(1.0, X), (1.0, Y)]
     if trunc >= 2:
-        _vp_axpy(A, 0.5, _vp_bracket(X, Y, structure))
+        XY = _bracket(X, Y, c)
+        series.append((0.5, XY))
     if trunc >= 3:
-        XXY = _vp_bracket(X, _vp_bracket(X, Y, structure), structure)
-        YYX = _vp_bracket(Y, _vp_bracket(Y, X, structure), structure)
-        _vp_axpy(A, 1.0 / 12.0, XXY)
-        _vp_axpy(A, 1.0 / 12.0, YYX)
+        XXY = _bracket(X, XY, c)
+        series += [(1.0 / 12.0, XXY), (1.0 / 12.0, _bracket(Y, _bracket(Y, X, c), c))]
     if trunc >= 4:
-        YXXY = _vp_bracket(
-            Y, _vp_bracket(X, _vp_bracket(X, Y, structure), structure), structure)
-        _vp_axpy(A, -1.0 / 24.0, YXXY)
+        series.append((-1.0 / 24.0, _bracket(Y, XXY, c)))
+    A = [{} for _ in range(d)]
+    for scale, u in series:
+        for out, comp in zip(A, u):
+            for e, x in comp.items():
+                out[e] = out.get(e, 0.0) + scale * x
     return A
 
 
@@ -441,21 +415,6 @@ class TreeWeightFit:
         return self.floor <= ORDER2_GATE_FLOOR
 
 
-def _first_order_terms(alpha: PolyPoisson, scale: float):
-    """(scale/2) * alpha^{ij}(x) p1_i p2_j over all ordered pairs."""
-    d = alpha.d
-    terms = {}
-    for i in range(d):
-        for j in range(d):
-            for xe, c in alpha.entry_poly(i, j).items():
-                pe = [0] * (2 * d)
-                pe[i] += 1
-                pe[d + j] += 1
-                key = (tuple(pe), xe)
-                terms[key] = terms.get(key, 0.0) + scale * (0.5 * c)
-    return terms
-
-
 def _poly_derivative(poly, l):
     out = {}
     for e, c in poly.items():
@@ -468,24 +427,33 @@ def _poly_derivative(poly, l):
     return out
 
 
-def tree_symbol_terms(alpha: PolyPoisson, which: int):
-    """The two independent second-order contractions of the bivector.
+def _symbols(alpha: PolyPoisson):
+    """The eps-free parts of the semiclassical expansion of a bivector,
+    after checking the Jacobi identity on a small deterministic grid.
 
-    which=1:  sum d_l alpha^{ij} alpha^{lk} p1_i p2_j p1_k
-    which=2:  sum d_l alpha^{ij} alpha^{lk} p1_i p2_j p2_k
+    Returns the abelian terms, the first-order symbol
+    (1/2) alpha^{ij}(x) p1_i p2_j, and the two tree symbols
 
-    (Antisymmetry of alpha makes every other (2,2)-contraction a linear
-    combination of these two.)
+        T1 = sum d_l alpha^{ij} alpha^{lk} p1_i p2_j p1_k
+        T2 = sum d_l alpha^{ij} alpha^{lk} p1_i p2_j p2_k
+
+    (antisymmetry of alpha makes every other (2,2)-contraction a linear
+    combination of these two).
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+    from .grids import sample_box
     d = alpha.d
-    terms = {}
+    jr = alpha.jacobi_residual(sample_box(32, d, -1.0, 1.0, seed=7))
+    if jr > 1e-10:
+        raise ValueError(f"bivector violates the Jacobi identity (residual {jr:.3e})")
+    first, t1, t2 = {}, {}, {}
     for i in range(d):
         for j in range(d):
             aij = alpha.entry_poly(i, j)
-            if not aij:
-                continue
+            pe = [0] * (2 * d)
+            pe[i] += 1
+            pe[d + j] += 1
+            for xe, c in aij.items():
+                first[(tuple(pe), xe)] = 0.5 * c
             for l in range(d):
                 dij = _poly_derivative(aij, l)
                 if not dij:
@@ -495,66 +463,59 @@ def tree_symbol_terms(alpha: PolyPoisson, which: int):
                     if not alk:
                         continue
                     prod = _poly_mul(dij, alk)
-                    pe = [0] * (2 * d)
-                    pe[i] += 1
-                    pe[d + j] += 1
-                    if which == 1:
-                        pe[k] += 1
-                    else:
-                        pe[d + k] += 1
-                    pkey = tuple(pe)
-                    for xe, c in prod.items():
-                        key = (pkey, xe)
-                        terms[key] = terms.get(key, 0.0) + c
-    return terms
+                    for tree, slot in ((t1, k), (t2, d + k)):
+                        pk = list(pe)
+                        pk[slot] += 1
+                        pk = tuple(pk)
+                        for xe, c in prod.items():
+                            tree[(pk, xe)] = tree.get((pk, xe), 0.0) + c
+    return abelian_monoid(d).terms, first, (t1, t2)
 
 
-def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
-                      weights=None, jacobi_grid=None) -> PolyGenFun:
-    """Semiclassical monoid genfun for a polynomial bivector.
-
-    order=1:  S = <p1+p2, x> + (eps/2) alpha^{ij}(x) p1_i p2_j
-    order=2:  adds eps^2 (c1 T1 + c2 T2) with (c1, c2) from the
-              associativity fit (or ``weights`` if given).
-
-    The bivector must satisfy the Jacobi identity; it is checked on
-    ``jacobi_grid`` when provided, else on a small deterministic grid.
-    Raises :class:`Order2GateError` when the fit floor exceeds the gate.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if jacobi_grid is None:
-        from .grids import sample_box
-        jacobi_grid = sample_box(32, alpha.d, -1.0, 1.0, seed=7)
-    jr = alpha.jacobi_residual(jacobi_grid)
-    if jr > 1e-10:
-        raise ValueError(f"bivector violates the Jacobi identity (residual {jr:.3e})")
-
-    d = alpha.d
-    terms = dict(abelian_monoid(d).terms)
-    for key, c in _first_order_terms(alpha, eps).items():
-        terms[key] = terms.get(key, 0.0) + c
-
-    fit = None
-    if order >= 2:
-        if weights is None:
-            fit = fit_tree_weights()
-            if not fit.passed:
-                raise Order2GateError(fit)
-            c1, c2 = fit.c1, fit.c2
-        else:
-            c1, c2 = weights
+def _expansion(alpha: PolyPoisson, symbols, eps, weights, order) -> PolyGenFun:
+    """The order-1 or order-2 semiclassical genfun assembled from
+    :func:`_symbols`, with tree weights ``weights`` at order 2."""
+    base, first, trees = symbols
+    terms = dict(base)
+    for key, c in first.items():
+        terms[key] = terms.get(key, 0.0) + eps * c
+    if order == 2:
         e2 = eps * eps
-        for which, cw in ((1, c1), (2, c2)):
-            for key, c in tree_symbol_terms(alpha, which).items():
+        for cw, tree in zip(weights, trees, strict=True):
+            for key, c in tree.items():
                 terms[key] = terms.get(key, 0.0) + e2 * (cw * c)
-
+    d = alpha.d
     kappa = eps * alpha.coeff_scale()
     radius = np.inf if kappa == 0.0 else 0.5 / kappa
     gf = PolyGenFun(terms, 2 * d, d, radius,
                     label=f"kontsevich-d{d}-order{order}-eps{eps:g}")
     gf.eps = eps
     gf.expansion_order = order
+    return gf
+
+
+def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
+                      weights=None) -> PolyGenFun:
+    """Semiclassical monoid genfun for a polynomial bivector.
+
+    order=1:  S = <p1+p2, x> + (eps/2) alpha^{ij}(x) p1_i p2_j
+    order=2:  adds eps^2 (c1 T1 + c2 T2) with (c1, c2) from the
+              associativity fit (or ``weights`` if given).
+
+    The bivector must satisfy the Jacobi identity, checked on a small
+    deterministic grid.  Raises :class:`Order2GateError` when the fit
+    floor exceeds the gate.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    symbols = _symbols(alpha)
+    fit = None
+    if order == 2 and weights is None:
+        fit = fit_tree_weights()
+        if not fit.passed:
+            raise Order2GateError(fit)
+        weights = (fit.c1, fit.c2)
+    gf = _expansion(alpha, symbols, eps, weights, order)
     gf.order2_fit = fit
     return gf
 
@@ -607,6 +568,8 @@ def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
     rhs = []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d
+        symbols = _symbols(alpha)
+        I = identity_genfun(d)
         ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
         xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
         # defect(q) for each candidate at each eps level
@@ -614,8 +577,7 @@ def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
         for ci, cand in enumerate(basis):
             for lev in range(levels):
                 e = eps / 2.0 ** lev
-                S = kontsevich_monoid(alpha, eps=e, order=2, weights=cand)
-                I = identity_genfun(d)
+                S = _expansion(alpha, symbols, e, cand, 2)
                 left = compose(S, tensor(S, I))
                 right = compose(S, tensor(I, S))
                 # each side solves all n_points as one stack

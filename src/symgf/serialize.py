@@ -30,9 +30,9 @@ def format_float(v) -> str:
     return repr(v)
 
 
-def _emit(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, level):
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None:
         return "null"
     if obj is True:
@@ -50,7 +50,7 @@ def _emit(obj, indent, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_emit(v, indent, level + 1) for v in obj]
+        items = [_emit(v, level + 1) for v in obj]
         if all("\n" not in s and len(s) <= 20 for s in items) and sum(map(len, items)) <= 72:
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
@@ -61,17 +61,17 @@ def _emit(obj, indent, level):
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            rows.append(inner + json.dumps(k) + ": " + _emit(v, indent, level + 1))
+            rows.append(inner + json.dumps(k) + ": " + _emit(v, level + 1))
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent=2) -> str:
-    return _emit(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _emit(obj, 0) + "\n"
 
 
-def dump(obj, path, indent=2):
-    text = dumps(obj, indent)
+def dump(obj, path):
+    text = dumps(obj)
     with open(path, "w") as fh:
         fh.write(text)
     return text
@@ -220,10 +220,6 @@ def load_structure(path) -> LieStructure:
     return _parse(path, structure_from_dict, "structure-constant")
 
 
-def save_structure(ls: LieStructure, path):
-    return dump(structure_to_dict(ls), path)
-
-
 def poisson_to_dict(poly: PolyPoisson) -> dict:
     entries = []
     for (i, j), xpoly in sorted(poly.entries.items()):
@@ -260,10 +256,6 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
 
 def load_poisson(path) -> PolyPoisson:
     return _parse(path, poisson_from_dict, "bivector")
-
-
-def save_poisson(poly: PolyPoisson, path):
-    return dump(poisson_to_dict(poly), path)
 
 
 # --------------------------------------------------------------------------

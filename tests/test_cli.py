@@ -18,12 +18,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 
 
-def _builtin_presets():
-    spec = importlib.util.spec_from_file_location(
-        "verify_builtins", ROOT / "scripts" / "verify_builtins.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PRESETS
+    return module
+
+
+def _builtin_presets():
+    return _script("verify_builtins").PRESETS
 
 
 def test_verify_symplectic_passes(tmp_path, capsys):
@@ -226,6 +229,24 @@ def test_morphism_positive_and_negative(tmp_path):
 def test_verify_builtins_presets_pass(preset, capsys):
     # every preset of scripts/verify_builtins.py holds on a small grid
     assert main(shlex.split(preset) + ["--grid-n", "8"]) == 0
+
+
+def test_fit_tree_weights_script_recovers_twelfths(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["fit_tree_weights.py", "--n-points", "4", "--levels", "3"])
+    _script("fit_tree_weights").main()
+    out = capsys.readouterr().out
+    assert "gate: pass" in out
+    weights = dict(line.split(" = ") for line in out.splitlines() if line.startswith("c"))
+    assert float(weights["c1"]) == pytest.approx(-1.0 / 12.0, abs=1e-6)
+    assert float(weights["c2"]) == pytest.approx(+1.0 / 12.0, abs=1e-6)
+
+
+def test_bch_truncation_study_prints_one_row_per_trunc(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bch_truncation_study.py", "--n", "8", "--truncs", "1,2,4"])
+    _script("bch_truncation_study").main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == [1, 2, 4]
+    assert all(len(r) == 4 and float(r[1]) >= 0.0 for r in rows)
 
 
 def test_console_script_entry_point(tmp_path):

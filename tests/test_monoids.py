@@ -191,6 +191,28 @@ def test_fit_tree_weights_recovers_twelfths():
     assert fit.c2 == pytest.approx(+1.0 / 12.0, abs=1e-7)
 
 
+def test_fit_gates_each_bivector_once(monkeypatch):
+    # the fit assembles its candidate monoids from symbols built once per
+    # instance: one Jacobi gate per bivector, no call into the builder
+    from symgf import monoids
+    calls = {"gate": 0, "builder": 0}
+    gate, builder = PolyPoisson.jacobi_residual, monoids.kontsevich_monoid
+
+    def counted_gate(self, xs):
+        calls["gate"] += 1
+        return gate(self, xs)
+
+    def counted_builder(*args, **kwargs):
+        calls["builder"] += 1
+        return builder(*args, **kwargs)
+
+    monkeypatch.setattr(PolyPoisson, "jacobi_residual", counted_gate)
+    monkeypatch.setattr(monoids, "kontsevich_monoid", counted_builder)
+    fit = fit_tree_weights.__wrapped__()
+    assert fit.passed
+    assert calls == {"gate": 2, "builder": 0}  # two fit instances
+
+
 def test_order2_gate_error_carries_fit():
     from symgf.monoids import TreeWeightFit
     fit = TreeWeightFit(c1=0.0, c2=0.0, floor=1.0, n_rows=4, seed=0, eps=0.1, levels=2)
