@@ -180,6 +180,9 @@ def _finish(reports, args, config, extra=None) -> int:
 
 def cmd_verify(args) -> int:
     S = build_monoid(args)
+    if args.p_radius > S.domain_radius:
+        print(f"warning: --p-radius {args.p_radius:g} exceeds the monoid's domain radius "
+              f"{S.domain_radius:g}", file=sys.stderr)
     tols = _parse_tols(args.tol)
     opts = _newton_options(args)
     d, n, seed = S.n, args.grid_n, args.seed
@@ -384,9 +387,9 @@ def _add_monoid_flags(sp):
 def _add_grid_flags(sp):
     sp.add_argument("--grid-n", type=_count, default=200, dest="grid_n",
                     help="sample count per check")
-    sp.add_argument("--p-radius", type=_finite, default=0.1, dest="p_radius",
+    sp.add_argument("--p-radius", type=_positive, default=0.1, dest="p_radius",
                     help="momentum ball radius")
-    sp.add_argument("--x-box", type=_finite, default=1.0, dest="x_box",
+    sp.add_argument("--x-box", type=_positive, default=1.0, dest="x_box",
                     help="base-point box half-width")
     sp.add_argument("--seed", type=int, default=0, help="grid scramble seed")
 

@@ -21,7 +21,8 @@ so on; the indices above then count from the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
+from math import comb, factorial
 
 import numpy as np
 
@@ -187,51 +188,75 @@ class _PartialTable:
     ``scaled[r] = (falling factorial of E[t] along w) * C[t]``.  ``flat``
     runs over the support of the reduced exponents in ascending order,
     padded with exponent 0, so it is at most the total degree wide.  Entries
-    are sorted by ``(len(w), w)``, so ``starts`` delimits the runs that
-    ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of the
-    flattened dense tensors of all orders, order q at ``offsets[q]``, once
-    per distinct permutation of its ``w``.
+    are sorted by ``(len(w), w)``, then by term, so ``starts`` delimits the
+    runs that ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of
+    the flattened dense tensors of all orders, order q at ``offsets[q]``,
+    once per distinct permutation of its ``w``.  The table is built with
+    array operations over all terms, each enumerating its own support.
     """
 
     def __init__(self, E, C, order, P):
-        n = E.shape[1]
-        keys, terms, reduced, factors = [], [], [], []
-        for t, e in enumerate(E.tolist()):
-            support = [i for i, ei in enumerate(e) if ei]
-            for q in range(order + 1):
-                for w in combinations_with_replacement(support, q):
-                    r = list(e)
-                    f = 1
-                    for i in w:
-                        f *= r[i]
-                        r[i] -= 1
-                    if f:
-                        keys.append((q, w))
-                        terms.append(t)
-                        reduced.append(r)
-                        factors.append(f)
-        rank = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[r] for r in rank]
-        reduced = np.array(reduced, dtype=np.int64).reshape(len(keys), n)[rank]
-        support = reduced > 0
+        T, n = E.shape
+        self.offsets = np.array([0, *accumulate(n ** q for q in range(order + 1))])
+        # support[t, a]: the a-th column where E[t] > 0; the negative slots that
+        # pad a tuple w to `order` places are column n, of exponent 1
+        size = (E > 0).sum(axis=1)
+        smax = int(size.max(initial=0))
+        support = np.full((T, smax + order), n)
+        support[:, :smax] = np.argsort(E == 0, axis=1, kind="stable")[:, :smax]
+        E1 = np.concatenate((E, np.ones((T, 1), np.int64)), axis=1)
+        # the sorted tuples of at most `order` slots, right-aligned and ordered by
+        # their largest slot: the first comb(s + order, order) range over s slots;
+        # with each, how often each place's slot occurs in the places before it
+        tuples = [()] + [w + (s,) for s in range(smax) for q in range(order)
+                         for w in combinations_with_replacement(range(s + 1), q)]
+        slots = np.array([tuple(range(len(w) - order, 0)) + w for w in tuples], dtype=np.int64)
+        before = ((slots[:, :, None] == slots[:, None, :])
+                  & (np.arange(order) < np.arange(order)[:, None])).sum(axis=2)
+        # term t enumerates the tuples over its own support
+        count = np.array([comb(s + order, order) for s in range(smax + 1)])[size]
+        term, begin = np.repeat(np.arange(T), count), np.cumsum(count) - count
+        m = np.arange(term.size) - np.repeat(begin, count)
+        cols = support[term[:, None], slots[m]]
+        # the falling factorial of E[t] along w, zero where w exceeds an exponent
+        factor = (E1[term[:, None], cols] - before[m]).prod(axis=1)
+        keep = np.flatnonzero(factor)
+        term, cols, factor = term[keep], cols[keep], factor[keep]
+        # w of order q sits at offsets[q] + digits @ place, with digit 0 on the padding
+        q = (cols < n).sum(axis=1)
+        digits = cols * (cols < n)
+        place = n ** np.arange(order - 1, -1, -1)
+        key = self.offsets[q] + digits @ place
+        rank = np.lexsort((term, key))  # by (q, w), then by term
+        term, cols, factor, q, key, digits = (a[rank] for a in (term, cols, factor, q, key, digits))
+        self.starts = _firsts(key)
+        reduced = E1[term]
+        np.subtract.at(reduced, (np.arange(term.size)[:, None], cols), 1)
+        support = reduced[:, :n] > 0
         width = int(support.sum(axis=1).max(initial=0))
         cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
-        self.flat = cols * P + np.take_along_axis(reduced, cols, axis=1)
-        self.scaled = (np.array(factors, dtype=float)[:, None] * C[terms])[rank]
-        self.starts = np.array([r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]],
-                               dtype=np.int64)
-        self.offsets = np.cumsum([0] + [n ** q for q in range(order + 1)])
-        src, dst = [], []
-        for u, r in enumerate(self.starts):
-            q, w = keys[r]
-            for perm in set(permutations(w)):
-                flat = 0
-                for i in perm:
-                    flat = flat * n + i
-                src.append(u)
-                dst.append(self.offsets[q] + flat)
-        self.src = np.array(src, dtype=np.int64)
-        self.dst = np.array(dst, dtype=np.int64)
+        self.flat = cols * P + reduced[np.arange(term.size)[:, None], cols]
+        self.scaled = factor[:, None].astype(float) * C[term]
+        # run i fills the position of each distinct permutation of its w: sort
+        # each run's positions and drop repeats (runs fill disjoint positions)
+        perms = _PERMUTATIONS[:order + 1, :, MAX_ORDER - order:] - (MAX_ORDER - order)
+        run_q = q[self.starts]
+        codes = digits[self.starts[:, None, None], perms[run_q]] @ place
+        dst = np.sort(self.offsets[run_q, None] + codes, axis=1).ravel()
+        first = _firsts(dst)
+        self.dst, self.src = dst[first], first // perms.shape[1]
+
+
+# _PERMUTATIONS[q]: the permutations of the last q of MAX_ORDER places, repeated
+# to MAX_ORDER! rows; shifted down, its last `order` columns permute `order` places
+_PERMUTATIONS = np.array([[tuple(range(MAX_ORDER - q)) + p
+                           for p in permutations(range(MAX_ORDER - q, MAX_ORDER))]
+                          * (factorial(MAX_ORDER) // factorial(q)) for q in range(MAX_ORDER + 1)])
+
+
+def _firsts(a):
+    """Indices where the sorted array ``a`` takes a new value."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1]))[:a.size])
 
 
 def poly_term_jet(coeff, exps, point, order) -> Jet:
@@ -241,36 +266,14 @@ def poly_term_jet(coeff, exps, point, order) -> Jet:
     """
     exps = np.asarray(exps, dtype=int)
     point = np.asarray(point, dtype=float)
-    n = exps.shape[0]
-    out = jet_const(0.0, n, order)
-    out.value = coeff * _mono(point, exps)
-    if order >= 1:
-        for i in np.nonzero(exps)[0]:
-            out.grad[i] = coeff * _dmono(point, exps, (i,))
-    if order >= 2:
-        for i in range(n):
-            for jv in range(i, n):
-                v = coeff * _dmono(point, exps, (i, jv))
-                if v != 0.0:
-                    out.hess[i, jv] = v
-                    out.hess[jv, i] = v
-    if order >= 3:
-        for i in range(n):
-            for jv in range(i, n):
-                for k in range(jv, n):
-                    v = coeff * _dmono(point, exps, (i, jv, k))
-                    if v != 0.0:
-                        for perm in {(i, jv, k), (i, k, jv), (jv, i, k),
-                                     (jv, k, i), (k, i, jv), (k, jv, i)}:
-                            out.third[perm] = v
+    out = jet_const(coeff * _dmono(point, exps, ()), exps.shape[0], order)
+    for q, tensor in enumerate((out.grad, out.hess, out.third)[:order], 1):
+        for w in combinations_with_replacement(range(exps.shape[0]), q):
+            v = coeff * _dmono(point, exps, w)
+            if v != 0.0:
+                for perm in set(permutations(w)):
+                    tensor[perm] = v
     return out
-
-
-def _mono(point, exps):
-    v = 1.0
-    for i in np.nonzero(exps)[0]:
-        v *= point[i] ** exps[i]
-    return v
 
 
 def _dmono(point, exps, wrt):
@@ -283,4 +286,7 @@ def _dmono(point, exps, wrt):
             return 0.0
         c *= e[i]
         e[i] -= 1
-    return c * _mono(point, e)
+    v = 1.0
+    for i in np.nonzero(e)[0]:
+        v *= point[i] ** e[i]
+    return c * v

@@ -104,6 +104,31 @@ def test_non_finite_json_number_exits_two(tmp_path, number, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--p-radius", "--x-box"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_sampling_radius_exits_two(flag, value, capsys):
+    # --p-radius 0 sampled only p = 0, where every residual is exactly 0, and
+    # the run passed without checking anything
+    argv = ["verify", "--builtin", "lie", "--lie", "so3", "--trunc", "4", "--grid-n", "4",
+            flag, value]
+    assert _exit_code(argv) == 2
+    assert "expected a number > 0" in capsys.readouterr().err
+
+
+def test_verify_warns_once_when_sampling_beyond_the_domain_radius(tmp_path, capsys):
+    # so(3) at trunc 4 carries a domain radius of about 0.141
+    argv = ["verify", "--builtin", "lie", "--lie", "so3", "--trunc", "4", "--grid-n", "4"]
+    main(argv + ["--p-radius", "0.05"])
+    assert "warning" not in capsys.readouterr().err
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    main(argv + ["--p-radius", "0.5", "--out", str(a)])
+    err = capsys.readouterr().err
+    assert err.count("warning") == 1 and "domain radius 0.141" in err
+    main(argv + ["--p-radius", "0.5", "--out", str(b)])
+    assert a.read_bytes() == b.read_bytes()
+    assert b"warning" not in a.read_bytes()
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["verify", "--monoid", str(tmp_path / "nope.json")])
     assert code == 2

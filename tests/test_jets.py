@@ -1,10 +1,14 @@
+import tracemalloc
+from itertools import combinations_with_replacement, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from symgf import (LieStructure, PolyMap, PolyPoisson, kontsevich_monoid,
-                   lie_monoid, poly_genfun, unit_genfun)
-from symgf.jets import PolyKernel, jet_add, jet_const, jet_embed, poly_term_jet
+                   lie_monoid, poly_genfun, symplectic_monoid, unit_genfun)
+from symgf.cli import MAX_DIM
+from symgf.jets import PolyKernel, _PartialTable, jet_add, jet_const, jet_embed, poly_term_jet
 
 from conftest import fd_grad
 
@@ -157,3 +161,96 @@ def test_negative_exponents_rejected_by_every_polynomial_type():
         PolyPoisson(2, {(0, 1): {(-2, 0): 1.0}})
     with pytest.raises(ValueError, match="negative"):
         poly_genfun({((1,), (-1,)): 1.0}, 1, 1)
+
+
+# -- the kernel's partial tables against a per-term loop --------------------
+
+def _reference_table(E, C, order, P):
+    """The tables of :class:`symgf.jets._PartialTable`, built term by term:
+    every sorted index tuple over the term's support, its falling factorial
+    and reduced exponents, then one sort by ``(len(w), w)`` and the scatter
+    of every distinct permutation."""
+    n = E.shape[1]
+    keys, terms, reduced, factors = [], [], [], []
+    for t, e in enumerate(E.tolist()):
+        support = [i for i, ei in enumerate(e) if ei]
+        for q in range(order + 1):
+            for w in combinations_with_replacement(support, q):
+                r = list(e)
+                f = 1
+                for i in w:
+                    f *= r[i]
+                    r[i] -= 1
+                if f:
+                    keys.append((q, w))
+                    terms.append(t)
+                    reduced.append(r)
+                    factors.append(f)
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[r] for r in rank]
+    reduced = np.array(reduced, dtype=np.int64).reshape(len(keys), n)[rank]
+    support = reduced > 0
+    width = int(support.sum(axis=1).max(initial=0))
+    cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
+    out = {"flat": cols * P + np.take_along_axis(reduced, cols, axis=1),
+           "scaled": (np.array(factors, dtype=float)[:, None] * C[terms])[rank],
+           "starts": np.array([r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]],
+                              dtype=np.int64),
+           "offsets": np.cumsum([0] + [n ** q for q in range(order + 1)])}
+    pairs = []
+    for u, r in enumerate(out["starts"]):
+        q, w = keys[r]
+        for perm in set(permutations(w)):
+            flat = 0
+            for i in perm:
+                flat = flat * n + i
+            pairs.append((int(out["offsets"][q] + flat), u))
+    return out, sorted(pairs)
+
+
+def _assert_table_matches_reference(E, C, order):
+    E = np.asarray(E, dtype=np.int64)
+    P = int(E.max(initial=0)) + 1
+    got = _PartialTable(E, C, order, P)
+    want, pairs = _reference_table(E, C, order, P)
+    for name, ref in want.items():
+        arr = getattr(got, name)
+        assert arr.dtype == ref.dtype and np.array_equal(arr, ref), (name, order)
+    assert got.src.dtype == got.dst.dtype == np.int64
+    assert sorted(zip(got.dst.tolist(), got.src.tolist())) == pairs, order
+
+
+@given(data=st.data())
+def test_partial_table_matches_per_term_loop(data):
+    T = data.draw(st.integers(0, 6), label="T")
+    n = data.draw(st.integers(1, 4), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    # zero-heavy exponents give constant terms and terms of every support size
+    E = np.array(data.draw(st.lists(st.lists(st.one_of(st.just(0), st.integers(0, 5)),
+                                             min_size=n, max_size=n),
+                                    min_size=T, max_size=T)), dtype=np.int64).reshape(T, n)
+    C = np.array(data.draw(st.lists(coeffs, min_size=T * k, max_size=T * k))).reshape(T, k)
+    _assert_table_matches_reference(E, C, data.draw(st.integers(0, 3), label="order"))
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_tables_match_per_term_loop(case):
+    polys, nvars, _ = KERNEL_CASES[case]
+    kernel = PolyKernel.from_polys(polys, nvars)
+    for order in range(4):
+        _assert_table_matches_reference(kernel.E, kernel.C, order)
+
+
+def test_partial_table_memory_at_the_dimension_bound():
+    # symplectic_monoid(MAX_DIM) has n = 192 variables; the per-term loop
+    # peaked at 3.6 MB for its order-3 table, an enumeration of the index
+    # tuples over range(n) instead of each term's support at 155 MB
+    kernel = symplectic_monoid(MAX_DIM)._kernel
+    tracemalloc.start()
+    try:
+        _PartialTable(kernel.E, kernel.C, 3, kernel._powers.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.n == 192
+    assert peak < 4 * 3.6e6, peak
