@@ -178,11 +178,15 @@ def _finish(reports, args, config, extra=None) -> int:
     return 0 if passed else 1
 
 
-def cmd_verify(args) -> int:
-    S = build_monoid(args)
+def _warn_beyond_domain(args, S):
     if args.p_radius > S.domain_radius:
         print(f"warning: --p-radius {args.p_radius:g} exceeds the monoid's domain radius "
               f"{S.domain_radius:g}", file=sys.stderr)
+
+
+def cmd_verify(args) -> int:
+    S = build_monoid(args)
+    _warn_beyond_domain(args, S)
     tols = _parse_tols(args.tol)
     opts = _newton_options(args)
     d, n, seed = S.n, args.grid_n, args.seed
@@ -211,6 +215,7 @@ def cmd_verify(args) -> int:
 
 def cmd_poisson(args) -> int:
     S = build_monoid(args)
+    _warn_beyond_domain(args, S)
     d, seed = S.n, args.seed
     field = poisson_bivector(S)
     gm = source_target(S)

@@ -156,16 +156,26 @@ class _Solution:
             self.errors[i] = e
 
 
-def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
+def _phase_condition(J):
+    """2-norm condition numbers of Jacobians ``[[I, -G_xx], [-F_pp, I]]`` from the eigenvalues
+    of the symmetric phase Hessian their column-block swap gives (Golub & Van Loan, 8.6)."""
+    k = J.shape[-1] // 2
+    lam = np.abs(np.linalg.eigvalsh(np.concatenate([J[..., k:], J[..., :k]], axis=-1)))
+    with np.errstate(divide="ignore"):
+        return lam.max(axis=-1) / lam.min(axis=-1)
+
+
+def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     """Damped Newton on a stack of square systems from the iterates ``Z (B, q)``.
 
     ``system(rows, Z)`` gives residuals ``(b, q)``, Jacobians ``(b, q, q)``
     and a tuple of stacked order-2 jets (maybe empty) for the points
     ``rows`` at ``Z``; ``start`` is that triple at ``Z``, if known.  Every
     point keeps its own iterate, backtracking line search and convergence
-    test, and the conditioning of all active Jacobians is checked at every
-    iterate.  A point that is degenerate, finds no descent step or runs out
-    of iterations records its error, named by ``at(i)``, and the rest go on.
+    test, and ``cond`` checks the conditioning of all active Jacobians at
+    every iterate (a non-finite one has condition inf).  A point that is
+    degenerate, finds no descent step or runs out of iterations records its
+    error, named by ``at(i)``, and the rest go on.
     """
     B = len(Z)
     z = np.array(Z, dtype=float)
@@ -175,8 +185,11 @@ def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
     sel = slice(None)     # act as an index; a slice while it holds every point
     for it in range(opts.max_iter + 1):
         going, rn = [], []
-        for i, c, e in zip(act, np.linalg.cond(J[sel]).tolist(),
-                           np.abs(r[sel]).max(axis=1).tolist()):
+        Ja = J[sel]
+        finite = np.isfinite(Ja).all(axis=(1, 2))
+        conds = np.full(finite.size, np.inf)
+        conds[finite] = cond(Ja[finite])
+        for i, c, e in zip(act, conds.tolist(), np.abs(r[sel]).max(axis=1).tolist()):
             sol.iterations[i], sol.residuals[i], sol.conditions[i] = it, e, c
             if not (math.isfinite(c) and c <= COND_LIMIT):
                 sol.errors[i] = DegeneracyError(
@@ -241,7 +254,7 @@ def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
         Z = np.concatenate([np.zeros((len(P1), F.m)), jF.grad[:, :F.m]], axis=1)
     return _damped_newton(
         lambda rows, Zr: _residual_and_jac(F, G, P1[rows], X3[rows], Zr),
-        Z, opts, "stationary-point", lambda i: _at(P1, X3, i),
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition,
         _residual_and_jac(F, G, P1, X3, Z, jF))
 
 

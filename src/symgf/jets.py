@@ -21,6 +21,7 @@ so on; the indices above then count from the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb, factorial
 
@@ -123,11 +124,11 @@ class PolyKernel:
 
     Derivatives come from falling-factorial tables, Taylor-mode propagation
     for monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-    ch. 13), built once per order on first use.  A table holds only the
-    partials that do not vanish identically: per term, the sorted index
-    tuples over the term's support that its exponents allow.  Evaluation is
-    a handful of array operations for all orders together, whatever the
-    term count, and takes one point or a stack of points in the same body.
+    ch. 13), shared per exponent matrix and scaled by ``C`` once per order;
+    they hold only the partials that do not vanish identically: per term,
+    the sorted index tuples over its support that its exponents allow.
+    Evaluation is a handful of array operations for all orders together,
+    whatever the term count, on one point or a stack of points.
     """
 
     def __init__(self, E, C):
@@ -138,7 +139,7 @@ class PolyKernel:
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
         self._powers = np.arange(int(self.E.max(initial=0)) + 1, dtype=float)
-        self._tables = [None] * (MAX_ORDER + 1)
+        self._tables = [None] * (MAX_ORDER + 1)  # (shared table, its scaled coefficients)
 
     @classmethod
     def from_polys(cls, polys, nvars):
@@ -167,25 +168,33 @@ class PolyKernel:
         # powers[b, i * P + r] = v_bi**r, with 0**0 = 1
         powers = (stack[:, :, None] ** self._powers).reshape(len(stack), -1)
         if self._tables[order] is None:
-            self._tables[order] = _PartialTable(self.E, self.C, order, self._powers.size)
-        tab = self._tables[order]
+            tab = _shared_table(self.E.shape, self.E.tobytes(), order)
+            self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
+        tab, scaled = self._tables[order]
         dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
         if tab.starts.size:
             mono = np.multiply.reduce(powers[:, tab.flat], axis=2)
-            sums = np.add.reduceat(mono[:, :, None] * tab.scaled, tab.starts, axis=1)
+            sums = np.add.reduceat(mono[:, :, None] * scaled, tab.starts, axis=1)
             dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
                 for q in range(order + 1)]
 
 
-class _PartialTable:
-    """The nonzero partials of orders 0..``order`` of a :class:`PolyKernel`.
+# bounded: 64 entries hold the 20 (E, order) pairs of the order-2 fit and a check's few
+@lru_cache(maxsize=64)
+def _shared_table(shape, data, order):
+    E = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    return _PartialTable(E, order, int(E.max(initial=0)) + 1)
 
-    Entry r differentiates term ``t`` along a sorted index tuple ``w``: it
-    leaves the monomial ``prod_j powers[flat[r, j]]`` (``flat = i * P + e``
-    picks ``v_i**e`` out of the flattened power table) times
-    ``scaled[r] = (falling factorial of E[t] along w) * C[t]``.  ``flat``
+
+class _PartialTable:
+    """The nonzero partials of orders 0..``order`` of the monomials ``E``.
+
+    Entry r differentiates term ``t = term[r]`` along a sorted index tuple
+    ``w``: it leaves the monomial ``prod_j powers[flat[r, j]]`` (``flat = i
+    * P + e`` picks ``v_i**e`` out of the flattened power table) times the
+    falling factorial ``factor[r]`` of ``E[t]`` along ``w``.  ``flat``
     runs over the support of the reduced exponents in ascending order,
     padded with exponent 0, so it is at most the total degree wide.  Entries
     are sorted by ``(len(w), w)``, then by term, so ``starts`` delimits the
@@ -195,7 +204,7 @@ class _PartialTable:
     array operations over all terms, each enumerating its own support.
     """
 
-    def __init__(self, E, C, order, P):
+    def __init__(self, E, order, P):
         T, n = E.shape
         self.offsets = np.array([0, *accumulate(n ** q for q in range(order + 1))])
         # support[t, a]: the a-th column where E[t] > 0; the negative slots that
@@ -236,7 +245,7 @@ class _PartialTable:
         width = int(support.sum(axis=1).max(initial=0))
         cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
         self.flat = cols * P + reduced[np.arange(term.size)[:, None], cols]
-        self.scaled = factor[:, None].astype(float) * C[term]
+        self.factor, self.term = factor, term
         # run i fills the position of each distinct permutation of its w: sort
         # each run's positions and drop repeats (runs fill disjoint positions)
         perms = _PERMUTATIONS[:order + 1, :, MAX_ORDER - order:] - (MAX_ORDER - order)
@@ -245,6 +254,8 @@ class _PartialTable:
         dst = np.sort(self.offsets[run_q, None] + codes, axis=1).ravel()
         first = _firsts(dst)
         self.dst, self.src = dst[first], first // perms.shape[1]
+        for a in vars(self).values():  # shared by every kernel with this E
+            a.flags.writeable = False
 
 
 # _PERMUTATIONS[q]: the permutations of the last q of MAX_ORDER places, repeated

@@ -97,7 +97,7 @@ class InverseMap:
             return bj.value - Y[rows], bj.jac, ()
 
         sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=self.max_iter),
-                             "inverse-map", lambda i: f"at y={Y[i]}").checked()
+                             "inverse-map", lambda i: f"at y={Y[i]}", np.linalg.cond).checked()
         out = MapJet(order, sol.Z.reshape(y.shape))
         if order == 0:
             return out

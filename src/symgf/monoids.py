@@ -527,15 +527,15 @@ def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
 def _richardson_leading(values, eps, leading=2):
     """Coefficient of eps^leading from evaluations at eps / 2^i.
 
-    ``values[i] = R(eps / 2^i)``; models R as a polynomial with powers
-    leading .. leading + len(values) - 1 and eliminates all but the leading
-    power.
+    ``values[..., i] = R(eps / 2^i)``, i < K; models each R as a polynomial
+    with powers leading .. leading + K - 1 and eliminates all but the
+    leading power, in one batched solve.
     """
-    K = len(values)
+    K = values.shape[-1]
     powers = np.arange(leading, leading + K)
     V = np.array([[(eps / 2.0 ** i) ** q for q in powers] for i in range(K)])
-    coef = np.linalg.solve(V, np.asarray(values, dtype=float))
-    return coef[0]
+    coef = np.linalg.solve(np.broadcast_to(V, values.shape[:-1] + V.shape), values[..., None])
+    return coef[..., 0, 0]
 
 
 def _fit_instances():
@@ -564,8 +564,7 @@ def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
     from .grids import sample_ball, sample_box
 
     basis = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    rows = []
-    rhs = []
+    leads = []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d
         symbols = _symbols(alpha)
@@ -582,15 +581,11 @@ def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
                 right = compose(S, tensor(I, S))
                 # each side solves all n_points as one stack
                 defect[ci, lev] = left(ps, xs) - right(ps, xs)
-        for qi in range(n_points):
-            base = _richardson_leading(defect[0, :, qi], eps)
-            col1 = _richardson_leading(defect[1, :, qi], eps) - base
-            col2 = _richardson_leading(defect[2, :, qi], eps) - base
-            rows.append([col1, col2])
-            rhs.append(base)
-    A = np.array(rows)
-    b = np.array(rhs)
+        leads.append(_richardson_leading(np.moveaxis(defect, 1, -1), eps))
+    # lead[ci, r]: the eps^2 coefficient of candidate ci at row r (instance, point)
+    lead = np.concatenate(leads, axis=1)
+    A, b = np.stack([lead[1] - lead[0], lead[2] - lead[0]], axis=1), lead[0]
     sol, *_ = np.linalg.lstsq(A, -b, rcond=None)
     floor = float(np.max(np.abs(A @ sol + b), initial=0.0))
     return TreeWeightFit(float(sol[0]), float(sol[1]), floor,
-                         n_rows=len(rows), seed=seed, eps=eps, levels=levels)
+                         n_rows=len(b), seed=seed, eps=eps, levels=levels)

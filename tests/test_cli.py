@@ -115,9 +115,10 @@ def test_non_positive_sampling_radius_exits_two(flag, value, capsys):
     assert "expected a number > 0" in capsys.readouterr().err
 
 
-def test_verify_warns_once_when_sampling_beyond_the_domain_radius(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["verify", "poisson"])
+def test_warns_once_when_sampling_beyond_the_domain_radius(tmp_path, capsys, command):
     # so(3) at trunc 4 carries a domain radius of about 0.141
-    argv = ["verify", "--builtin", "lie", "--lie", "so3", "--trunc", "4", "--grid-n", "4"]
+    argv = [command, "--builtin", "lie", "--lie", "so3", "--trunc", "4", "--grid-n", "4"]
     main(argv + ["--p-radius", "0.05"])
     assert "warning" not in capsys.readouterr().err
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -220,6 +221,21 @@ def test_singular_stationary_system_exits_one(tmp_path, capsys, command):
     argv = _breakdown_commands(tmp_path)[command]
     assert main(argv) == 1
     assert "composition failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("p", ["1e80", "1e110"])
+def test_non_finite_stationary_jacobian_exits_one(tmp_path, capsys, p):
+    # G_xx = p^3 - p^4 overflows: to -inf at p = 1e80, and to inf - inf = nan
+    # at p = 1e110, where the condition number's SVD raised a bad-input error
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (1,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((3,), (2,)): 0.5, ((4,), (2,)): -0.5}, 1, 1)
+    paths = [str(tmp_path / f"{name}.json") for name in "FG"]
+    for genfun, path in zip((F, G), paths):
+        dump(genfun_to_dict(genfun), path)
+    argv = ["compose", "--f", paths[0], "--g", paths[1], "--p", p, "--x", "0.3"]
+    assert main(argv) == 1
+    assert "is degenerate (condition inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import _solve
+from symgf.compose import _phase_condition, _residual_and_jac, _solve
 from symgf.genfun import GenFun
 from symgf.maps import InverseMap
 
@@ -251,6 +251,52 @@ def test_stacked_solve_names_the_degenerate_point():
     with pytest.raises(DegeneracyError, match=r"at p1=\[1\.\], x3=\[1\.\]$"):
         compose(F, G).eval_jet(ps, xs, 0)
     _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
+
+
+def test_non_finite_jacobian_is_degenerate():
+    # G_xx = p^3 - p^4 overflows to inf - inf = nan at p1 = 1e110: the point
+    # is degenerate, not bad input, and the other points still solve
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (1,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((3,), (2,)): 0.5, ((4,), (2,)): -0.5}, 1, 1)
+    ps = np.array([[0.1], [1e110], [-0.2]])
+    xs = np.full((3, 1), 0.3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegeneracyError, match=r"condition inf .* at p1=\[1\.e\+110\]"):
+            _solve(F, G, ps, xs, DEFAULT_NEWTON)
+    _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
+
+
+@composites
+def test_phase_condition_matches_the_svd(make):
+    # at the anchors and at the critical points; the coordinate change's
+    # inner operand is itself a composite, whose Hessian is symmetric only
+    # to rounding
+    C = make()
+    ps = sample_ball(6, C.m, 0.05, 4)
+    xs = sample_box(6, C.n, -0.25, 0.25, 9)
+    anchor = np.concatenate([np.zeros((6, C.F.m)), C.F.eval_jet(np.zeros((6, C.F.m)), xs, 1)
+                             .grad[:, :C.F.m]], axis=1)
+    for Z in (anchor, _solve(C.F, C.G, ps, xs, C.opts).Z):
+        J = _residual_and_jac(C.F, C.G, ps, xs, Z)[1]
+        np.testing.assert_allclose(_phase_condition(J), np.linalg.cond(J), rtol=1e-12, atol=0)
+
+
+def test_phase_condition_toward_a_singular_system():
+    # the system of test_degenerate_phase_raises at p1 = x3 = xb = t has
+    # J = [[1, -t], [-t, 1]] and condition (1 + t) / (1 - t); a backward
+    # stable eigensolver is accurate to a few units of rounding times it
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (1,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 0.5}, 1, 1)
+    t = 1.0 - np.logspace(-1, -6, 6)[:, None]
+    J = _residual_and_jac(F, G, t, t, np.concatenate([np.zeros_like(t), t], axis=1))[1]
+    exact = ((1.0 + t) / (1.0 - t)).ravel()
+    err = np.abs(_phase_condition(J) / exact - 1.0)
+    assert np.all(err <= 16 * np.finfo(float).eps * exact), err
+    # and random cubic operands at random iterates
+    F, G = _cubicish(51, 2, 2), _cubicish(52, 2, 2)
+    ps, xs = sample_ball(12, 2, 0.2, 7), sample_box(12, 2, -0.6, 0.6, 8)
+    J = _residual_and_jac(F, G, ps, xs, sample_box(12, 4, -0.5, 0.5, 3))[1]
+    np.testing.assert_allclose(_phase_condition(J), np.linalg.cond(J), rtol=1e-12, atol=0)
 
 
 class _WrongHessian(GenFun):

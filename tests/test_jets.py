@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from symgf import (LieStructure, PolyMap, PolyPoisson, kontsevich_monoid,
                    lie_monoid, poly_genfun, symplectic_monoid, unit_genfun)
 from symgf.cli import MAX_DIM
-from symgf.jets import PolyKernel, _PartialTable, jet_add, jet_const, jet_embed, poly_term_jet
+from symgf.jets import (PolyKernel, _PartialTable, _shared_table, jet_add, jet_const, jet_embed,
+                        poly_term_jet)
 
 from conftest import fd_grad
 
@@ -209,12 +210,13 @@ def _reference_table(E, C, order, P):
 
 
 def _assert_table_matches_reference(E, C, order):
-    E = np.asarray(E, dtype=np.int64)
-    P = int(E.max(initial=0)) + 1
-    got = _PartialTable(E, C, order, P)
-    want, pairs = _reference_table(E, C, order, P)
+    # the shared coefficient-free table, and the coefficients the kernel scales it by
+    kernel = PolyKernel(E, C)
+    kernel.jet(np.zeros(kernel.n), order)
+    got, scaled = kernel._tables[order]
+    want, pairs = _reference_table(kernel.E, kernel.C, order, kernel._powers.size)
     for name, ref in want.items():
-        arr = getattr(got, name)
+        arr = scaled if name == "scaled" else getattr(got, name)
         assert arr.dtype == ref.dtype and np.array_equal(arr, ref), (name, order)
     assert got.src.dtype == got.dst.dtype == np.int64
     assert sorted(zip(got.dst.tolist(), got.src.tolist())) == pairs, order
@@ -241,6 +243,26 @@ def test_kernel_tables_match_per_term_loop(case):
         _assert_table_matches_reference(kernel.E, kernel.C, order)
 
 
+def test_kernels_with_equal_exponents_share_one_table():
+    # the table depends on E alone; each kernel scales it by its own C, and
+    # its jets equal those of a kernel whose table was built for it alone
+    E = np.array([[2, 0, 1], [0, 3, 0], [1, 1, 1], [0, 0, 0]])
+    C1 = np.array([[1.0, -0.5], [0.3, 2.0], [-1.2, 0.0], [0.7, 0.1]])
+    C2 = np.array([[0.4], [0.0], [2.5], [-1.0]])
+    v = np.array([[0.3, -0.7, 1.1], [0.0, 0.2, -0.4]])
+    a, b = PolyKernel(E, C1), PolyKernel(E.copy(), C2)
+    jets = [a.jet(v, 3), b.jet(v, 3)]
+    table = a._tables[3][0]
+    assert b._tables[3][0] is table
+    assert not any(arr.flags.writeable for arr in vars(table).values())
+    for kernel, got in zip((a, b), jets):
+        _shared_table.cache_clear()
+        alone = PolyKernel(kernel.E, kernel.C)
+        want = alone.jet(v, 3)
+        assert alone._tables[3][0] is not table
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_partial_table_memory_at_the_dimension_bound():
     # symplectic_monoid(MAX_DIM) has n = 192 variables; the per-term loop
     # peaked at 3.6 MB for its order-3 table, an enumeration of the index
@@ -248,7 +270,7 @@ def test_partial_table_memory_at_the_dimension_bound():
     kernel = symplectic_monoid(MAX_DIM)._kernel
     tracemalloc.start()
     try:
-        _PartialTable(kernel.E, kernel.C, 3, kernel._powers.size)
+        _PartialTable(kernel.E, 3, kernel._powers.size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

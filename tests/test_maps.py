@@ -95,3 +95,12 @@ def test_singular_inverse_raises_degeneracy_naming_the_point():
         InverseMap(g).jet(ys[1], 0)
     np.testing.assert_allclose(InverseMap(g).jet(ys[[0, 2]], 0).value,
                                [[0.2, 0.2], [0.1, -0.1]], rtol=1e-12)
+
+
+def test_non_finite_jacobian_raises_degeneracy():
+    # g' = 1 + 300 x^299 - 301 x^300 is inf - inf = nan at x = 20, where
+    # Newton starts for y = 20: a degenerate point, not bad input
+    g = PolyMap([{(1,): 1.0, (300,): 1.0, (301,): -1.0}], d_in=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegeneracyError, match=r"condition inf .* at y=\[20\.\]$"):
+            InverseMap(g).jet(np.array([20.0]), 1)

@@ -5,7 +5,7 @@ from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                    builtin_rep, fit_tree_weights, group_law_poly_eval, group_log,
                    kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
-from symgf.monoids import MatrixRep
+from symgf.monoids import MatrixRep, _richardson_leading
 
 
 # -- structure constants and representations -------------------------------
@@ -211,6 +211,16 @@ def test_fit_gates_each_bivector_once(monkeypatch):
     fit = fit_tree_weights.__wrapped__()
     assert fit.passed
     assert calls == {"gate": 2, "builder": 0}  # two fit instances
+
+
+def test_batched_richardson_matches_one_solve_per_series():
+    # the fit's shape: 3 candidates x 24 points x 4 eps levels
+    eps = 0.08
+    values = np.random.default_rng(5).standard_normal((3, 24, 4)) * eps ** 2
+    V = np.array([[(eps / 2.0 ** i) ** q for q in np.arange(2, 6)] for i in range(4)])
+    want = np.array([[np.linalg.solve(V, v)[0] for v in row] for row in values])
+    got = _richardson_leading(values, eps)
+    assert got.shape == (3, 24) and np.array_equal(got, want)
 
 
 def test_order2_gate_error_carries_fit():
