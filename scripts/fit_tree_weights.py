@@ -2,9 +2,12 @@
 """Fit the order-2 weights of the semiclassical monoid from associativity.
 
 The defect of the triple product at order 2 is affine in the two tree
-weights; Richardson extrapolation in the formal parameter isolates its
-eps^2 coefficient per sample and a least-squares solve yields the weights.
-Prints the fitted weights and the residual floor of the fit.
+weights.  Its columns are closed-form: the coboundaries of the two tree
+symbols at each sample.  Its constant term is the eps^2 coefficient of the
+weight-free monoid's defect, which Richardson extrapolation in the formal
+parameter isolates from stationary-phase composites.  A least-squares solve
+yields the weights.  Prints the fitted weights and the residual floor of
+the fit.
 """
 import argparse
 

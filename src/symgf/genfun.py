@@ -49,12 +49,6 @@ class GenFun:
     def value(self, p, x) -> float:
         return self.eval_jet(p, x, 0).value
 
-    def normalization_residual(self, xs) -> float:
-        """max over sample base points of |S(0,x)| and |grad_x S(0,x)|."""
-        xs = np.atleast_2d(xs)
-        j = self.eval_jet(np.zeros((len(xs), self.m)), xs, 1)
-        return float(np.max(np.abs(np.column_stack([j.value, j.grad[:, self.m:]])), initial=0.0))
-
     def __repr__(self):
         name = self.label or type(self).__name__
         return f"<{name}: m={self.m}, n={self.n}, radius={self.domain_radius:g}>"

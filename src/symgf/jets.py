@@ -165,23 +165,25 @@ class PolyKernel:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         stack = v.reshape(-1, self.n)
-        # powers[b, i * P + r] = v_bi**r, with 0**0 = 1
-        powers = (stack[:, :, None] ** self._powers).reshape(len(stack), -1)
         if self._tables[order] is None:
             tab = _shared_table(self.E.shape, self.E.tobytes(), order)
             self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
         tab, scaled = self._tables[order]
         dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
-        if tab.starts.size:
-            mono = np.multiply.reduce(powers[:, tab.flat], axis=2)
-            sums = np.add.reduceat(mono[:, :, None] * scaled, tab.starts, axis=1)
-            dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
+        # far out the powers overflow; the caller classifies the non-finite jet
+        with np.errstate(over="ignore", invalid="ignore"):
+            # powers[b, i * P + r] = v_bi**r, with 0**0 = 1
+            powers = (stack[:, :, None] ** self._powers).reshape(len(stack), -1)
+            if tab.starts.size:
+                mono = np.multiply.reduce(powers[:, tab.flat], axis=2)
+                sums = np.add.reduceat(mono[:, :, None] * scaled, tab.starts, axis=1)
+                dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
                 for q in range(order + 1)]
 
 
-# bounded: 64 entries hold the 20 (E, order) pairs of the order-2 fit and a check's few
+# bounded: 64 entries hold the 10 (E, order) pairs of the order-2 fit and a check's few
 @lru_cache(maxsize=64)
 def _shared_table(shape, data, order):
     E = np.frombuffer(data, dtype=np.int64).reshape(shape)

@@ -104,17 +104,6 @@ class MatrixRep:
             raise ValueError(f"matrix is not in the representation span (residual {resid:.3e})")
         return sol
 
-    def bracket_residual(self, structure: LieStructure) -> float:
-        """max deviation of [B_i, B_j] from sum_k c^k_{ij} B_k (0 iff the rep
-        respects the structure)."""
-        worst = 0.0
-        for i in range(self.d):
-            for j in range(self.d):
-                comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
-                target = np.einsum("k,kab->ab", structure.c[:, i, j], self.basis)
-                worst = max(worst, float(np.max(np.abs(comm - target))))
-        return worst
-
     @classmethod
     def so3(cls):
         basis = np.zeros((3, 3, 3))
@@ -546,45 +535,55 @@ def _fit_instances():
     return [lin, quad]
 
 
-@lru_cache(maxsize=None)
-def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
-                     levels: int = 4) -> TreeWeightFit:
-    """Determine the order-2 tree weights by least squares.
+def _fit_rows(seed, n_points, eps, levels):
+    """The eps^2 coefficient ``A c + b`` of the associativity defect at each
+    row (fit instance, sample point), affine in the tree weights ``c``.
 
-    For candidate weights c the second-order coefficient of the
-    associativity defect is affine in c; the coefficient is extracted by
-    Richardson elimination over ``levels`` halvings of eps and the affine
-    system is solved in the least-squares sense over deterministic sample
-    points for each fit instance.  The floor (residual of the solved
-    system, in eps^2-coefficient units) reports how associative the fitted
-    order-2 monoid can possibly be.
+    The trees enter at eps^2, so there they act through their values at the
+    explicit critical point of <p1 + p2, x>: column T of ``A`` is the
+    coboundary, the order-2 associativity equation of the formal symplectic
+    groupoid (Cattaneo, Dherin & Felder, CMP 253, 2005),
+
+        dT = T(p1 + p2, p3, x) + T(p1, p2, x) - T(p1, p2 + p3, x) - T(p2, p3, x).
+
+    ``b`` is the defect of the weight-free monoid's composites, its eps^2
+    coefficient taken by Richardson elimination over ``levels`` halvings of eps.
     """
     from .compose import compose
     from .genfun import identity_genfun, tensor
     from .grids import sample_ball, sample_box
 
-    basis = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    leads = []
+    cols, consts = [], []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d
         symbols = _symbols(alpha)
         I = identity_genfun(d)
         ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
         xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
-        # defect(q) for each candidate at each eps level
-        defect = np.zeros((len(basis), levels, n_points))
-        for ci, cand in enumerate(basis):
-            for lev in range(levels):
-                e = eps / 2.0 ** lev
-                S = _expansion(alpha, symbols, e, cand, 2)
-                left = compose(S, tensor(S, I))
-                right = compose(S, tensor(I, S))
-                # each side solves all n_points as one stack
-                defect[ci, lev] = left(ps, xs) - right(ps, xs)
-        leads.append(_richardson_leading(np.moveaxis(defect, 1, -1), eps))
-    # lead[ci, r]: the eps^2 coefficient of candidate ci at row r (instance, point)
-    lead = np.concatenate(leads, axis=1)
-    A, b = np.stack([lead[1] - lead[0], lead[2] - lead[0]], axis=1), lead[0]
+        defect = np.zeros((n_points, levels))
+        for lev in range(levels):
+            S = _expansion(alpha, symbols, eps / 2.0 ** lev, None, 1)
+            # each side solves all n_points as one stack
+            defect[:, lev] = compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+        consts.append(_richardson_leading(defect, eps))
+        trees = PolyKernel.from_polys(
+            [{pe + xe: c for (pe, xe), c in tree.items()} for tree in symbols[2]], 3 * d)
+        p1, p2, p3 = ps[:, :d], ps[:, d:2 * d], ps[:, 2 * d:]
+        T = [trees.jet(np.concatenate([u, v, xs], axis=1), 0)[0]
+             for u, v in ((p1 + p2, p3), (p1, p2), (p1, p2 + p3), (p2, p3))]
+        cols.append(T[0] + T[1] - T[2] - T[3])
+    return np.concatenate(cols), np.concatenate(consts)
+
+
+@lru_cache(maxsize=None)
+def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
+                     levels: int = 4) -> TreeWeightFit:
+    """Determine the order-2 tree weights by least squares on the affine
+    system of :func:`_fit_rows`.  The floor (its residual, in
+    eps^2-coefficient units) reports how associative the fitted order-2
+    monoid can possibly be.
+    """
+    A, b = _fit_rows(seed, n_points, eps, levels)
     sol, *_ = np.linalg.lstsq(A, -b, rcond=None)
     floor = float(np.max(np.abs(A @ sol + b), initial=0.0))
     return TreeWeightFit(float(sol[0]), float(sol[1]), floor,

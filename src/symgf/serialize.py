@@ -168,10 +168,6 @@ def load_genfun(path) -> PolyGenFun:
     return _parse(path, genfun_from_dict, "generating function", label=str(path))
 
 
-def save_genfun(gf: PolyGenFun, path):
-    return dump(genfun_to_dict(gf), path)
-
-
 # --------------------------------------------------------------------------
 # Lie structure constants and polynomial bivectors
 # --------------------------------------------------------------------------

@@ -33,6 +33,13 @@ def fd_jac(f, z, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
+def normalization_residual(S, xs):
+    """max over sample base points of |S(0,x)| and |grad_x S(0,x)|."""
+    xs = np.atleast_2d(xs)
+    j = S.eval_jet(np.zeros((len(xs), S.m)), xs, 1)
+    return float(np.max(np.abs(np.column_stack([j.value, j.grad[:, S.m:]])), initial=0.0))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

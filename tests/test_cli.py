@@ -223,7 +223,6 @@ def test_singular_stationary_system_exits_one(tmp_path, capsys, command):
     assert "composition failed" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("p", ["1e80", "1e110"])
 def test_non_finite_stationary_jacobian_exits_one(tmp_path, capsys, p):
     # G_xx = p^3 - p^4 overflows: to -inf at p = 1e80, and to inf - inf = nan

@@ -12,7 +12,7 @@ from symgf.compose import _phase_condition, _residual_and_jac, _solve
 from symgf.genfun import GenFun
 from symgf.maps import InverseMap
 
-from conftest import fd_grad, fd_jac
+from conftest import fd_grad, fd_jac, normalization_residual
 
 
 # -- closed-form oracle -----------------------------------------------------
@@ -139,7 +139,7 @@ def test_composed_value_is_renormalized():
     G = _cubicish(42, 2, 2)
     C = compose(F, G)
     xs = sample_box(8, 2, -0.6, 0.6, 2)
-    assert C.normalization_residual(xs) < 1e-12
+    assert normalization_residual(C, xs) < 1e-12
 
 
 def _triple_product(S):
@@ -260,9 +260,8 @@ def test_non_finite_jacobian_is_degenerate():
     G = poly_genfun({((1,), (1,)): 1.0, ((3,), (2,)): 0.5, ((4,), (2,)): -0.5}, 1, 1)
     ps = np.array([[0.1], [1e110], [-0.2]])
     xs = np.full((3, 1), 0.3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DegeneracyError, match=r"condition inf .* at p1=\[1\.e\+110\]"):
-            _solve(F, G, ps, xs, DEFAULT_NEWTON)
+    with pytest.raises(DegeneracyError, match=r"condition inf .* at p1=\[1\.e\+110\]"):
+        _solve(F, G, ps, xs, DEFAULT_NEWTON)
     _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                    builtin_rep, fit_tree_weights, group_law_poly_eval, group_log,
                    kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
-from symgf.monoids import MatrixRep, _richardson_leading
+from symgf.monoids import (_expansion, _fit_instances, _fit_rows, _richardson_leading,
+                           _symbols)
 
 
 # -- structure constants and representations -------------------------------
@@ -39,7 +42,11 @@ def test_reps_reproduce_brackets():
     for name in ("so3", "heisenberg"):
         st = getattr(LieStructure, name)()
         rep = builtin_rep(name)
-        assert rep.bracket_residual(st) < 1e-14
+        # [B_i, B_j] - sum_k c^k_{ij} B_k over every basis pair
+        B = rep.basis
+        comm = np.einsum("iab,jbc->ijac", B, B) - np.einsum("jab,ibc->ijac", B, B)
+        target = np.einsum("kij,kab->ijab", st.c, B)
+        assert np.max(np.abs(comm - target)) < 1e-14
 
 
 def test_vee_rejects_vectors_outside_span():
@@ -192,11 +199,14 @@ def test_fit_tree_weights_recovers_twelfths():
 
 
 def test_fit_gates_each_bivector_once(monkeypatch):
-    # the fit assembles its candidate monoids from symbols built once per
-    # instance: one Jacobi gate per bivector, no call into the builder
+    # the fit assembles its weight-free monoids from symbols built once per
+    # instance: one Jacobi gate per bivector, no call into the builder, and
+    # one stacked solve per instance, eps level and side
     from symgf import monoids
-    calls = {"gate": 0, "builder": 0}
-    gate, builder = PolyPoisson.jacobi_residual, monoids.kontsevich_monoid
+    composition = sys.modules["symgf.compose"]  # the package exports its function as compose
+    calls = {"gate": 0, "builder": 0, "solve": 0}
+    gate, builder, solve = (PolyPoisson.jacobi_residual, monoids.kontsevich_monoid,
+                            composition._solve)
 
     def counted_gate(self, xs):
         calls["gate"] += 1
@@ -206,15 +216,55 @@ def test_fit_gates_each_bivector_once(monkeypatch):
         calls["builder"] += 1
         return builder(*args, **kwargs)
 
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(PolyPoisson, "jacobi_residual", counted_gate)
     monkeypatch.setattr(monoids, "kontsevich_monoid", counted_builder)
+    monkeypatch.setattr(composition, "_solve", counted_solve)
     fit = fit_tree_weights.__wrapped__()
     assert fit.passed
-    assert calls == {"gate": 2, "builder": 0}  # two fit instances
+    # two fit instances x 4 eps levels x 2 sides of the defect
+    assert calls == {"gate": 2, "builder": 0, "solve": 16}
+
+
+def _three_candidate_rows(seed=11, n_points=24, eps=0.08, levels=4):
+    """The fit's affine system from composites alone: the eps^2 defect
+    coefficient of the monoids with weights (0, 0), (1, 0) and (0, 1), by
+    Richardson elimination, and the columns as differences of those."""
+    from symgf import compose, identity_genfun, tensor
+    basis = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    leads = []
+    for inst_idx, alpha in enumerate(_fit_instances()):
+        d = alpha.d
+        symbols = _symbols(alpha)
+        I = identity_genfun(d)
+        ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
+        xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
+        defect = np.zeros((len(basis), levels, n_points))
+        for ci, cand in enumerate(basis):
+            for lev in range(levels):
+                S = _expansion(alpha, symbols, eps / 2.0 ** lev, cand, 2)
+                defect[ci, lev] = compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+        leads.append(_richardson_leading(np.moveaxis(defect, 1, -1), eps))
+    lead = np.concatenate(leads, axis=1)
+    return np.stack([lead[1] - lead[0], lead[2] - lead[0]], axis=1), lead[0]
+
+
+def test_fit_columns_are_the_coboundary_of_the_trees():
+    # the closed-form columns agree with the composite differences, and the
+    # weight-free monoid has exactly the terms of the (0, 0) candidate
+    A, b = _fit_rows(11, 24, 0.08, 4)
+    A_ref, b_ref = _three_candidate_rows()
+    assert A.shape == A_ref.shape == (48, 2)
+    assert np.max(np.abs(A - A_ref)) < 1e-10
+    assert np.max(np.abs(A)) > 1e-3
+    assert np.array_equal(b, b_ref)
 
 
 def test_batched_richardson_matches_one_solve_per_series():
-    # the fit's shape: 3 candidates x 24 points x 4 eps levels
+    # series stacked over two leading axes, 24 points x 4 eps levels each
     eps = 0.08
     values = np.random.default_rng(5).standard_normal((3, 24, 4)) * eps ** 2
     V = np.array([[(eps / 2.0 ** i) ** q for q in np.arange(2, 6)] for i in range(4)])

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from symgf import LieStructure, PolyPoisson, lie_monoid, symplectic_monoid
-from symgf.serialize import (dumps, format_float, genfun_from_dict,
+from symgf.serialize import (dump, dumps, format_float, genfun_from_dict,
                              genfun_to_dict, load_genfun, load_poisson,
                              load_structure, poisson_from_dict, poisson_to_dict,
-                             save_genfun, structure_from_dict, structure_to_dict)
+                             structure_from_dict, structure_to_dict)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -54,7 +54,7 @@ def test_genfun_round_trip_general_schema():
 def test_genfun_file_round_trip(tmp_path):
     S = lie_monoid(LieStructure.so3(), trunc=3)
     path = tmp_path / "m.json"
-    save_genfun(S, path)
+    dump(genfun_to_dict(S), path)
     back = load_genfun(path)
     assert back.terms == S.terms
 
