@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .compose import DEFAULT_NEWTON, CompositionError, NewtonOptions, compose
-from .genfun import GenFun, NormalizationError, identity_genfun
+from .genfun import GenFun, NormalizationError, base_map, identity_genfun
 from .grids import sample_ball, sample_box
 from .monoids import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                       kontsevich_monoid, lie_monoid, symplectic_monoid)
@@ -164,15 +164,12 @@ def _config_dict(args, keys):
 
 
 def _finish(reports, args, config, extra=None) -> int:
-    flat = []
     for r in reports:
-        flat.extend(r if isinstance(r, (list, tuple)) else [r])
-    for r in flat:
         print(r.summary_line())
-    passed = all(r.passed for r in flat)
+    passed = all(r.passed for r in reports)
     print("overall:", "pass" if passed else "FAIL")
     if args.out:
-        doc = serialize.reports_to_dict(flat, config=config, extra=extra)
+        doc = serialize.reports_to_dict(reports, config=config, extra=extra)
         serialize.dump(doc, args.out)
         print(f"report written to {args.out}")
     return 0 if passed else 1
@@ -319,6 +316,7 @@ def cmd_morphism(args) -> int:
     if F.m != d_M or F.n != d_N:
         raise UserInputError(
             f"morphism genfun must have m={d_M}, n={d_N}; got m={F.m}, n={F.n}")
+    _warn_beyond_domain(args, S_M)
     tols = _parse_tols(args.tol)
     opts = _newton_options(args)
     n, seed = args.grid_n, args.seed
@@ -326,7 +324,6 @@ def cmd_morphism(args) -> int:
     xs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 1)
     pxs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 2)
 
-    from .genfun import base_map
     reports = [check_morphism(F, S_M, S_N, ps, xs, tols["morphism"], opts),
                check_poisson_map(base_map(F), poisson_bivector(S_N),
                                  poisson_bivector(S_M), pxs, tols["poisson-map"])]
@@ -451,16 +448,10 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UserInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NormalizationError,) as exc:
+    except NormalizationError as exc:
         print(f"error: input genfun violates normalization: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UserInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Order2GateError as exc:

@@ -2,16 +2,16 @@
 
 Every check samples a deterministic grid, measures a residual that the
 exact structure would make vanish, and returns a :class:`VerificationReport`
-(max/mean residual, sample count, failing points).  Every check evaluates
-its grid as stacks of points: :func:`check_poisson_map` as one stack, the
-others in blocks of at most :data:`BLOCK` points.  The canonical Poisson
-bracket used by the groupoid checks carries the overall sign +1 (see
-:func:`bracket_sign`), which every report records.
+(max/mean residual, sample count, failing points).  All checks walk their
+grids through one sweep, :func:`_sweep`: it evaluates the check's residual
+on stacks of at most :data:`BLOCK` points and builds the reports.  The
+canonical Poisson bracket used by the groupoid checks carries the overall
+sign +1 (see :func:`bracket_sign`), which every report records.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,6 @@ from .monoids import PolyPoisson, jacobi_defect
 # triple product grows with the stack, 0.19 / 0.73 / 2.9 MB at 8 / 32 / 128
 # points (tracemalloc).
 BLOCK = 32
-
-
-def _blocks(*samples):
-    """Row-aligned slices of at most :data:`BLOCK` rows of the sample
-    stacks, in grid order, over as many rows as the shortest holds."""
-    samples = [np.atleast_2d(s) for s in samples]
-    n = min(len(s) for s in samples)
-    for i in range(0, n, BLOCK):
-        j = min(i + BLOCK, n)
-        yield tuple(s[i:j] for s in samples)
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +176,6 @@ class VerificationReport:
     failures: list
     bracket_sign: int
     tol: float | None = None
-    grid: dict | None = dataclass_field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -211,41 +200,61 @@ class VerificationReport:
                 f"mean {self.mean_residual:.3e}  n={self.n}")
 
 
-def _make_report(axiom, points, residuals, tol, grid=None) -> VerificationReport:
-    residuals = np.asarray(residuals, dtype=float)
-    # written so that a NaN residual or tolerance fails
-    failures = [
-        {"point": list(np.asarray(points[i], float).ravel()), "residual": float(residuals[i])}
-        for i in np.nonzero(~(residuals <= tol))[0]
-    ]
-    return VerificationReport(
-        axiom=axiom,
-        max_residual=float(np.max(residuals, initial=0.0)),
-        mean_residual=float(np.mean(residuals)) if residuals.size else 0.0,
-        n=int(residuals.size),
-        failures=failures,
-        bracket_sign=bracket_sign(),
-        tol=tol,
-        grid=grid,
-    )
-
-
 # --------------------------------------------------------------------------
 # The checks
 # --------------------------------------------------------------------------
 
+def _sweep(tols, residuals, *samples) -> list:
+    """One report per axiom of ``tols`` (an axiom -> tolerance dict).
+
+    Cuts the sample stacks into row-aligned blocks of at most :data:`BLOCK`
+    rows, in grid order, over as many rows as the shortest holds, and calls
+    ``residuals(*block)`` once per block for one per-point array per axiom.
+    Each point is recorded as its sample rows joined.
+    """
+    samples = [np.atleast_2d(s) for s in samples]
+    n = min(len(s) for s in samples)
+    samples = [s[:n] for s in samples]
+    res = [[] for _ in tols]
+    for i in range(0, n, BLOCK):
+        for acc, r in zip(res, residuals(*(s[i:i + BLOCK] for s in samples))):
+            acc.extend(r)
+    points = np.concatenate(samples, axis=1)
+    reports = []
+    for (axiom, tol), r in zip(tols.items(), res):
+        r = np.asarray(r, dtype=float)
+        # written so that a NaN residual or tolerance fails
+        failures = [
+            {"point": list(np.asarray(points[i], float)), "residual": float(r[i])}
+            for i in np.nonzero(~(r <= tol))[0]
+        ]
+        reports.append(VerificationReport(
+            axiom=axiom,
+            max_residual=float(np.max(r, initial=0.0)),
+            mean_residual=float(np.mean(r)) if r.size else 0.0,
+            n=int(r.size),
+            failures=failures,
+            bracket_sign=bracket_sign(),
+            tol=tol,
+        ))
+    return reports
+
+
+def _gap(left, right):
+    """The per-point residual |left(p, x) - right(p, x)| of two composites."""
+    return lambda p, x: (np.abs(left(p, x) - right(p, x)),)
+
+
 def check_unit(S: GenFun, ps, xs, tol=1e-10) -> VerificationReport:
     """S(p, 0, x) = S(0, p, x) = <p, x> over paired samples (ps[i], xs[i])."""
-    res = []
-    pts = []
-    for p, x in _blocks(ps, xs):
+    def residual(p, x):
         px = np.array([a @ b for a, b in zip(p, x)])
         zero = np.zeros_like(p)
         left = S.value(np.concatenate([p, zero], axis=1), x)
         right = S.value(np.concatenate([zero, p], axis=1), x)
-        res.extend(np.maximum(np.abs(left - px), np.abs(right - px)))
-        pts.extend(np.concatenate([p, x], axis=1))
-    return _make_report("unit", pts, res, tol)
+        return (np.maximum(np.abs(left - px), np.abs(right - px)),)
+
+    return _sweep({"unit": tol}, residual, ps, xs)[0]
 
 
 def check_associativity(S: GenFun, ps, xs, tol=1e-9,
@@ -256,16 +265,9 @@ def check_associativity(S: GenFun, ps, xs, tol=1e-9,
     point; the residual is the difference of S o (S (x) I) and
     S o (I (x) S) at that sample.
     """
-    d = S.n
-    I = identity_genfun(d)
-    left = compose(S, tensor(S, I), opts)
-    right = compose(S, tensor(I, S), opts)
-    res = []
-    pts = []
-    for p, x in _blocks(ps, xs):
-        res.extend(np.abs(left(p, x) - right(p, x)))
-        pts.extend(np.concatenate([p, x], axis=1))
-    return _make_report("associativity", pts, res, tol)
+    I = identity_genfun(S.n)
+    gap = _gap(compose(S, tensor(S, I), opts), compose(S, tensor(I, S), opts))
+    return _sweep({"associativity": tol}, gap, ps, xs)[0]
 
 
 GROUPOID_AXIOMS = ("source-poisson", "target-anti-poisson", "source-target-commute")
@@ -280,13 +282,12 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
     tolerance for all three or a mapping with one per name in
     :data:`GROUPOID_AXIOMS`.
     """
-    tols = tol if isinstance(tol, Mapping) else dict.fromkeys(GROUPOID_AXIOMS, tol)
+    tols = {a: tol[a] if isinstance(tol, Mapping) else tol for a in GROUPOID_AXIOMS}
     gm = GroupoidMaps(S)
     fld = PoissonField.from_monoid(S)
     iu, ju = np.triu_indices(S.n, 1)
-    res_ss, res_tt, res_st = [], [], []
-    pts = []
-    for p, x in _blocks(ps, xs):
+
+    def residuals(p, x):
         s, dps, dxs = gm.source_jet(p, x)
         t, dpt, dxt = gm.target_jet(p, x)
         # canonical brackets of all component pairs:
@@ -294,23 +295,21 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
         bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
         btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
         bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
-        res_ss.extend(np.max(np.abs(bss - fld.matrix(s))[:, iu, ju], axis=1, initial=0.0))
-        res_tt.extend(np.max(np.abs(btt + fld.matrix(t))[:, iu, ju], axis=1, initial=0.0))
-        res_st.extend(np.max(np.abs(bst), axis=(1, 2), initial=0.0))
-        pts.extend(np.concatenate([p, x], axis=1))
-    return [_make_report(axiom, pts, res, tols[axiom])
-            for axiom, res in zip(GROUPOID_AXIOMS, (res_ss, res_tt, res_st))]
+        return (np.max(np.abs(bss - fld.matrix(s))[:, iu, ju], axis=1, initial=0.0),
+                np.max(np.abs(btt + fld.matrix(t))[:, iu, ju], axis=1, initial=0.0),
+                np.max(np.abs(bst), axis=(1, 2), initial=0.0))
+
+    return _sweep(tols, residuals, ps, xs)
 
 
 def check_jacobi(field, xs, tol=1e-10) -> VerificationReport:
     """The cyclic Jacobi sum of the bivector vanishes at every sample."""
     fld = as_field(field)
-    res = []
-    pts = []
-    for (x,) in _blocks(xs):
-        res.extend(jacobi_defect(*fld.with_derivatives(x), axis=(1, 2, 3)))
-        pts.extend(x)
-    return _make_report("jacobi", pts, res, tol)
+
+    def residual(x):
+        return (jacobi_defect(*fld.with_derivatives(x), axis=(1, 2, 3)),)
+
+    return _sweep({"jacobi": tol}, residual, xs)[0]
 
 
 def check_morphism(F: GenFun, S_M: GenFun, S_N: GenFun, ps, xs, tol=1e-9,
@@ -320,23 +319,18 @@ def check_morphism(F: GenFun, S_M: GenFun, S_N: GenFun, ps, xs, tol=1e-9,
     ``ps[i]`` holds a momentum pair for the M side (2 * d_M coordinates),
     ``xs[i]`` a base point on the N side (d_N coordinates).
     """
-    left = compose(F, S_M, opts)
-    right = compose(S_N, tensor(F, F), opts)
-    res = []
-    pts = []
-    for p, x in _blocks(ps, xs):
-        res.extend(np.abs(left(p, x) - right(p, x)))
-        pts.extend(np.concatenate([p, x], axis=1))
-    return _make_report("morphism", pts, res, tol)
+    gap = _gap(compose(F, S_M, opts), compose(S_N, tensor(F, F), opts))
+    return _sweep({"morphism": tol}, gap, ps, xs)[0]
 
 
 def check_poisson_map(phi, source_field, target_field, xs, tol=1e-8) -> VerificationReport:
     """phi pushes the source bivector to the target one:
-    alpha_target(phi(x)) = Dphi alpha_source(x) Dphi^T, on the samples as
-    one stack."""
-    xs = np.atleast_2d(xs)
-    mj = phi.jet(xs, 1)
-    lhs = as_field(target_field).matrix(mj.value)
-    rhs = mj.jac @ as_field(source_field).matrix(xs) @ mj.jac.swapaxes(-1, -2)
-    return _make_report("poisson-map", xs, np.max(np.abs(lhs - rhs), axis=(1, 2), initial=0.0),
-                        tol)
+    alpha_target(phi(x)) = Dphi alpha_source(x) Dphi^T at every sample."""
+    source, target = as_field(source_field), as_field(target_field)
+
+    def residual(x):
+        mj = phi.jet(x, 1)
+        rhs = mj.jac @ source.matrix(x) @ mj.jac.swapaxes(-1, -2)
+        return (np.max(np.abs(target.matrix(mj.value) - rhs), axis=(1, 2), initial=0.0),)
+
+    return _sweep({"poisson-map": tol}, residual, xs)[0]

@@ -115,10 +115,18 @@ def test_non_positive_sampling_radius_exits_two(flag, value, capsys):
     assert "expected a number > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "poisson"])
+SO3_MONOID_ARGV = {
+    "verify": ["--builtin", "lie", "--lie", "so3", "--trunc", "4"],
+    "poisson": ["--builtin", "lie", "--lie", "so3", "--trunc", "4"],
+    "morphism": ["--f", "builtin:identity:3", "--dom", "builtin:lie:so3:4",
+                 "--cod", "builtin:lie:so3:4"],
+}
+
+
+@pytest.mark.parametrize("command", list(SO3_MONOID_ARGV))
 def test_warns_once_when_sampling_beyond_the_domain_radius(tmp_path, capsys, command):
     # so(3) at trunc 4 carries a domain radius of about 0.141
-    argv = [command, "--builtin", "lie", "--lie", "so3", "--trunc", "4", "--grid-n", "4"]
+    argv = [command, *SO3_MONOID_ARGV[command], "--grid-n", "4"]
     main(argv + ["--p-radius", "0.05"])
     assert "warning" not in capsys.readouterr().err
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,13 +1,19 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from symgf import (Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap, PolyPoisson,
-                   bracket_sign, canonical_bracket, change_coordinates, check_associativity,
-                   check_groupoid, check_jacobi, check_unit, lie_monoid,
+                   base_map, bracket_sign, canonical_bracket, change_coordinates,
+                   check_associativity, check_groupoid, check_jacobi, check_morphism,
+                   check_poisson_map, check_unit, compose, identity_genfun, lie_monoid,
                    poisson_bivector, poly_genfun, sample_ball, sample_box,
-                   source_target, standard_bivector, symplectic_monoid)
+                   source_target, standard_bivector, symplectic_monoid, tensor)
 from symgf.jets import Jet
 from symgf.monoids import jacobi_defect
+from symgf.serialize import load_genfun, load_poisson
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def test_bracket_sign_calibrates_positive():
@@ -82,17 +88,25 @@ def test_bivector_of_a_stack_matches_one_point_rows(make):
 @monoids
 def test_stacked_geometry_matches_one_point_rows(make):
     # 40 points span two check blocks; every row of the stacked source and
-    # target jets, and every per-point residual of the groupoid and Jacobi
-    # checks, equals its one-point evaluation
+    # target jets, and every per-point residual of the unit, associativity,
+    # groupoid and Jacobi checks, equals its one-point evaluation
     S = make()
     d = S.n
     gm, field = GroupoidMaps(S), poisson_bivector(S)
     ps = sample_ball(40, d, 0.05, 3)
     xs = sample_box(40, d, -0.3, 0.3, 4)
+    p3s = sample_ball(40, 3 * d, 0.05, 5)
     stacked = gm.source_jet(ps, xs), gm.target_jet(ps, xs)
     upper = np.triu_indices(d, 1)
+    I, zero = identity_genfun(d), np.zeros(d)
+    left, right = compose(S, tensor(S, I)), compose(S, tensor(I, S))
+    want_unit, want_assoc = [], []
     want_ss, want_tt, want_st, want_jac = [], [], [], []
     for b, (p, x) in enumerate(zip(ps, xs)):
+        px = p @ x
+        want_unit.append(max(abs(S.value(np.concatenate([p, zero]), x) - px),
+                             abs(S.value(np.concatenate([zero, p]), x) - px)))
+        want_assoc.append(abs(left(p3s[b], x) - right(p3s[b], x)))
         (s, dps, dxs), (t, dpt, dxt) = one = gm.source_jet(p, x), gm.target_jet(p, x)
         for got, row in zip(stacked, one):
             assert all(np.array_equal(g[b], r) for g, r in zip(got, row))
@@ -103,10 +117,49 @@ def test_stacked_geometry_matches_one_point_rows(make):
         want_st.append(np.max(np.abs(dxs @ dpt.T - dps @ dxt.T), initial=0.0))
         want_jac.append(jacobi_defect(*field.with_derivatives(x)))
     # a negative tolerance fails every point, so each failure carries its residual
-    reports = [*check_groupoid(S, ps, xs, tol=-1.0), check_jacobi(S, xs, tol=-1.0)]
-    for rep, want in zip(reports, (want_ss, want_tt, want_st, want_jac)):
+    reports = [check_unit(S, ps, xs, tol=-1.0), check_associativity(S, p3s, xs, tol=-1.0),
+               *check_groupoid(S, ps, xs, tol=-1.0), check_jacobi(S, xs, tol=-1.0)]
+    wants = (want_unit, want_assoc, want_ss, want_tt, want_st, want_jac)
+    assert len(reports) == len(wants)
+    for rep, want in zip(reports, wants):
         assert rep.n == 40
         assert np.array_equal([f["residual"] for f in rep.failures], want), rep.axiom
+
+
+@pytest.mark.parametrize("alpha", [None, "alpha_quadratic_d2.json"])
+def test_blocked_morphism_and_poisson_map_match_one_stack(alpha):
+    # 40 points span two check blocks; the blocked residuals equal the
+    # morphism gap and the Poisson-map defect evaluated over the whole stack
+    F = load_genfun(DATA / "lift_shear_d2.json")
+    S = symplectic_monoid(2)
+    ps = sample_ball(40, 4, 0.1, 6)
+    xs = sample_box(40, 2, -0.5, 0.5, 7)
+    want = np.abs(compose(F, S)(ps, xs) - compose(S, tensor(F, F))(ps, xs))
+    rep = check_morphism(F, S, S, ps, xs, tol=-1.0)
+    assert rep.n == 40
+    assert np.array_equal([f["residual"] for f in rep.failures], want)
+    # the shear pushes the constant bivector to itself; the quadratic one it moves
+    field = poisson_bivector(S) if alpha is None else PoissonField.from_poly(
+        load_poisson(DATA / alpha))
+    mj = base_map(F).jet(xs, 1)
+    rhs = mj.jac @ field.matrix(xs) @ mj.jac.swapaxes(-1, -2)
+    want = np.max(np.abs(field.matrix(mj.value) - rhs), axis=(1, 2), initial=0.0)
+    rep = check_poisson_map(base_map(F), field, field, xs, tol=-1.0)
+    assert rep.n == 40
+    assert np.array_equal([f["residual"] for f in rep.failures], want)
+    assert (alpha is None) == (np.max(want) < 1e-12)
+
+
+def test_checks_report_over_the_shortest_sample_stack():
+    # 33 rows in the shorter stack: one full block and one of a single row
+    S = symplectic_monoid(2)
+    ps = sample_ball(40, 2, 0.1, 0)
+    xs = sample_box(40, 2, -1.0, 1.0, 1)
+    want = check_unit(S, ps[:33], xs[:33], tol=-1.0)
+    for a, b in ((ps, xs[:33]), (ps[:33], xs)):
+        rep = check_unit(S, a, b, tol=-1.0)
+        assert rep.n == 33 and rep.failures == want.failures
+        assert [f["point"] for f in rep.failures] == np.hstack([ps[:33], xs[:33]]).tolist()
 
 
 def test_lie_bivector_derivatives_are_structure_constants():
