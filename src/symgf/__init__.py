@@ -10,10 +10,10 @@ deterministic sample grids.  :mod:`symgf.cli` exposes the same flow as the
 ``symgf`` command.
 """
 
-from .compose import (BranchJumpError, ComposedGenFun, CompositionError,
-                      ConvergenceError, DEFAULT_NEWTON, DegeneracyError, Diffeo,
-                      NewtonOptions, StationaryPoint, change_coordinates,
-                      compose, stationary_point)
+from .compose import (ComposedGenFun, CompositionError, ConvergenceError,
+                      DEFAULT_NEWTON, DegeneracyError, Diffeo, NewtonOptions,
+                      StationaryPoint, change_coordinates, compose,
+                      stationary_point)
 from .genfun import (GenFun, LiftGenFun, NormalizationError, PolyGenFun,
                      TensorGenFun, base_map, cotangent_lift, identity_genfun,
                      poly_genfun, tensor, unit_genfun)
@@ -34,7 +34,7 @@ from .verify import (GroupoidMaps, PoissonField, VerificationReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchJumpError", "ComposedGenFun", "CompositionError", "ConvergenceError",
+    "ComposedGenFun", "CompositionError", "ConvergenceError",
     "DEFAULT_NEWTON", "DegeneracyError", "Diffeo", "NewtonOptions",
     "StationaryPoint", "change_coordinates", "compose", "stationary_point",
     "GenFun", "LiftGenFun", "NormalizationError", "PolyGenFun", "TensorGenFun",

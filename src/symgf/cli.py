@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import serialize
+from .serialize import MAX_DIM
 from .compose import DEFAULT_NEWTON, CompositionError, NewtonOptions, compose
 from .genfun import GenFun, NormalizationError, base_map, identity_genfun
 from .grids import sample_ball, sample_box
@@ -356,10 +357,6 @@ def _count(text) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return v
-
-
-# The order-3 jet of a monoid genfun on R^d holds (3d)^3 floats: 57 MB at d = 64.
-MAX_DIM = 64
 
 
 def _dimension(text) -> int:

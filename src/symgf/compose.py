@@ -34,7 +34,6 @@ the first of them in stack order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,12 @@ from .jets import Jet, jet_add, jet_embed
 
 __all__ = [
     "NewtonOptions", "StationaryPoint", "CompositionError", "ConvergenceError",
-    "DegeneracyError", "BranchJumpError", "stationary_point", "compose",
+    "DegeneracyError", "stationary_point", "compose",
     "ComposedGenFun", "change_coordinates", "Diffeo",
 ]
 
 DAMPING = 0.5       # backtracking factor of the Newton line search
 COND_LIMIT = 1e10   # a Jacobian worse conditioned than this is degenerate
-BRANCH_TOL = 1e-6   # relative distance at which direct Newton and homotopy disagree
 
 
 class CompositionError(RuntimeError):
@@ -64,11 +62,6 @@ class ConvergenceError(CompositionError):
 class DegeneracyError(CompositionError):
     """The critical-point system is (numerically) degenerate: the
     transversality assumption behind the composition fails at this point."""
-
-
-class BranchJumpError(ConvergenceError):
-    """Direct Newton and homotopy continuation disagree: the iteration
-    jumped off the principal solution branch."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,7 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     and a tuple of stacked order-2 jets (maybe empty) for the points
     ``rows`` at ``Z``; ``start`` is that triple at ``Z``, if known.  Every
     point keeps its own iterate, backtracking line search and convergence
-    test, and ``cond`` checks the conditioning of all active Jacobians at
+    test, and ``cond`` checks the conditioning of all live Jacobians at
     every iterate (a non-finite one has condition inf).  A point that is
     degenerate, finds no descent step or runs out of iterations records its
     error, named by ``at(i)``, and the rest go on.
@@ -181,66 +174,49 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     z = np.array(Z, dtype=float)
     r, J, jets = system(slice(None), z) if start is None else start
     sol = _Solution(z, np.zeros(B, dtype=int), np.zeros(B), np.ones(B), jets, [None] * B)
-    act = list(range(B))  # the points still iterating, in stack order
-    sel = slice(None)     # act as an index; a slice while it holds every point
+    rows = np.arange(B)  # the points still iterating, in stack order
     for it in range(opts.max_iter + 1):
-        going, rn = [], []
-        Ja = J[sel]
+        Ja = J[rows]
         finite = np.isfinite(Ja).all(axis=(1, 2))
-        conds = np.full(finite.size, np.inf)
+        conds = np.full(rows.size, np.inf)
         conds[finite] = cond(Ja[finite])
-        for i, c, e in zip(act, conds.tolist(), np.abs(r[sel]).max(axis=1).tolist()):
-            sol.iterations[i], sol.residuals[i], sol.conditions[i] = it, e, c
-            if not (math.isfinite(c) and c <= COND_LIMIT):
-                sol.errors[i] = DegeneracyError(
-                    f"{label} system is degenerate (condition {c:.3e} "
-                    f"exceeds {COND_LIMIT:.1e}) {at(i)}")
-            elif e <= opts.tol:
-                pass
-            elif it == opts.max_iter:
+        res = np.abs(r[rows]).max(axis=1)
+        sol.iterations[rows], sol.residuals[rows], sol.conditions[rows] = it, res, conds
+        bad = ~(conds <= COND_LIMIT)
+        for i, c in zip(rows[bad].tolist(), conds[bad].tolist()):
+            sol.errors[i] = DegeneracyError(
+                f"{label} system is degenerate (condition {c:.3e} "
+                f"exceeds {COND_LIMIT:.1e}) {at(i)}")
+        going = ~(bad | (res <= opts.tol))
+        if it == opts.max_iter:
+            for i, e in zip(rows[going].tolist(), res[going].tolist()):
                 sol.errors[i] = ConvergenceError(
                     f"{label} Newton did not reach tol {opts.tol:.1e} in "
                     f"{opts.max_iter} iterations (residual {e:.3e}) {at(i)}")
-            else:
-                going.append(i)
-                rn.append(e)
-        if len(going) < len(act):
-            act, sel = going, np.array(going, dtype=int)
-        if not act:
             break
-        step = np.linalg.solve(J[sel], -r[sel][:, :, None])[:, :, 0]
-        # backtracking per point; the accepted trial's (r, J, jets) serve
-        # the next iterate
-        search, lam = sel, [1.0] * len(act)
-        while True:
-            zt = z[search] + np.array(lam)[:, None] * step
+        rows, rn = rows[going], res[going]
+        if not rows.size:
+            break
+        step = np.linalg.solve(J[rows], -r[rows][:, :, None])[:, :, 0]
+        # backtracking: the points still searching share one damping lam,
+        # and the accepted trial's (r, J, jets) serve the next iterate
+        search, lam = rows, 1.0
+        while search.size:
+            zt = z[search] + lam * step
             rt, Jt, jt = system(search, zt)
-            ok = [a <= (1.0 - 0.5 * s) * b
-                  for a, s, b in zip(np.abs(rt).max(axis=1).tolist(), lam, rn)]
-            if all(ok):
-                z[search], r[search], J[search] = zt, rt, Jt
-                _put(jets, search, jt)
-                break
-            okm = np.array(ok)
-            pos = np.arange(B)[search]
-            z[pos[okm]], r[pos[okm]], J[pos[okm]] = zt[okm], rt[okm], Jt[okm]
-            _put(jets, pos[okm], jt, okm)
-            retry = []
-            for j in np.flatnonzero(~okm).tolist():
-                if lam[j] < 1e-6:
-                    sol.errors[pos[j]] = ConvergenceError(
+            ok = np.abs(rt).max(axis=1) <= (1.0 - 0.5 * lam) * rn
+            acc, fail = search[ok], ~ok
+            z[acc], r[acc], J[acc] = zt[ok], rt[ok], Jt[ok]
+            _put(jets, acc, jt, ok)
+            search, step, rn = search[fail], step[fail], rn[fail]
+            if lam < 1e-6:
+                for i, e in zip(search.tolist(), rn.tolist()):
+                    sol.errors[i] = ConvergenceError(
                         f"{label} Newton found no descent step down to damping "
-                        f"1e-6 (residual {rn[j]:.3e}) {at(pos[j])}")
-                else:
-                    retry.append(j)
-            if not retry:
+                        f"1e-6 (residual {e:.3e}) {at(i)}")
+                rows = np.setdiff1d(rows, search, assume_unique=True)
                 break
-            search, step = pos[retry], step[retry]
-            lam = [lam[j] * DAMPING for j in retry]
-            rn = [rn[j] for j in retry]
-        if any(sol.errors[i] is not None for i in act):
-            act = [i for i in act if sol.errors[i] is None]
-            sel = np.array(act, dtype=int)
+            lam *= DAMPING
     return sol
 
 
@@ -273,7 +249,7 @@ def _homotopy(F, G, P1, X3, opts) -> _Solution:
     return sol
 
 
-def _solve(F, G, P1, X3, opts, check_branch=False) -> _Solution:
+def _solve(F, G, P1, X3, opts) -> _Solution:
     """Solve the critical-point systems of F o G at a stack of points.
 
     Points on which direct Newton fails to converge are continued by
@@ -281,41 +257,29 @@ def _solve(F, G, P1, X3, opts, check_branch=False) -> _Solution:
     first such point in stack order is raised.
     """
     sol = _newton(F, G, P1, X3, opts)
-    direct = sol.solved()
     stray = np.array([i for i, e in enumerate(sol.errors) if isinstance(e, ConvergenceError)],
                      dtype=int)
     if stray.size and opts.homotopy_steps > 0:
         sol.put(stray, _homotopy(F, G, P1[stray], X3[stray], opts))
-    if check_branch and direct.size:
-        ref = _homotopy(F, G, P1[direct], X3[direct], opts)
-        for i, z, zh, err in zip(direct, sol.Z[direct], ref.Z, ref.errors):
-            if err is None and (np.linalg.norm(z - zh, ord=np.inf)
-                                > BRANCH_TOL * (1.0 + np.linalg.norm(z, ord=np.inf))):
-                err = BranchJumpError(
-                    f"direct Newton landed on a different branch than the "
-                    f"homotopy continuation {_at(P1, X3, i)}")
-            sol.errors[i] = err
     return sol.checked()
 
 
 def stationary_point(F: GenFun, G: GenFun, p1, x3,
-                     opts: NewtonOptions = DEFAULT_NEWTON,
-                     check_branch: bool = False) -> StationaryPoint:
+                     opts: NewtonOptions = DEFAULT_NEWTON) -> StationaryPoint:
     """Solve the critical-point system of the composition F o G at (p1, x3).
 
-    Damped Newton from the canonical anchor; if that fails and
-    ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  With
-    ``check_branch=True`` the continuation is always run and a disagreement
-    with direct Newton raises :class:`BranchJumpError`.  The point is solved
-    as a stack of one by the same stacked solver that composites use for
-    grids.
+    Damped Newton from the canonical anchor; if that fails to converge and
+    ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  The point
+    is solved as a stack of one by the same stacked solver that composites
+    use for grids.  A degenerate system raises :class:`DegeneracyError` and
+    a failed solve :class:`ConvergenceError`.
     """
     if F.m != G.n:
         raise ValueError(
             f"cannot compose: F has {F.m} momenta but G has base dimension {G.n}")
     p1 = np.asarray(p1, dtype=float).ravel()
     x3 = np.asarray(x3, dtype=float).ravel()
-    sol = _solve(F, G, p1[None], x3[None], opts, check_branch)
+    sol = _solve(F, G, p1[None], x3[None], opts)
     k, z = F.m, sol.Z[0]
     return StationaryPoint(z[:k].copy(), z[k:].copy(), int(sol.iterations[0]),
                            float(sol.residuals[0]), float(sol.conditions[0]))
@@ -343,8 +307,8 @@ class ComposedGenFun(GenFun):
         self.G = G
         self.opts = opts
 
-    def stationary(self, p, x, check_branch=False) -> StationaryPoint:
-        return stationary_point(self.F, self.G, p, x, self.opts, check_branch)
+    def stationary(self, p, x) -> StationaryPoint:
+        return stationary_point(self.F, self.G, p, x, self.opts)
 
     def renorm_constant(self, x) -> float:
         """The composite value at p = 0; exactly 0.0 for normalized operands."""

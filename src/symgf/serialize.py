@@ -15,6 +15,9 @@ import numpy as np
 from .genfun import PolyGenFun, poly_genfun
 from .monoids import LieStructure, PolyPoisson
 
+# The order-3 jet of a monoid genfun on R^d holds (3d)^3 floats: 57 MB at d = 64.
+MAX_DIM = 64
+
 
 # --------------------------------------------------------------------------
 # Deterministic emitter
@@ -124,15 +127,21 @@ def _int_tuple(seq, what, length=None):
     return out
 
 
+def _dimension(data: dict) -> int:
+    """The ``"d"`` of a document, from 1 to :data:`MAX_DIM`."""
+    d = int(data["d"])
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"d must be between 1 and {MAX_DIM}, got {d}")
+    return d
+
+
 def genfun_from_dict(data: dict, label="") -> PolyGenFun:
     """Accepts either the monoid schema ({"d", terms with p1/p2/x}) or the
     general one ({"m", "n", terms with p/x})."""
     if not isinstance(data, dict):
         raise ValueError("generating function JSON must be an object")
     if "d" in data:
-        d = int(data["d"])
-        if d <= 0:
-            raise ValueError("d must be positive")
+        d = _dimension(data)
         m, n = 2 * d, d
         terms = {}
         for t in data.get("terms", []):
@@ -142,8 +151,8 @@ def genfun_from_dict(data: dict, label="") -> PolyGenFun:
             terms[key] = terms.get(key, 0.0) + float(t["coeff"])
     elif "m" in data and "n" in data:
         m, n = int(data["m"]), int(data["n"])
-        if m < 0 or n <= 0:
-            raise ValueError("need m >= 0 and n >= 1")
+        if m < 0 or n <= 0 or m + n > 3 * MAX_DIM:
+            raise ValueError(f"need m >= 0, n >= 1 and m + n <= {3 * MAX_DIM}")
         terms = {}
         for t in data.get("terms", []):
             key = (_int_tuple(t["p"], "p", m), _int_tuple(t["x"], "x", n))
@@ -187,9 +196,7 @@ def structure_to_dict(ls: LieStructure) -> dict:
 def structure_from_dict(data: dict) -> LieStructure:
     if not isinstance(data, dict) or "d" not in data:
         raise ValueError('structure-constant JSON must be an object with "d"')
-    d = int(data["d"])
-    if d <= 0:
-        raise ValueError("d must be positive")
+    d = _dimension(data)
     c = np.zeros((d, d, d))
     seen = {}
     for row in data.get("c", []):
@@ -227,9 +234,7 @@ def poisson_to_dict(poly: PolyPoisson) -> dict:
 def poisson_from_dict(data: dict) -> PolyPoisson:
     if not isinstance(data, dict) or "d" not in data:
         raise ValueError('bivector JSON must be an object with "d"')
-    d = int(data["d"])
-    if d <= 0:
-        raise ValueError("d must be positive")
+    d = _dimension(data)
     entries = {}
     for ent in data.get("entries", []):
         i, j = int(ent["i"]), int(ent["j"])
@@ -261,14 +266,11 @@ def load_poisson(path) -> PolyPoisson:
 def reports_to_dict(reports, config=None, extra=None) -> dict:
     from .verify import bracket_sign
 
-    flat = []
-    for r in reports:
-        flat.extend(r if isinstance(r, (list, tuple)) else [r])
-    passed = all(r.passed for r in flat)
+    passed = all(r.passed for r in reports)
     out = {"config": config or {}, "bracket_sign": bracket_sign()}
     if extra:
         out.update(extra)
-    out["reports"] = [r.to_json_dict() for r in flat]
+    out["reports"] = [r.to_json_dict() for r in reports]
     out["passed"] = passed
     out["exit_code"] = 0 if passed else 1
     return out

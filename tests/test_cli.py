@@ -259,6 +259,20 @@ def test_oversized_builtin_dimension_exits_two(monkeypatch, argv):
     assert _exit_code(argv) == 2
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--builtin", "lie", "--lie", "{file}"], '{"d": 100000, "c": []}'),
+    (["verify", "--builtin", "kontsevich", "--alpha", "{file}"], '{"d": 100000, "entries": []}'),
+    (["verify", "--monoid", "{file}"], '{"d": 100000, "terms": []}'),
+    (["verify", "--monoid", "{file}"], '{"m": 130, "n": 65, "terms": []}'),
+], ids=["structure", "bivector", "genfun-d", "genfun-m-n"])
+def test_oversized_json_dimension_exits_two(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([a.replace("{file}", str(path)) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_morphism_positive_and_negative(tmp_path):
     from symgf import PolyMap, cotangent_lift
     # shear preserves the standard area form; diag(2,1) does not

@@ -8,7 +8,7 @@ from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import _phase_condition, _residual_and_jac, _solve
+from symgf.compose import _damped_newton, _phase_condition, _residual_and_jac, _solve
 from symgf.genfun import GenFun
 from symgf.maps import InverseMap
 
@@ -326,6 +326,46 @@ def test_line_search_floor_ends_the_direct_solve():
     assert G.calls == 1 + 21  # iterate 0, then lam = 1, 1/2, ..., 2**-20
 
 
+def _toy_system(kinds):
+    """Scalar systems, one per row: 0 is z - 1, 1 is z - 1 with an infinite
+    derivative, 2 is z**3 - 1 and 3 is z - 1 with the derivative's sign flipped."""
+
+    def system(rows, Z):
+        k = kinds[rows][:, None]
+        r = np.where(k == 2, Z ** 3 - 1.0, Z - 1.0)
+        d = np.select([k == 1, k == 2, k == 3], [np.inf, 3.0 * Z ** 2, -1.0], 1.0)
+        return r, d[:, :, None], ()
+
+    return system
+
+
+def test_stacked_newton_keeps_mixed_outcomes_to_their_rows():
+    # one stack that converges, is degenerate, runs out of iterations and
+    # hits the damping floor, row for row as if each were solved alone
+    kinds = np.array([0, 1, 2, 3])
+    Z0 = np.array([[2.0], [2.0], [30.0], [2.0]])
+    opts = NewtonOptions(max_iter=5)
+
+    def solve(rows):
+        return _damped_newton(_toy_system(kinds[rows]), Z0[rows], opts, "toy",
+                              lambda i: f"at kind {kinds[rows][i]}", np.linalg.cond)
+
+    sol = solve(np.arange(4))
+    assert [type(e) for e in sol.errors] == [type(None), DegeneracyError,
+                                             ConvergenceError, ConvergenceError]
+    assert "did not reach tol" in str(sol.errors[2])
+    assert "no descent step" in str(sol.errors[3])
+    assert list(sol.iterations) == [1, 0, 5, 0]
+    for b in range(4):
+        one = solve(np.array([b]))
+        assert np.array_equal(sol.Z[b], one.Z[0])
+        assert sol.iterations[b] == one.iterations[0]
+        assert sol.residuals[b] == one.residuals[0]
+        assert sol.conditions[b] == one.conditions[0]
+        assert type(sol.errors[b]) is type(one.errors[0])
+        assert str(sol.errors[b]) == str(one.errors[0])
+
+
 def test_operands_are_evaluated_once_per_newton_iterate(monkeypatch):
     # the anchor's F jet serves iterate 0 and the accepted iterate's jets
     # serve orders 0-2 of the composite; only order 3 evaluates them again
@@ -397,14 +437,6 @@ def test_nonconvergence_raises_with_tiny_budget():
     # the same problem is fine with the default budget
     sp = stationary_point(F, G, p1, x3)
     assert sp.residual < 1e-12 and sp.iterations <= 6
-
-
-def test_branch_check_passes_on_well_behaved_problem():
-    F = _cubicish(71, 2, 2)
-    G = _cubicish(72, 2, 2)
-    sp = stationary_point(F, G, np.array([0.1, 0.05]), np.array([0.2, -0.1]),
-                          check_branch=True)
-    assert sp.residual < 1e-12
 
 
 def test_dimension_mismatch_rejected():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symgf import LieStructure, PolyPoisson, lie_monoid, symplectic_monoid
-from symgf.serialize import (dump, dumps, format_float, genfun_from_dict,
+from symgf.serialize import (MAX_DIM, dump, dumps, format_float, genfun_from_dict,
                              genfun_to_dict, load_genfun, load_poisson,
                              load_structure, poisson_from_dict, poisson_to_dict,
                              structure_from_dict, structure_to_dict)
@@ -68,6 +68,18 @@ def test_genfun_bad_input_raises():
     with pytest.raises(ValueError):
         genfun_from_dict({"d": 2, "terms": [{"coeff": 1.0, "p1": [1, -1],
                                              "p2": [0, 0], "x": [0, 0]}]})
+
+
+def test_json_dimensions_are_bounded_by_max_dim():
+    # the largest accepted documents load; one more dimension is rejected
+    assert poisson_from_dict({"d": MAX_DIM}).d == MAX_DIM
+    assert genfun_from_dict({"d": MAX_DIM}).n == MAX_DIM
+    assert genfun_from_dict({"m": 2 * MAX_DIM, "n": MAX_DIM}).m == 2 * MAX_DIM
+    for from_dict in (structure_from_dict, poisson_from_dict, genfun_from_dict):
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_DIM}"):
+            from_dict({"d": MAX_DIM + 1})
+    with pytest.raises(ValueError, match=f"m \\+ n <= {3 * MAX_DIM}"):
+        genfun_from_dict({"m": 2 * MAX_DIM + 1, "n": MAX_DIM})
 
 
 def test_structure_round_trip_and_completion():
