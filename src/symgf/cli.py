@@ -46,33 +46,32 @@ DEFAULT_TOLS = {
 }
 
 
+# Built-in Lie algebras, by the name that --lie, --alpha and builtin:lie:NAME take.
+STRUCTURES = {"so3": LieStructure.so3, "heisenberg": LieStructure.heisenberg}
+
+# The arguments of verify and poisson that their reports' config records.
+MONOID_CONFIG = ("builtin", "monoid", "d", "lie", "trunc", "alpha", "eps", "order",
+                 "grid_n", "p_radius", "x_box", "seed")
+
+
 # --------------------------------------------------------------------------
 # Input construction
 # --------------------------------------------------------------------------
 
 def _structure(name: str) -> LieStructure:
-    if name == "so3":
-        return LieStructure.so3()
-    if name == "heisenberg":
-        return LieStructure.heisenberg()
-    return serialize.load_structure(name)
+    return STRUCTURES[name]() if name in STRUCTURES else serialize.load_structure(name)
 
 
 def _bivector(name: str) -> PolyPoisson:
-    if name in ("so3", "heisenberg"):
-        return PolyPoisson.linear_from_structure(_structure(name))
-    return serialize.load_poisson(name)
+    return (PolyPoisson.linear_from_structure(STRUCTURES[name]()) if name in STRUCTURES
+            else serialize.load_poisson(name))
 
 
 def build_monoid(args) -> GenFun:
-    """Monoid selection shared by verify/poisson: --monoid PATH or --builtin."""
-    if getattr(args, "monoid", None):
-        S = serialize.load_genfun(args.monoid)
-        if S.m != 2 * S.n:
-            raise UserInputError(
-                f"{args.monoid}: monoid genfun needs m = 2n, got m={S.m}, n={S.n}")
-        return S
-    b = getattr(args, "builtin", None)
+    """Monoid selection shared by verify/poisson: --monoid or --builtin."""
+    if args.monoid:
+        return parse_genfun_source(args.monoid, "--monoid")
+    b = args.builtin
     if b is None:
         raise UserInputError("choose a monoid with --builtin or --monoid")
     if b == "symplectic":
@@ -81,37 +80,43 @@ def build_monoid(args) -> GenFun:
         return abelian_monoid(args.d)
     if b == "lie":
         return lie_monoid(_structure(args.lie), trunc=args.trunc)
-    if b == "kontsevich":
-        if args.alpha is None:
-            raise UserInputError("--builtin kontsevich needs --alpha (name or JSON path)")
-        weights = None
-        if args.weights is not None:
-            weights = tuple(_parse_floats(args.weights, "--weights", 2))
-        return kontsevich_monoid(_bivector(args.alpha), eps=args.eps,
-                                 order=args.order, weights=weights)
-    raise UserInputError(f"unknown builtin monoid {b!r}")
+    # argparse's choices leave kontsevich
+    if args.alpha is None:
+        raise UserInputError("--builtin kontsevich needs --alpha (name or JSON path)")
+    weights = None
+    if args.weights is not None:
+        weights = tuple(_parse_floats(args.weights, "--weights", 2))
+    return kontsevich_monoid(_bivector(args.alpha), eps=args.eps,
+                             order=args.order, weights=weights)
 
 
-def parse_genfun_source(token: str) -> GenFun:
-    """A genfun argument: a JSON path or a builtin:kind[:arg[:arg]] token."""
+def parse_genfun_source(token: str, flag: str | None = None) -> GenFun:
+    """A genfun argument: a JSON path or a builtin:kind[:arg[:arg]] token.
+
+    ``flag`` names an argument that takes a monoid; its genfun must have
+    m = 2n.
+    """
     if not token.startswith("builtin:"):
-        return serialize.load_genfun(token)
-    parts = token.split(":")[1:]
-    kind = parts[0] if parts else ""
-    rest = parts[1:]
-    builders = {"identity": identity_genfun, "abelian": abelian_monoid,
-                "symplectic": symplectic_monoid}
-    try:
-        if kind in builders:
-            return builders[kind](_dimension(rest[0] if rest else "2"))
-        if kind == "lie":
-            if not rest:
+        S = serialize.load_genfun(token)
+    else:
+        kind, *rest = token.split(":")[1:]
+        builders = {"identity": identity_genfun, "abelian": abelian_monoid,
+                    "symplectic": symplectic_monoid}
+        try:
+            if kind in builders:
+                S = builders[kind](_dimension(rest[0] if rest else "2"))
+            elif kind != "lie":
+                raise UserInputError(f"unknown builtin token {token!r}")
+            elif not rest:
                 raise UserInputError("builtin:lie needs a structure name, e.g. builtin:lie:so3")
-            trunc = int(rest[1]) if len(rest) > 1 else 4
-            return lie_monoid(_structure(rest[0]), trunc=trunc)
-    except (ValueError, IndexError, argparse.ArgumentTypeError) as exc:
-        raise UserInputError(f"bad builtin token {token!r}: {exc}") from exc
-    raise UserInputError(f"unknown builtin token {token!r}")
+            else:
+                S = lie_monoid(_structure(rest[0]), trunc=int(rest[1]) if len(rest) > 1 else 4)
+        except (ValueError, IndexError, argparse.ArgumentTypeError) as exc:
+            raise UserInputError(f"bad builtin token {token!r}: {exc}") from exc
+    if flag and S.m != 2 * S.n:
+        raise UserInputError(
+            f"{flag} {token}: expected a monoid genfun (m = 2n), got m={S.m}, n={S.n}")
+    return S
 
 
 def _parse_floats(text, what, expect=None):
@@ -145,34 +150,28 @@ def _parse_tols(pairs):
     return tols
 
 
-def _newton_options(args) -> NewtonOptions:
-    if getattr(args, "newton_tol", None) is None:
-        return DEFAULT_NEWTON
-    return NewtonOptions(tol=args.newton_tol)
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 def _config_dict(args, keys):
-    out = {"command": args.command}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
+    given = vars(args)
+    return {"command": args.command, **{k: given[k] for k in keys if given[k] is not None}}
 
 
-def _finish(reports, args, config, extra=None) -> int:
+def _write_report(args, doc):
+    if args.out:
+        serialize.dump(doc, args.out)
+        print(f"report written to {args.out}")
+
+
+def _finish(reports, args, config_keys, extra=None) -> int:
     for r in reports:
         print(r.summary_line())
     passed = all(r.passed for r in reports)
     print("overall:", "pass" if passed else "FAIL")
-    if args.out:
-        doc = serialize.reports_to_dict(reports, config=config, extra=extra)
-        serialize.dump(doc, args.out)
-        print(f"report written to {args.out}")
+    config = {**_config_dict(args, config_keys), "tol": {r.axiom: r.tol for r in reports}}
+    _write_report(args, serialize.reports_to_dict(reports, config=config, extra=extra))
     return 0 if passed else 1
 
 
@@ -186,7 +185,6 @@ def cmd_verify(args) -> int:
     S = build_monoid(args)
     _warn_beyond_domain(args, S)
     tols = _parse_tols(args.tol)
-    opts = _newton_options(args)
     d, n, seed = S.n, args.grid_n, args.seed
     ps = sample_ball(n, d, args.p_radius, seed)
     xs = sample_box(n, d, -args.x_box, args.x_box, seed + 1)
@@ -195,20 +193,17 @@ def cmd_verify(args) -> int:
     jxs = sample_box(n, d, -args.x_box, args.x_box, seed + 4)
 
     reports = [check_unit(S, ps, xs, tols["unit"])]
-    reports.append(check_associativity(S, p3s, axs, tols["associativity"], opts))
+    reports.append(check_associativity(S, p3s, axs, tols["associativity"],
+                                       NewtonOptions(tol=args.newton_tol)))
     reports.extend(check_groupoid(S, ps, xs, tols))
     reports.append(check_jacobi(S, jxs, tols["jacobi"]))
 
-    config = _config_dict(args, ("builtin", "monoid", "d", "lie", "trunc", "alpha",
-                                 "eps", "order", "grid_n", "p_radius", "x_box", "seed"))
-    config["tol"] = {k: tols[k] for k in DEFAULT_TOLS if k not in ("morphism", "poisson-map")}
-    extra = {}
     fit = getattr(S, "order2_fit", None)
-    if fit is not None:
-        extra["order2_gate"] = {"c1": fit.c1, "c2": fit.c2, "floor": fit.floor,
-                                "n_rows": fit.n_rows, "passed": fit.passed}
+    extra = None if fit is None else {"order2_gate": {
+        "c1": fit.c1, "c2": fit.c2, "floor": fit.floor, "n_rows": fit.n_rows,
+        "passed": fit.passed}}
     print(f"monoid: {S.label}  (d={S.n})")
-    return _finish(reports, args, config, extra or None)
+    return _finish(reports, args, MONOID_CONFIG, extra)
 
 
 def cmd_poisson(args) -> int:
@@ -239,12 +234,8 @@ def cmd_poisson(args) -> int:
     print(f"source/target at p = {np.array2string(ps[0], precision=6)}, x above:")
     print("  s =", np.array2string(src[0], precision=6))
     print("  t =", np.array2string(tgt[0], precision=6))
-    if args.out:
-        config = _config_dict(args, ("builtin", "monoid", "d", "lie", "trunc", "alpha",
-                                     "eps", "order", "grid_n", "p_radius", "x_box", "seed"))
-        doc = {"config": config, "alpha": alpha_rows, "source_target": st_rows}
-        serialize.dump(doc, args.out)
-        print(f"report written to {args.out}")
+    _write_report(args, {"config": _config_dict(args, MONOID_CONFIG), "alpha": alpha_rows,
+                         "source_target": st_rows})
     return 0
 
 
@@ -254,7 +245,7 @@ def cmd_compose(args) -> int:
     if F.m != G.n:
         raise UserInputError(
             f"cannot compose: F has m={F.m} but G has n={G.n} (need F.m == G.n)")
-    C = compose(F, G, _newton_options(args))
+    C = compose(F, G, NewtonOptions(tol=args.newton_tol))
     points = []
     if args.points:
         data = serialize.load(args.points)
@@ -298,40 +289,31 @@ def cmd_compose(args) -> int:
         print(f"  grad_p  = {np.array2string(j.grad[:C.m], precision=8)}")
         print(f"  grad_x  = {np.array2string(j.grad[C.m:], precision=8)}")
         print(f"  newton: {sp.iterations} iterations, residual {sp.residual:.3e}")
-    if args.out:
-        doc = {"config": {"command": "compose", "f": args.f, "g": args.g},
-               "points": rows}
-        serialize.dump(doc, args.out)
-        print(f"report written to {args.out}")
+    _write_report(args, {"config": _config_dict(args, ("f", "g")), "points": rows})
     return 0
 
 
 def cmd_morphism(args) -> int:
     F = parse_genfun_source(args.f)
-    S_M = parse_genfun_source(args.dom)
-    S_N = parse_genfun_source(args.cod)
-    for name, S in (("--dom", S_M), ("--cod", S_N)):
-        if S.m != 2 * S.n:
-            raise UserInputError(f"{name}: expected a monoid genfun (m = 2n)")
+    S_M = parse_genfun_source(args.dom, "--dom")
+    S_N = parse_genfun_source(args.cod, "--cod")
     d_M, d_N = S_M.n, S_N.n
     if F.m != d_M or F.n != d_N:
         raise UserInputError(
             f"morphism genfun must have m={d_M}, n={d_N}; got m={F.m}, n={F.n}")
     _warn_beyond_domain(args, S_M)
     tols = _parse_tols(args.tol)
-    opts = _newton_options(args)
     n, seed = args.grid_n, args.seed
     ps = sample_ball(n, 2 * d_M, args.p_radius, seed)
     xs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 1)
     pxs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 2)
 
-    reports = [check_morphism(F, S_M, S_N, ps, xs, tols["morphism"], opts),
+    reports = [check_morphism(F, S_M, S_N, ps, xs, tols["morphism"],
+                              NewtonOptions(tol=args.newton_tol)),
                check_poisson_map(base_map(F), poisson_bivector(S_N),
                                  poisson_bivector(S_M), pxs, tols["poisson-map"])]
-    config = _config_dict(args, ("f", "dom", "cod", "grid_n", "p_radius", "x_box", "seed"))
-    config["tol"] = {k: tols[k] for k in ("morphism", "poisson-map")}
     print(f"morphism candidate: {F.label or args.f}  ({S_M.label} -> {S_N.label})")
-    return _finish(reports, args, config)
+    return _finish(reports, args, ("f", "dom", "cod", "grid_n", "p_radius", "x_box", "seed"))
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +352,7 @@ def _dimension(text) -> int:
 def _add_monoid_flags(sp):
     sp.add_argument("--builtin", choices=("symplectic", "lie", "kontsevich", "identity"),
                     help="built-in monoid family")
-    sp.add_argument("--monoid", help="path to a monoid genfun JSON")
+    sp.add_argument("--monoid", help="monoid genfun: JSON path or builtin:TOKEN")
     sp.add_argument("--d", type=_dimension, default=2, help="dimension for symplectic/identity")
     sp.add_argument("--lie", default="so3",
                     help="structure constants: so3, heisenberg, or a JSON path")
@@ -396,8 +378,8 @@ def _add_grid_flags(sp):
 def _add_common(sp):
     sp.add_argument("--tol", action="append", metavar="AXIOM=VAL",
                     help="override a tolerance (repeatable)")
-    sp.add_argument("--newton-tol", type=_positive, default=None, dest="newton_tol",
-                    help="stationary-point solver tolerance")
+    sp.add_argument("--newton-tol", type=_positive, default=DEFAULT_NEWTON.tol,
+                    dest="newton_tol", help="stationary-point solver tolerance")
     sp.add_argument("--out", help="write a JSON report here")
 
 
@@ -427,7 +409,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="momentum coordinates, comma-separated")
     sp.add_argument("--x", help="base coordinates, comma-separated")
     sp.add_argument("--points", help="JSON file with a list of {p, x} points")
-    sp.add_argument("--newton-tol", type=_positive, default=None, dest="newton_tol")
+    sp.add_argument("--newton-tol", type=_positive, default=DEFAULT_NEWTON.tol,
+                    dest="newton_tol")
     sp.add_argument("--out", help="write a JSON report here")
     sp.set_defaults(func=cmd_compose)
 

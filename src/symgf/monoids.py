@@ -36,6 +36,16 @@ STRUCTURE_JACOBI_TOL = 1e-12
 ORDER2_GATE_FLOOR = 1e-8
 
 
+def _jacobi_residual(c) -> float:
+    """max |c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj| over l, i, j, k,
+    one upper index l at a time, so no temporary exceeds (d, d, d)."""
+    worst = [0.0]
+    for cl in c:
+        t = np.tensordot(c, cl, axes=(0, 0))  # t[i, j, k] = c^m_ij c^l_mk
+        worst.append(np.abs(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)).max())
+    return float(np.max(worst))
+
+
 # --------------------------------------------------------------------------
 # Lie structures and matrix representations
 # --------------------------------------------------------------------------
@@ -55,10 +65,7 @@ class LieStructure:
             raise ValueError(f"structure constants must have shape (d,d,d)={self.d}")
         if not np.array_equal(self.c, -self.c.transpose(0, 2, 1)):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
-        jac = (np.einsum("mij,lmk->lijk", self.c, self.c)
-               + np.einsum("mjk,lmi->lijk", self.c, self.c)
-               + np.einsum("mki,lmj->lijk", self.c, self.c))
-        worst = float(np.max(np.abs(jac), initial=0.0))
+        worst = _jacobi_residual(self.c)
         if worst > STRUCTURE_JACOBI_TOL:
             raise ValueError(f"structure constants violate the Jacobi identity (residual {worst:.3e})")
 
@@ -476,11 +483,8 @@ def _expansion(alpha: PolyPoisson, symbols, eps, weights, order) -> PolyGenFun:
     d = alpha.d
     kappa = eps * alpha.coeff_scale()
     radius = np.inf if kappa == 0.0 else 0.5 / kappa
-    gf = PolyGenFun(terms, 2 * d, d, radius,
-                    label=f"kontsevich-d{d}-order{order}-eps{eps:g}")
-    gf.eps = eps
-    gf.expansion_order = order
-    return gf
+    return PolyGenFun(terms, 2 * d, d, radius,
+                      label=f"kontsevich-d{d}-order{order}-eps{eps:g}")
 
 
 def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,

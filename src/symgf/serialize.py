@@ -1,14 +1,16 @@
 """JSON input/output.
 
 Two concerns drive the hand-rolled emitter instead of plain ``json.dump``:
-floats are rendered with 17 significant digits (lossless round-trip) and
-key order is fixed by construction, so a report generated from the same
-configuration and seed is byte-identical across runs.
+floats are rendered as their ``repr``, the shortest string that round-trips
+exactly, and key order is fixed by construction, so a report generated from
+the same configuration and seed is byte-identical across runs.  Integer
+fields of an input must be JSON integers: ``true`` or ``2.0`` is rejected.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -115,10 +117,17 @@ def genfun_to_dict(gf: PolyGenFun) -> dict:
     return {"m": gf.m, "n": gf.n, "terms": out_terms}
 
 
+def _integer(v, what) -> int:
+    # bool is an int, and int() would truncate a float such as 1.7
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _int_tuple(seq, what, length=None):
     try:
-        out = tuple(int(v) for v in seq)
-    except (TypeError, ValueError) as exc:
+        out = tuple(_integer(v, f"each entry of {what}") for v in seq)
+    except TypeError as exc:
         raise ValueError(f"{what} must be a list of integers") from exc
     if any(v < 0 for v in out):
         raise ValueError(f"{what} must be non-negative integers")
@@ -129,7 +138,7 @@ def _int_tuple(seq, what, length=None):
 
 def _dimension(data: dict) -> int:
     """The ``"d"`` of a document, from 1 to :data:`MAX_DIM`."""
-    d = int(data["d"])
+    d = _integer(data["d"], "d")
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"d must be between 1 and {MAX_DIM}, got {d}")
     return d
@@ -150,7 +159,7 @@ def genfun_from_dict(data: dict, label="") -> PolyGenFun:
             key = (pe, xe)
             terms[key] = terms.get(key, 0.0) + float(t["coeff"])
     elif "m" in data and "n" in data:
-        m, n = int(data["m"]), int(data["n"])
+        m, n = _integer(data["m"], "m"), _integer(data["n"], "n")
         if m < 0 or n <= 0 or m + n > 3 * MAX_DIM:
             raise ValueError(f"need m >= 0, n >= 1 and m + n <= {3 * MAX_DIM}")
         terms = {}
@@ -202,7 +211,7 @@ def structure_from_dict(data: dict) -> LieStructure:
     for row in data.get("c", []):
         if len(row) != 4:
             raise ValueError("each structure row must be [i, j, k, value]")
-        i, j, k = (int(v) for v in row[:3])
+        i, j, k = (_integer(v, "a structure index") for v in row[:3])
         v = float(row[3])
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise ValueError(f"structure indices out of range in row {row}")
@@ -237,7 +246,7 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
     d = _dimension(data)
     entries = {}
     for ent in data.get("entries", []):
-        i, j = int(ent["i"]), int(ent["j"])
+        i, j = _integer(ent["i"], "i"), _integer(ent["j"], "j")
         if not (0 <= i < d and 0 <= j < d):
             raise ValueError(f"entry indices ({i}, {j}) out of range for d={d}")
         if i == j:

@@ -168,6 +168,67 @@ def test_non_monoid_input_rejected(tmp_path):
     assert main(["verify", "--monoid", str(path)]) == 2
 
 
+@pytest.mark.parametrize("token, builtin", [
+    ("builtin:symplectic:2", ["--builtin", "symplectic", "--d", "2"]),
+    ("builtin:lie:so3:4", ["--builtin", "lie", "--lie", "so3", "--trunc", "4"]),
+], ids=["symplectic", "lie"])
+@pytest.mark.parametrize("command, sections", [
+    ("verify", ("reports",)), ("poisson", ("alpha", "source_target")),
+], ids=["verify", "poisson"])
+def test_monoid_flag_takes_builtin_tokens(tmp_path, token, builtin, command, sections):
+    # the README promises --monoid the tokens --f/--g/--dom/--cod take
+    tols = [f"--tol={axiom}=1e-6" for axiom in ("associativity", *GROUPOID_AXIOMS)]
+    docs = []
+    for i, argv in enumerate((["--monoid", token], builtin)):
+        out = tmp_path / f"{i}.json"
+        assert main([command, *argv, "--grid-n", "4", "--p-radius", "0.05", "--out", str(out),
+                     *(tols if command == "verify" else [])]) == 0
+        docs.append(json.loads(out.read_text()))
+    for key in sections:
+        assert docs[0][key] == docs[1][key]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--monoid", "builtin:identity:2"],
+    ["poisson", "--monoid", "builtin:identity:2"],
+    ["morphism", "--f", str(DATA / "lift_shear_d2.json"), "--dom", "builtin:identity:2",
+     "--cod", "builtin:symplectic:2"],
+    ["morphism", "--f", str(DATA / "lift_shear_d2.json"), "--dom", "builtin:symplectic:2",
+     "--cod", "builtin:identity:2"],
+], ids=["verify", "poisson", "dom", "cod"])
+def test_a_genfun_that_is_not_a_monoid_exits_two_with_one_message(argv, capsys):
+    # builtin:identity is the identity morphism (m = n), not a monoid
+    assert main(argv + ["--grid-n", "4"]) == 2
+    flag = argv[argv.index("builtin:identity:2") - 1]
+    assert capsys.readouterr().err == (
+        f"error: {flag} builtin:identity:2: expected a monoid genfun (m = 2n), got m=2, n=2\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--monoid", "{file}"], '{"d": 2.7, "terms": []}'),
+    (["verify", "--monoid", "{file}"], '{"d": true, "terms": []}'),
+    # an integral float is not an integer either
+    (["verify", "--monoid", "{file}"], '{"d": 2.0, "terms": []}'),
+    (["verify", "--monoid", "{file}"],
+     '{"d": 2, "terms": [{"coeff": 1.0, "p1": [1.7, 0], "p2": [1, 0], "x": [0, 0]}]}'),
+    (["compose", "--f", "{file}", "--g", "builtin:identity:1", "--p", "0", "--x", "0"],
+     '{"m": 1, "n": 1, "terms": [{"coeff": 1.0, "p": [1], "x": [true]}]}'),
+    (["compose", "--f", "{file}", "--g", "builtin:identity:1", "--p", "0", "--x", "0"],
+     '{"m": 1, "n": "1", "terms": []}'),
+    (["verify", "--builtin", "lie", "--lie", "{file}"], '{"d": 3, "c": [[0.9, 1.2, 2.5, 1.0]]}'),
+    (["verify", "--builtin", "kontsevich", "--alpha", "{file}"],
+     '{"d": 2, "entries": [{"i": 0.4, "j": 1.9, "terms": [{"coeff": 1.0, "x": [0, 0]}]}]}'),
+], ids=["d-float", "d-bool", "d-integral-float", "exponent", "m-n-exponent", "n-string",
+        "structure-index", "bivector-index"])
+def test_non_integer_json_integer_field_exits_two(tmp_path, capsys, argv, text):
+    # int() would read 2.7 as 2, 1.7 as 1 and true as 1
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([a.replace("{file}", str(path)) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be an integer" in err[0], err
+
+
 def test_poisson_at_point(tmp_path, capsys):
     out = tmp_path / "poisson.json"
     code = main(["poisson", "--builtin", "lie", "--lie", "so3", "--at-x", "0,0,1",

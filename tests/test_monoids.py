@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                    builtin_rep, fit_tree_weights, group_law_poly_eval, group_log,
                    kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
-from symgf.monoids import (_expansion, _fit_instances, _fit_rows, _richardson_leading,
-                           _symbols)
+from symgf.monoids import (_expansion, _fit_instances, _fit_rows, _jacobi_residual,
+                           _richardson_leading, _symbols)
 
 
 # -- structure constants and representations -------------------------------
@@ -36,6 +37,42 @@ def test_jacobi_violation_rejected():
         c[k, j, i] = -1.0
     with pytest.raises(ValueError):
         LieStructure(3, c, name="non-jacobi")
+
+
+def _random_antisymmetric(d, seed):
+    a = np.random.default_rng(seed).standard_normal((d, d, d))
+    return a - a.transpose(0, 2, 1)
+
+
+def _jacobi_reference(c):
+    # the cyclic sum as one (d, d, d, d) array
+    jac = (np.einsum("mij,lmk->lijk", c, c) + np.einsum("mjk,lmi->lijk", c, c)
+           + np.einsum("mki,lmj->lijk", c, c))
+    return float(np.max(np.abs(jac), initial=0.0))
+
+
+@pytest.mark.parametrize("c, lie", [(LieStructure.so3().c, True),
+                                     (LieStructure.heisenberg().c, True),
+                                     (_random_antisymmetric(5, seed=7), False)],
+                         ids=["so3", "heisenberg", "random"])
+def test_jacobi_residual_matches_the_four_index_sum(c, lie):
+    want = _jacobi_reference(c)
+    assert (want == 0.0) == lie
+    assert _jacobi_residual(c) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_jacobi_check_memory_at_the_dimension_bound():
+    # one (64, 64, 64, 64) array of the Jacobi sum alone is 134 MB; one
+    # upper index at a time peaks near 6 MB
+    c = _random_antisymmetric(64, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="violate the Jacobi identity"):
+            LieStructure(64, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_reps_reproduce_brackets():
