@@ -10,24 +10,22 @@ import argparse
 
 import numpy as np
 
-from symgf import (LieStructure, check_associativity, lie_monoid, sample_ball,
-                   sample_box)
+from symgf import check_associativity, lie_monoid, sample_ball, sample_box
+from symgf.cli import STRUCTURES
 from symgf.serialize import load_structure
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--lie", default="so3", help="so3, heisenberg, or a JSON path")
+    ap.add_argument("--lie", default="so3",
+                    help=f"{', '.join(STRUCTURES)}, or a JSON path")
     ap.add_argument("--radius", type=float, default=0.1)
     ap.add_argument("--n", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--truncs", default="1,2,3,4")
     args = ap.parse_args()
 
-    if args.lie in ("so3", "heisenberg"):
-        st = getattr(LieStructure, args.lie)()
-    else:
-        st = load_structure(args.lie)
+    st = STRUCTURES[args.lie]() if args.lie in STRUCTURES else load_structure(args.lie)
     d = st.d
     xs = sample_box(args.n, d, -1.0, 1.0, args.seed + 1)
 

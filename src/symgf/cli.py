@@ -334,11 +334,15 @@ def _positive(text) -> float:
     return v
 
 
-def _count(text) -> int:
+def _count(text, least=1) -> int:
     v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if v < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return v
+
+
+def _seed(text) -> int:
+    return _count(text, 0)
 
 
 def _dimension(text) -> int:
@@ -372,7 +376,7 @@ def _add_grid_flags(sp):
                     help="momentum ball radius")
     sp.add_argument("--x-box", type=_positive, default=1.0, dest="x_box",
                     help="base-point box half-width")
-    sp.add_argument("--seed", type=int, default=0, help="grid scramble seed")
+    sp.add_argument("--seed", type=_seed, default=0, help="grid scramble seed")
 
 
 def _add_common(sp):
@@ -431,6 +435,10 @@ def main(argv=None) -> int:
     except NormalizationError as exc:
         print(f"error: input genfun violates normalization: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but the numerics broke down, not the input
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
+        return 1
     except (UserInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,14 @@
 
 Verification sweeps sample momenta in a ball and base points in a box.  A
 hand-rolled scrambled Halton sequence keeps runs byte-reproducible: the
-scramble is a per-base digit permutation drawn from ``numpy``'s seeded
-generator, with 0 fixed so the radical inverse stays well defined.
+scramble is a per-base digit permutation, with 0 fixed so the radical
+inverse stays well defined.  It is drawn from symgf's own PCG64 stream
+(O'Neill 2014) and equals NumPy's ``default_rng(seed).permutation`` bit for
+bit, so grids depend on no version of NumPy's ``Generator``.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -13,13 +17,66 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
            67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
            139, 149, 151, 157, 163, 167, 173)
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h, mult):
+    """``SeedSequence``'s word hash, whose multiplier steps on every call."""
+    def hashmix(v):
+        nonlocal h
+        v, h = v ^ h, h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _seed_words(seed) -> list:
+    """``SeedSequence(seed).generate_state(8)``: the seed's 32-bit words, low
+    first, hashed into a pool of 4 and cross-mixed, then 8 words drawn from it."""
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    # each pool word, then each further seed word, into every other pool word
+    for src in range(max(4, len(words))):
+        for dst in range(4):
+            if src != dst:
+                y = hashmix(pool[src] if src < 4 else words[src])
+                r = (0xCA01F9DD * pool[dst] - 0x4973F715 * y) & _M32
+                pool[dst] = r ^ r >> 16
+    return list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+
+
+def _pcg64_uint32(w):
+    """``next_uint32`` of ``PCG64`` seeded with the words ``w``: each 64-bit
+    XSL-RR output serves two draws, low half first."""
+    s0, s1, i0, i1 = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _M128
+    while True:
+        state = state * _PCG_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        yield x & _M32
+        yield x >> 32
+
 
 def _digit_permutations(dims, seed):
-    rng = np.random.default_rng(seed)
+    """Per base b, 0 then 1 + ``Generator.permutation(b - 1)``: Fisher-Yates
+    from the top, each index drawn by masked rejection (``random_interval``)."""
+    draw = _pcg64_uint32(_seed_words(seed)).__next__
     perms = []
     for b in _PRIMES[:dims]:
-        perm = np.concatenate([[0], 1 + rng.permutation(b - 1)])
-        perms.append(perm)
+        perm = list(range(1, b))
+        for i in range(b - 2, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := draw() & mask) > i:
+                pass
+            perm[i], perm[j] = perm[j], perm[i]
+        perms.append(np.array([0] + perm, dtype=np.int64))
     return perms
 
 

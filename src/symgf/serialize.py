@@ -3,8 +3,8 @@
 Two concerns drive the hand-rolled emitter instead of plain ``json.dump``:
 floats are rendered as their ``repr``, the shortest string that round-trips
 exactly, and key order is fixed by construction, so a report generated from
-the same configuration and seed is byte-identical across runs.  Integer
-fields of an input must be JSON integers: ``true`` or ``2.0`` is rejected.
+the same configuration and seed is byte-identical across runs.  Input fields
+must have their JSON type: ``true`` or ``2.0`` is no integer, ``"0.5"`` no number.
 """
 from __future__ import annotations
 
@@ -124,6 +124,13 @@ def _integer(v, what) -> int:
     return int(v)
 
 
+def _number(v, what) -> float:
+    # float() would read "0.5" as 0.5 and true as 1.0
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
 def _int_tuple(seq, what, length=None):
     try:
         out = tuple(_integer(v, f"each entry of {what}") for v in seq)
@@ -151,23 +158,19 @@ def genfun_from_dict(data: dict, label="") -> PolyGenFun:
         raise ValueError("generating function JSON must be an object")
     if "d" in data:
         d = _dimension(data)
-        m, n = 2 * d, d
-        terms = {}
-        for t in data.get("terms", []):
-            pe = _int_tuple(t["p1"], "p1", d) + _int_tuple(t["p2"], "p2", d)
-            xe = _int_tuple(t["x"], "x", d)
-            key = (pe, xe)
-            terms[key] = terms.get(key, 0.0) + float(t["coeff"])
+        m, n, momenta = 2 * d, d, (("p1", d), ("p2", d))
     elif "m" in data and "n" in data:
         m, n = _integer(data["m"], "m"), _integer(data["n"], "n")
         if m < 0 or n <= 0 or m + n > 3 * MAX_DIM:
             raise ValueError(f"need m >= 0, n >= 1 and m + n <= {3 * MAX_DIM}")
-        terms = {}
-        for t in data.get("terms", []):
-            key = (_int_tuple(t["p"], "p", m), _int_tuple(t["x"], "x", n))
-            terms[key] = terms.get(key, 0.0) + float(t["coeff"])
+        momenta = (("p", m),)
     else:
         raise ValueError('generating function JSON needs "d" or both "m" and "n"')
+    terms = {}
+    for t in data.get("terms", []):
+        pe = sum((_int_tuple(t[k], k, size) for k, size in momenta), ())
+        key = (pe, _int_tuple(t["x"], "x", n))
+        terms[key] = terms.get(key, 0.0) + _number(t["coeff"], "coeff")
     return poly_genfun(terms, m, n, label=label or data.get("label", ""))
 
 
@@ -212,7 +215,7 @@ def structure_from_dict(data: dict) -> LieStructure:
         if len(row) != 4:
             raise ValueError("each structure row must be [i, j, k, value]")
         i, j, k = (_integer(v, "a structure index") for v in row[:3])
-        v = float(row[3])
+        v = _number(row[3], "a structure value")
         if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
             raise ValueError(f"structure indices out of range in row {row}")
         if i == j:
@@ -254,7 +257,7 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
         xpoly = {}
         for t in ent.get("terms", []):
             e = _int_tuple(t["x"], "x", d)
-            xpoly[e] = xpoly.get(e, 0.0) + float(t["coeff"])
+            xpoly[e] = xpoly.get(e, 0.0) + _number(t["coeff"], "coeff")
         if i > j:  # store upper-triangular with the sign folded in
             i, j = j, i
             xpoly = {e: -c for e, c in xpoly.items()}

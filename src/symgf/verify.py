@@ -102,26 +102,29 @@ class GroupoidMaps:
     def target(self, p, x) -> np.ndarray:
         return self.target_jet(p, x)[0]
 
-    def _jet(self, which, p, x):
+    def _jets(self, p, x, sides):
+        """The jets (value, d/dp, d/dx) of the maps in ``sides`` ("s", "t") at
+        (p, x), from one evaluation of S on their momentum pads stacked."""
         d = self.d
-        p = np.asarray(p, dtype=float)
-        pad = np.zeros(p.shape[:-1] + (2 * d,))
-        if which == "s":
-            pad[..., :d] = p
-            rows, pcols = slice(d, 2 * d), slice(0, d)
-        else:
-            pad[..., d:] = p
-            rows, pcols = slice(0, d), slice(d, 2 * d)
-        j = self.S.eval_jet(pad, x, 2)
-        return j.grad[..., rows], j.hess[..., rows, pcols], j.hess[..., rows, 2 * d:]
+        lead = (len(sides),) + np.shape(p)[:-1]
+        # p sits at column c of each pad; its map reads the momentum half left at 0
+        cs = [d * "st".index(side) for side in sides]
+        pad = np.zeros(lead + (2 * d,))
+        for k, c in enumerate(cs):
+            pad[k, ..., c:c + d] = p
+        x = np.broadcast_to(np.asarray(x, dtype=float), lead + (d,))
+        j = self.S.eval_jet(pad.reshape(-1, 2 * d), x.reshape(-1, d), 2)
+        g, h = (a.reshape(lead + a.shape[1:]) for a in (j.grad, j.hess))
+        return [(g[k, ..., d - c:2 * d - c], h[k, ..., d - c:2 * d - c, c:c + d],
+                 h[k, ..., d - c:2 * d - c, 2 * d:]) for k, c in enumerate(cs)]
 
     def source_jet(self, p, x):
         """(s(p,x), ds/dp, ds/dx)."""
-        return self._jet("s", p, x)
+        return self._jets(p, x, "s")[0]
 
     def target_jet(self, p, x):
         """(t(p,x), dt/dp, dt/dx)."""
-        return self._jet("t", p, x)
+        return self._jets(p, x, "t")[0]
 
 
 def source_target(S: GenFun) -> GroupoidMaps:
@@ -250,8 +253,7 @@ def check_unit(S: GenFun, ps, xs, tol=1e-10) -> VerificationReport:
     def residual(p, x):
         px = np.array([a @ b for a, b in zip(p, x)])
         zero = np.zeros_like(p)
-        left = S.value(np.concatenate([p, zero], axis=1), x)
-        right = S.value(np.concatenate([zero, p], axis=1), x)
+        left, right = np.split(S.value(np.block([[p, zero], [zero, p]]), np.concatenate([x, x])), 2)
         return (np.maximum(np.abs(left - px), np.abs(right - px)),)
 
     return _sweep({"unit": tol}, residual, ps, xs)[0]
@@ -288,15 +290,15 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
     iu, ju = np.triu_indices(S.n, 1)
 
     def residuals(p, x):
-        s, dps, dxs = gm.source_jet(p, x)
-        t, dpt, dxt = gm.target_jet(p, x)
+        (s, dps, dxs), (t, dpt, dxt) = gm._jets(p, x, "st")
+        alpha_s, alpha_t = np.split(fld.matrix(np.concatenate([s, t])), 2)
         # canonical brackets of all component pairs:
         # {f_i, g_j} = (Df_x Dg_p^T - Df_p Dg_x^T)[i, j]
         bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
         btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
         bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
-        return (np.max(np.abs(bss - fld.matrix(s))[:, iu, ju], axis=1, initial=0.0),
-                np.max(np.abs(btt + fld.matrix(t))[:, iu, ju], axis=1, initial=0.0),
+        return (np.max(np.abs(bss - alpha_s)[:, iu, ju], axis=1, initial=0.0),
+                np.max(np.abs(btt + alpha_t)[:, iu, ju], axis=1, initial=0.0),
                 np.max(np.abs(bst), axis=(1, 2), initial=0.0))
 
     return _sweep(tols, residuals, ps, xs)

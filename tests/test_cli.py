@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,6 +228,48 @@ def test_non_integer_json_integer_field_exits_two(tmp_path, capsys, argv, text):
     assert main([a.replace("{file}", str(path)) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "must be an integer" in err[0], err
+
+
+_COEFF_DOCS = [
+    (["verify", "--monoid", "{file}"],
+     '{"d": 1, "terms": [{"coeff": 1, "p1": [1], "p2": [0], "x": [1]}, '
+     '{"coeff": 1, "p1": [0], "p2": [1], "x": [1]}, '
+     '{"coeff": %s, "p1": [1], "p2": [1], "x": [0]}]}'),
+    (["compose", "--f", "{file}", "--g", "builtin:identity:1", "--p", "0", "--x", "0"],
+     '{"m": 1, "n": 1, "terms": [{"coeff": %s, "p": [1], "x": [1]}]}'),
+    (["verify", "--builtin", "lie", "--lie", "{file}"], '{"d": 3, "c": [[0, 1, 2, %s]]}'),
+    (["verify", "--builtin", "kontsevich", "--alpha", "{file}"],
+     '{"d": 2, "entries": [{"i": 0, "j": 1, "terms": [{"coeff": %s, "x": [0, 0]}]}]}'),
+]
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "true", "false", "null"])
+@pytest.mark.parametrize("argv, text", _COEFF_DOCS, ids=["monoid", "general", "structure",
+                                                          "bivector"])
+def test_non_numeric_json_coefficient_exits_two(tmp_path, capsys, argv, text, value):
+    # float() would read "0.5" as 0.5 and true as 1.0; false would drop the term
+    path = tmp_path / "input.json"
+    path.write_text(text % value)
+    assert main([a.replace("{file}", str(path)) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "must be a number" in err[0], err
+
+
+def test_negative_seed_exits_two_naming_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--builtin", "symplectic", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+def test_linear_algebra_failure_exits_one(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, but a numerical breakdown is not malformed input
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "check_unit", singular)
+    assert main(["verify", "--builtin", "symplectic", "--grid-n", "4"]) == 1
+    assert capsys.readouterr().err == "error: linear algebra failed: Singular matrix\n"
 
 
 def test_poisson_at_point(tmp_path, capsys):

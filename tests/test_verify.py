@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -275,3 +276,36 @@ def test_associativity_violation_detected():
     rep = check_associativity(broken, p3s, axs, tol=1e-4)
     assert not rep.passed
     assert rep.max_residual > 1e-4
+
+
+def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch):
+    # the coordinate-changed composite nests three solves per evaluation: stacking
+    # (p, 0) with (0, p), and alpha(s) with alpha(t), halves the solves, and rows
+    # are solved independently, so each residual equals its side-by-side formula
+    g = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    C = change_coordinates(symplectic_monoid(2), Diffeo(g))
+    ps, xs = sample_ball(3, 2, 0.05, 0), sample_box(3, 2, -0.25, 0.25, 1)
+    zero = np.zeros_like(ps)
+    px = np.array([a @ b for a, b in zip(ps, xs)])
+    unit = np.maximum(np.abs(C.value(np.concatenate([ps, zero], axis=1), xs) - px),
+                      np.abs(C.value(np.concatenate([zero, ps], axis=1), xs) - px))
+    gm, fld = GroupoidMaps(C), PoissonField.from_monoid(C)
+    s, dps, dxs = gm.source_jet(ps, xs)
+    t, dpt, dxt = gm.target_jet(ps, xs)
+    bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
+    btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
+    bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
+    groupoid = [np.abs(bss - fld.matrix(s))[:, 0, 1], np.abs(btt + fld.matrix(t))[:, 0, 1],
+                np.max(np.abs(bst), axis=(1, 2))]
+
+    composition = sys.modules["symgf.compose"]
+    solve, calls = composition._solve, []
+    monkeypatch.setattr(composition, "_solve", lambda *a: calls.append(1) or solve(*a))
+    # a negative tolerance fails every point, so the reports list every residual
+    rep = check_unit(C, ps, xs, tol=-1.0)
+    assert len(calls) == 3
+    calls.clear()
+    reps = check_groupoid(C, ps, xs, tol=-1.0)
+    assert len(calls) == 5
+    for r, want in zip([rep, *reps], [unit, *groupoid], strict=True):
+        assert np.array_equal([f["residual"] for f in r.failures], want), r.axiom
