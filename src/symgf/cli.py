@@ -223,7 +223,7 @@ def cmd_poisson(args) -> int:
                    "entries": [[i, j, float(a[i, j])] for i in range(d) for j in range(i + 1, d)]}
                   for x, a in zip(xs, alpha)]
     pxs = xs[:len(ps)]
-    src, tgt = gm.source(ps, pxs), gm.target(ps, pxs)
+    (src, _, _), (tgt, _, _) = gm._jets(ps, pxs, "st")
     st_rows = [{"p": [float(v) for v in p], "x": [float(v) for v in x],
                 "source": [float(v) for v in s], "target": [float(v) for v in t]}
                for p, x, s, t in zip(ps, pxs, src, tgt)]
@@ -253,7 +253,8 @@ def cmd_compose(args) -> int:
             raise UserInputError(f"{args.points}: expected a JSON list of points")
         for row in data:
             try:
-                p, x = (np.array([float(v) for v in row[key]]) for key in ("p", "x"))
+                p, x = (np.array([serialize._number(v, f"each entry of '{key}'") for v in row[key]])
+                        for key in ("p", "x"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UserInputError(
                     f"{args.points}: each point needs number lists 'p' and 'x' ({exc!r})") from exc
@@ -273,22 +274,24 @@ def cmd_compose(args) -> int:
         if p.shape != (C.m,) or x.shape != (C.n,):
             raise UserInputError(
                 f"point has shape ({p.shape[0]}, {x.shape[0]}), need ({C.m}, {C.n})")
-        j = C.eval_jet(p, x, 1)
-        sp = C.stationary(p, x)
+        # the jet and the Newton statistics come from one solve of the point
+        j, sol = C._solve_jet(p[None], x[None], 1)
+        value, grad = float(j.value[0]), j.grad[0]
+        iterations, residual = int(sol.iterations[0]), float(sol.residuals[0])
         rows.append({
             "p": [float(v) for v in p],
             "x": [float(v) for v in x],
-            "value": float(j.value),
-            "grad_p": [float(v) for v in j.grad[:C.m]],
-            "grad_x": [float(v) for v in j.grad[C.m:]],
-            "iterations": sp.iterations,
-            "residual": sp.residual,
+            "value": value,
+            "grad_p": [float(v) for v in grad[:C.m]],
+            "grad_x": [float(v) for v in grad[C.m:]],
+            "iterations": iterations,
+            "residual": residual,
         })
         print(f"p = {np.array2string(p, precision=6)}  x = {np.array2string(x, precision=6)}")
-        print(f"  value   = {j.value:.12g}")
-        print(f"  grad_p  = {np.array2string(j.grad[:C.m], precision=8)}")
-        print(f"  grad_x  = {np.array2string(j.grad[C.m:], precision=8)}")
-        print(f"  newton: {sp.iterations} iterations, residual {sp.residual:.3e}")
+        print(f"  value   = {value:.12g}")
+        print(f"  grad_p  = {np.array2string(grad[:C.m], precision=8)}")
+        print(f"  grad_x  = {np.array2string(grad[C.m:], precision=8)}")
+        print(f"  newton: {iterations} iterations, residual {residual:.3e}")
     _write_report(args, {"config": _config_dict(args, ("f", "g")), "points": rows})
     return 0
 

@@ -15,9 +15,9 @@ pb = 0, xb = grad_p F(0, x3).  For normalized operands the anchor is the
 exact critical point at p1 = 0, where Newton stops before its first step
 and the stationary value is exactly 0: the composite is normalized by
 construction and no constant is subtracted from its values.  Newton
-evaluates the operands once per iterate, at order 2, and the solve returns
-the jets of its accepted iterate: the composite reads value, gradient and
-Hessian off them, and only order 3 evaluates the operands again.  First
+evaluates the operands once per iterate, at order 2, F by rows of one
+evaluator at its fixed base points x3 per stacked solve (``F.at_base``);
+the composite reads orders 0-2 off the accepted iterate's jets.  First
 derivatives of the composite come from the envelope identities
 
     grad_p (F o G) = grad_p G(p1, xb),   grad_x (F o G) = grad_x F(pb, x3),
@@ -84,9 +84,9 @@ class StationaryPoint:
 
 
 def _residual_and_jac(F, G, P1, X3, Z, jF=None):
-    """Residuals ``(B, 2k)``, Jacobians ``(B, 2k, 2k)`` and the order-2
-    operand jets of the critical-point systems at a stack of iterates."""
-    k = F.m
+    """Residuals ``(B, 2k)``, Jacobians ``(B, 2k, 2k)`` and the order-2 operand
+    jets of the critical-point systems at a stack of iterates (F's is ``jF`` if given)."""
+    k = G.n
     if jF is None:
         jF = F.eval_jet(Z[:, :k], X3, 2)
     jG = G.eval_jet(P1, Z[:, k:], 2)
@@ -220,47 +220,53 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     return sol
 
 
-def _newton(F, G, P1, X3, opts, Z=None) -> _Solution:
-    """:func:`_damped_newton` on the critical-point systems at a stack of
-    points ``(P1[i], X3[i])``, from the anchors or from the iterates ``Z``."""
-    jF = None
+def _restrict(Fev, rows):
+    """The evaluator ``Fev`` on the base points ``rows`` (an index array) of its stack."""
+    return lambda r, P, o: Fev(rows[r], P, o)
+
+
+def _newton(Fev, G, P1, X3, opts, Z=None) -> _Solution:
+    """:func:`_damped_newton` on the critical-point systems at a stack of points
+    ``(P1[i], X3[i])``, from the anchors or the iterates ``Z``; ``Fev`` is F at ``X3``."""
+    k, start = G.n, None
     if Z is None:
         # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
-        jF = F.eval_jet(np.zeros((len(P1), F.m)), X3, 2)
-        Z = np.concatenate([np.zeros((len(P1), F.m)), jF.grad[:, :F.m]], axis=1)
+        jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
+        Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
+        start = _residual_and_jac(None, G, P1, X3, Z, jF)
     return _damped_newton(
-        lambda rows, Zr: _residual_and_jac(F, G, P1[rows], X3[rows], Zr),
-        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition,
-        _residual_and_jac(F, G, P1, X3, Z, jF))
+        lambda rows, Zr: _residual_and_jac(None, G, P1[rows], X3[rows], Zr, Fev(rows, Zr[:, :k], 2)),
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition, start)
 
 
-def _homotopy(F, G, P1, X3, opts) -> _Solution:
+def _homotopy(Fev, G, P1, X3, opts) -> _Solution:
     """Continuation in the incoming momenta from 0 to p1, warm-started, on a
     stack; iterations are summed over the continuation steps."""
     steps = max(1, opts.homotopy_steps)
-    sol = _newton(F, G, 1 / steps * P1, X3, opts)
+    sol = _newton(Fev, G, 1 / steps * P1, X3, opts)
     for s in range(2, steps + 1):
         live = sol.solved()
         if not live.size:
             break
-        nxt = _newton(F, G, s / steps * P1[live], X3[live], opts, sol.Z[live])
+        nxt = _newton(_restrict(Fev, live), G, s / steps * P1[live], X3[live], opts, sol.Z[live])
         nxt.iterations += sol.iterations[live]
         sol.put(live, nxt)
     return sol
 
 
-def _solve(F, G, P1, X3, opts) -> _Solution:
+def _solve(F, G, P1, X3, opts, Fev=None) -> _Solution:
     """Solve the critical-point systems of F o G at a stack of points.
 
     Points on which direct Newton fails to converge are continued by
     homotopy as a sub-stack.  If any point fails for good, the error of the
     first such point in stack order is raised.
     """
-    sol = _newton(F, G, P1, X3, opts)
+    Fev = Fev or F.at_base(X3, 2)
+    sol = _newton(Fev, G, P1, X3, opts)
     stray = np.array([i for i, e in enumerate(sol.errors) if isinstance(e, ConvergenceError)],
                      dtype=int)
     if stray.size and opts.homotopy_steps > 0:
-        sol.put(stray, _homotopy(F, G, P1[stray], X3[stray], opts))
+        sol.put(stray, _homotopy(_restrict(Fev, stray), G, P1[stray], X3[stray], opts))
     return sol.checked()
 
 
@@ -321,21 +327,29 @@ class ComposedGenFun(GenFun):
             # one point is row 0 of a stack of one
             j = self.eval_jet(p1.ravel()[None], x3.ravel()[None], order)
             return Jet(order, j.value[0], *(t[0] for t in (j.grad, j.hess, j.third)[:order]))
-        F, G, k = self.F, self.G, self.F.m
-        m, n = self.m, self.n
-        sol = _solve(F, G, p1, x3, self.opts)
+        return self._solve_jet(p1, x3, order)[0]
+
+    def at_base(self, X, order):
+        Fev, idx = self.F.at_base(X, max(order, 2)), np.arange(len(X))
+        return lambda rows, P, o: self._solve_jet(P, X[rows], o, _restrict(Fev, idx[rows]))[0]
+
+    def _solve_jet(self, p1, x3, order, Fev=None) -> tuple[Jet, _Solution]:
+        """The jet at a stack of points and the solve it was read from."""
+        F, G, k, m, n = self.F, self.G, self.F.m, self.m, self.n
+        Fev = Fev or F.at_base(x3, max(order, 2))
+        sol = _solve(F, G, p1, x3, self.opts, Fev)
         pm, xm = sol.Z[:, :k], sol.Z[:, k:]
         # <pb, xb> row by row with @: an einsum over the rows rounds differently
         pair = np.array([a @ b for a, b in zip(pm, xm)])
         # orders 0-2 read the solve's operand jets at the critical point
-        jF, jG = sol.jets if order <= 2 else (F.eval_jet(pm, x3, 3), G.eval_jet(p1, xm, 3))
+        jF, jG = sol.jets if order <= 2 else (Fev(slice(None), pm, 3), G.eval_jet(p1, xm, 3))
         out = Jet(order, jF.value + jG.value - pair)
         if order == 0:
-            return out
+            return out, sol
         # envelope identities give the exact first derivatives
         out.grad = np.concatenate([jG.grad[..., :m], jF.grad[..., k:]], axis=-1)
         if order == 1:
-            return out
+            return out, sol
         # Hessian of L(pb, xb, p1, x3) = F(pb, x3) + G(p1, xb) - <pb, xb>
         nv = 2 * k + m + n
         idx_F = list(range(k)) + list(range(2 * k + m, nv))
@@ -358,7 +372,7 @@ class ComposedGenFun(GenFun):
         if order >= 3:
             out.third = np.einsum("...abc,...ai,...bj,...ck->...ijk", L.third, E, E, E,
                                   optimize=True)
-        return out
+        return out, sol
 
 
 def compose(F: GenFun, G: GenFun, opts: NewtonOptions = DEFAULT_NEWTON,

@@ -23,7 +23,7 @@ import numpy as np
 from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
-from .maps import GenFunBaseMap, PolyMap
+from .maps import GenFunBaseMap, MapJet, PolyMap
 
 
 class NormalizationError(ValueError):
@@ -42,6 +42,10 @@ class GenFun:
 
     def eval_jet(self, p, x, order) -> Jet:
         raise NotImplementedError
+
+    def at_base(self, X, order):
+        """At base points ``X (B, n)``: ``ev(rows, P, o) = eval_jet(P, X[rows], o)``, o <= order."""
+        return lambda rows, P, o: self.eval_jet(P, X[rows], o)
 
     def __call__(self, p, x) -> float:
         return self.eval_jet(p, x, 0).value
@@ -125,8 +129,15 @@ class LiftGenFun(GenFun):
         p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
         if p.ndim < 2:
             p, x = p.ravel(), x.ravel()
-        m, n = self.m, self.n
-        mj = self.phi.jet(x, order)
+        return self._pair(p, self.phi.jet(x, order))
+
+    def at_base(self, X, order):
+        mj = self.phi.jet(X, order)  # once: the evaluator slices it by rows
+        ts = (mj.value, mj.jac, mj.hess, mj.third)
+        return lambda rows, P, o: self._pair(P, MapJet(o, *(t[rows] for t in ts[:o + 1])))
+
+    def _pair(self, p, mj) -> Jet:
+        m, n, order = self.m, self.n, mj.order
         row = p[..., None, :]
         out = Jet(order, (row @ mj.value[..., None])[..., 0, 0])
         if order >= 1:

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symgf import cli, poly_genfun, sample_ball, symplectic_monoid
+from symgf import (cli, identity_genfun, poly_genfun, sample_ball, stationary_point,
+                   symplectic_monoid)
 from symgf.cli import main
+from symgf.genfun import PolyGenFun
 from symgf.serialize import dump, genfun_to_dict
 from symgf.verify import GROUPOID_AXIOMS
 
@@ -285,6 +287,51 @@ def test_poisson_at_point(tmp_path, capsys):
     assert entries[(0, 1)] == pytest.approx(1.0, abs=1e-12)
     assert entries[(0, 2)] == pytest.approx(0.0, abs=1e-12)
     assert entries[(1, 2)] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_poisson_evaluates_source_and_target_together(monkeypatch, tmp_path):
+    # one order-2 evaluation for the bivector, one for source and target
+    # stacked, as check_groupoid takes them
+    orders, eval_jet = [], PolyGenFun.eval_jet
+
+    def counting(self, p, x, order):
+        orders.append(order)
+        return eval_jet(self, p, x, order)
+
+    monkeypatch.setattr(PolyGenFun, "eval_jet", counting)
+    code = main(["poisson", "--builtin", "lie", "--lie", "so3", "--trunc", "4",
+                 "--grid-n", "8", "--out", str(tmp_path / "poisson.json")])
+    assert code == 0
+    assert orders.count(2) == 2
+
+
+def test_compose_solves_each_point_once(monkeypatch, tmp_path, capsys):
+    module = sys.modules["symgf.compose"]
+    solve, calls = module._solve, []
+    monkeypatch.setattr(module, "_solve", lambda *a: calls.append(len(a[2])) or solve(*a))
+    points = [{"p": [0.3, -0.1, 0.2, 0.4], "x": [1.1, -0.7]},
+              {"p": [0.01, 0.02, -0.03, 0.0], "x": [0.2, 0.1]}]
+    path, out = tmp_path / "points.json", tmp_path / "compose.json"
+    path.write_text(json.dumps(points))
+    code = main(["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
+                 "--points", str(path), "--out", str(out)])
+    assert code == 0
+    assert calls == [1, 1]
+    # the Newton statistics are those of the point's own solve
+    F, G = symplectic_monoid(2), identity_genfun(4)
+    for row, point in zip(json.loads(out.read_text())["points"], points):
+        sp = stationary_point(F, G, point["p"], point["x"])
+        assert (row["iterations"], row["residual"]) == (sp.iterations, sp.residual)
+
+
+@pytest.mark.parametrize("coordinate", ['"0.5"', "true"], ids=["string", "boolean"])
+def test_compose_points_must_be_numbers(tmp_path, capsys, coordinate):
+    path = tmp_path / "points.json"
+    path.write_text(f'[{{"p": [{coordinate}, 0, 0, 0], "x": [0, 0]}}]')
+    code = main(["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
+                 "--points", str(path)])
+    assert code == 2
+    assert "must be a number" in capsys.readouterr().err
 
 
 def test_compose_builtin_tokens(capsys):

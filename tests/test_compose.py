@@ -9,8 +9,9 @@ from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
 from symgf.compose import _damped_newton, _phase_condition, _residual_and_jac, _solve
-from symgf.genfun import GenFun
+from symgf.genfun import GenFun, LiftGenFun, TensorGenFun
 from symgf.maps import InverseMap
+from symgf.verify import check_associativity, check_groupoid, check_jacobi, check_unit
 
 from conftest import fd_grad, fd_jac, normalization_residual
 
@@ -146,11 +147,18 @@ def _triple_product(S):
     return compose(S, tensor(S, identity_genfun(S.n)))
 
 
-composites = pytest.mark.parametrize("make", [
+# y = g(x), a quadratic near-identity map of the plane
+QUADRATIC_G = [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}]
+
+
+def _coordinate_change():
     # lift(g^-1) o S o (lift(g) (+) lift(g)): the outer lift is a LiftGenFun
     # of an InverseMap
-    lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
-        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
+    return change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(QUADRATIC_G, d_in=2)))
+
+
+composites = pytest.mark.parametrize("make", [
+    _coordinate_change,
     lambda: _triple_product(lie_monoid(LieStructure.so3(), trunc=4)),
     lambda: _triple_product(kontsevich_monoid(
         PolyPoisson.linear_from_structure(LieStructure.so3()), eps=0.05, order=2,
@@ -497,3 +505,94 @@ def test_change_of_coordinates_requires_monoid_shape():
     F = identity_genfun(2)  # m = n, not monoid-shaped
     with pytest.raises(ValueError):
         change_coordinates(F, Diffeo(g))
+
+
+# -- operands at fixed base points ------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: _cubicish(61, 2, 3),
+    lambda: TensorGenFun(_cubicish(62, 2, 2),
+                         LiftGenFun(InverseMap(PolyMap(QUADRATIC_G, d_in=2)))),
+    lambda: LiftGenFun(InverseMap(PolyMap(QUADRATIC_G, d_in=2))),
+    _coordinate_change,
+], ids=["poly", "tensor", "lift-of-inverse", "coordinate-change"])
+def test_base_evaluator_equals_eval_jet(make):
+    # an evaluator built at `order` answers every order up to it, on any
+    # rows of its base points, exactly as eval_jet there
+    S = make()
+    P = sample_ball(5, S.m, 0.05, 4)
+    X = sample_box(5, S.n, -0.25, 0.25, 9)
+    for order in range(4):
+        ev = S.at_base(X, order)
+        for rows in (slice(None), slice(1, 4), np.array([3, 0, 3]), np.array([4])):
+            for o in range(order + 1):
+                got, want = ev(rows, P[rows], o), S.eval_jet(P[rows], X[rows], o)
+                assert got.order == want.order == o
+                for q, name in enumerate(("value", "grad", "hess", "third")[:o + 1]):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        (order, rows, o, name)
+
+
+def test_inverse_map_jets_once_per_outer_solve(monkeypatch):
+    # rows of InverseMap.jet per check of the coordinate-changed composite at
+    # grid 3: the outer lift takes its map's jet once per stacked solve (one
+    # solve of 6 rows for unit, of 3 for Jacobi's bivector) instead of at the
+    # anchor, every iterate and every line-search trial
+    rows = []
+    jet = InverseMap.jet
+    monkeypatch.setattr(InverseMap, "jet",
+                        lambda self, y, order: rows.append(len(np.atleast_2d(y)))
+                        or jet(self, y, order))
+    C = _coordinate_change()
+    n, r, box, seed = 3, 0.05, 0.25, 15
+    ps, ys = sample_ball(n, 2, r, seed), sample_box(n, 2, -box, box, seed + 1)
+    checks = {
+        "unit": lambda: check_unit(C, ps, ys),
+        "associativity": lambda: check_associativity(
+            C, sample_ball(n, 6, r, seed + 2), sample_box(n, 2, -box, box, seed + 3)),
+        "groupoid": lambda: check_groupoid(C, ps, ys),
+        "jacobi": lambda: check_jacobi(C, sample_box(n, 2, -box, box, seed + 4)),
+    }
+    counted = {}
+    for name, check in checks.items():
+        rows.clear()
+        check()
+        counted[name] = sum(rows)
+    assert counted == {"unit": 6, "associativity": 24, "groupoid": 12, "jacobi": 3}
+
+
+def test_homotopy_with_a_lift_outer_operand_matches_one_point_solves(monkeypatch):
+    # a lift's phase has F_pp = 0, so direct Newton always converges in one
+    # step; failing the direct solve of chosen points forces them onto the
+    # continuation, which reads the lift's evaluator through its sub-stacks
+    module = sys.modules["symgf.compose"]
+    newton, forced = module._newton, []
+
+    def direct_fails(Fev, G, P1, X3, opts, Z=None):
+        # only the outer direct solve, the first _newton to start: the inner
+        # composite's solves run inside it
+        rows = list(forced)
+        forced.clear()
+        sol = newton(Fev, G, P1, X3, opts, Z)
+        for i in rows:
+            sol.errors[i] = ConvergenceError("forced onto the continuation")
+        return sol
+
+    monkeypatch.setattr(module, "_newton", direct_fails)
+    C = _coordinate_change()
+    assert isinstance(C.F, LiftGenFun)
+    ps = sample_ball(5, C.m, 0.05, 4)
+    xs = sample_box(5, C.n, -0.25, 0.25, 9)
+    direct = _solve(C.F, C.G, ps, xs, C.opts)
+    forced[:] = [1, 3, 4]
+    sol = _solve(C.F, C.G, ps, xs, C.opts)
+    for b in range(5):
+        forced[:] = [0] if b in (1, 3, 4) else []
+        one = _solve(C.F, C.G, ps[b:b + 1], xs[b:b + 1], C.opts)
+        assert np.array_equal(sol.Z[b], one.Z[0]), b
+        assert sol.iterations[b] == one.iterations[0]
+        for got, want in zip(sol.jets, one.jets):
+            assert np.array_equal(got.hess[b], want.hess[0])
+    # the continuation reaches the direct solve's critical points
+    assert list(sol.iterations[[1, 3, 4]]) == [C.opts.homotopy_steps] * 3
+    np.testing.assert_allclose(sol.Z, direct.Z, rtol=0, atol=1e-13)
