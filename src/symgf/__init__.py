@@ -20,11 +20,10 @@ from .genfun import (GenFun, LiftGenFun, NormalizationError, PolyGenFun,
 from .grids import halton, sample_ball, sample_box
 from .jets import Jet
 from .maps import InverseMap, MapJet, PolyMap
-from .monoids import (LieStructure, MatrixRep, Order2GateError, PolyPoisson,
-                      TreeWeightFit, abelian_monoid, builtin_rep,
-                      fit_tree_weights, group_law_poly_eval, group_log,
-                      kontsevich_monoid, lie_monoid, standard_bivector,
-                      symplectic_monoid, truncated_group_law)
+from .monoids import (LieStructure, Order2GateError, PolyPoisson, TreeWeightFit,
+                      abelian_monoid, fit_tree_weights, kontsevich_monoid,
+                      lie_monoid, standard_bivector, symplectic_monoid,
+                      truncated_group_law)
 from .verify import (GroupoidMaps, PoissonField, VerificationReport,
                      bracket_sign, canonical_bracket, check_associativity,
                      check_groupoid, check_jacobi, check_morphism,
@@ -42,9 +41,8 @@ __all__ = [
     "unit_genfun",
     "halton", "sample_ball", "sample_box",
     "Jet", "InverseMap", "MapJet", "PolyMap",
-    "LieStructure", "MatrixRep", "Order2GateError", "PolyPoisson",
-    "TreeWeightFit", "abelian_monoid", "builtin_rep", "fit_tree_weights",
-    "group_law_poly_eval", "group_log", "kontsevich_monoid", "lie_monoid",
+    "LieStructure", "Order2GateError", "PolyPoisson", "TreeWeightFit",
+    "abelian_monoid", "fit_tree_weights", "kontsevich_monoid", "lie_monoid",
     "standard_bivector", "symplectic_monoid", "truncated_group_law",
     "GroupoidMaps", "PoissonField", "VerificationReport", "bracket_sign",
     "canonical_bracket", "check_associativity", "check_groupoid", "check_jacobi",

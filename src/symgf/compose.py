@@ -225,30 +225,32 @@ def _restrict(Fev, rows):
     return lambda r, P, o: Fev(rows[r], P, o)
 
 
-def _newton(Fev, G, P1, X3, opts, Z=None) -> _Solution:
+def _newton(Fev, G, P1, X3, opts, Z=None, t=1.0) -> _Solution:
     """:func:`_damped_newton` on the critical-point systems at a stack of points
-    ``(P1[i], X3[i])``, from the anchors or the iterates ``Z``; ``Fev`` is F at ``X3``."""
-    k, start = G.n, None
+    ``(t * P1[i], X3[i])``, from the anchors or the iterates ``Z``; ``Fev`` is F
+    at ``X3``.  Errors name the sample ``(P1[i], X3[i])``, and ``t`` below 1."""
+    k, start, Pt = G.n, None, t * P1
     if Z is None:
         # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
         jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
         Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
-        start = _residual_and_jac(None, G, P1, X3, Z, jF)
+        start = _residual_and_jac(None, G, Pt, X3, Z, jF)
+    step = "" if t == 1 else f" (homotopy at {t:g} p1)"
     return _damped_newton(
-        lambda rows, Zr: _residual_and_jac(None, G, P1[rows], X3[rows], Zr, Fev(rows, Zr[:, :k], 2)),
-        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition, start)
+        lambda rows, Zr: _residual_and_jac(None, G, Pt[rows], X3[rows], Zr, Fev(rows, Zr[:, :k], 2)),
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i) + step, _phase_condition, start)
 
 
 def _homotopy(Fev, G, P1, X3, opts) -> _Solution:
     """Continuation in the incoming momenta from 0 to p1, warm-started, on a
     stack; iterations are summed over the continuation steps."""
     steps = max(1, opts.homotopy_steps)
-    sol = _newton(Fev, G, 1 / steps * P1, X3, opts)
+    sol = _newton(Fev, G, P1, X3, opts, t=1 / steps)
     for s in range(2, steps + 1):
         live = sol.solved()
         if not live.size:
             break
-        nxt = _newton(_restrict(Fev, live), G, s / steps * P1[live], X3[live], opts, sol.Z[live])
+        nxt = _newton(_restrict(Fev, live), G, P1[live], X3[live], opts, sol.Z[live], s / steps)
         nxt.iterations += sol.iterations[live]
         sol.put(live, nxt)
     return sol

@@ -128,7 +128,9 @@ class PolyKernel:
     they hold only the partials that do not vanish identically: per term,
     the sorted index tuples over its support that its exponents allow.
     Evaluation is a handful of array operations for all orders together,
-    whatever the term count, on one point or a stack of points.
+    whatever the term count, on one point or a stack of points: the powers
+    ``v_i**r`` by repeated products, one gather and product per distinct
+    monomial of the partials (a common subexpression), then the scaled sums.
     """
 
     def __init__(self, E, C):
@@ -138,7 +140,7 @@ class PolyKernel:
             raise ValueError(f"need E (T, n) and C (T, k), got {self.E.shape} and {self.C.shape}")
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
-        self._powers = np.arange(int(self.E.max(initial=0)) + 1, dtype=float)
+        self._P = int(self.E.max(initial=0)) + 1  # powers v_i**0 .. v_i**(P - 1)
         self._tables = [None] * (MAX_ORDER + 1)  # (shared table, its scaled coefficients)
 
     @classmethod
@@ -170,13 +172,15 @@ class PolyKernel:
             self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
         tab, scaled = self._tables[order]
         dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
+        # powers[b, i, r] = v_bi**r, one IEEE product per step, with 0**0 = 1
+        powers = np.ones((len(stack), self.n, self._P))
         # far out the powers overflow; the caller classifies the non-finite jet
         with np.errstate(over="ignore", invalid="ignore"):
-            # powers[b, i * P + r] = v_bi**r, with 0**0 = 1
-            powers = (stack[:, :, None] ** self._powers).reshape(len(stack), -1)
+            for r in range(1, self._P):
+                np.multiply(powers[..., r - 1], stack, out=powers[..., r])
             if tab.starts.size:
-                mono = np.multiply.reduce(powers[:, tab.flat], axis=2)
-                sums = np.add.reduceat(mono[:, :, None] * scaled, tab.starts, axis=1)
+                mono = np.multiply.reduce(powers.reshape(len(stack), -1)[:, tab.flat], axis=2)
+                sums = np.add.reduceat(mono[:, tab.inv, None] * scaled, tab.starts, axis=1)
                 dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
@@ -194,11 +198,11 @@ class _PartialTable:
     """The nonzero partials of orders 0..``order`` of the monomials ``E``.
 
     Entry r differentiates term ``t = term[r]`` along a sorted index tuple
-    ``w``: it leaves the monomial ``prod_j powers[flat[r, j]]`` (``flat = i
-    * P + e`` picks ``v_i**e`` out of the flattened power table) times the
-    falling factorial ``factor[r]`` of ``E[t]`` along ``w``.  ``flat``
-    runs over the support of the reduced exponents in ascending order,
-    padded with exponent 0, so it is at most the total degree wide.  Entries
+    ``w``: it leaves the monomial ``prod_j powers[flat[inv[r], j]]`` (``flat
+    = i * P + e`` picks ``v_i**e`` out of the flattened power table) times
+    the falling factorial ``factor[r]`` of ``E[t]`` along ``w``.  Each row of
+    ``flat``, a distinct monomial, runs over the support of its exponents in
+    ascending order, padded with exponent 0, at most the total degree wide.  Entries
     are sorted by ``(len(w), w)``, then by term, so ``starts`` delimits the
     runs that ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of
     the flattened dense tensors of all orders, order q at ``offsets[q]``,
@@ -246,8 +250,14 @@ class _PartialTable:
         support = reduced[:, :n] > 0
         width = int(support.sum(axis=1).max(initial=0))
         cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
-        self.flat = cols * P + reduced[np.arange(term.size)[:, None], cols]
-        self.factor, self.term = factor, term
+        flat = cols * P + reduced[np.arange(term.size)[:, None], cols]
+        key, size = np.zeros(term.size, dtype=np.int64), 1
+        for col in flat.T:  # a mixed-radix key per row, ranked before it could overflow
+            if size * n * P > 2 ** 62:
+                size, key = term.size, np.unique(key, return_inverse=True)[1]
+            key, size = key * (n * P) + col, size * n * P
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        self.flat, self.inv, self.factor, self.term = flat[first], inv, factor, term
         # run i fills the position of each distinct permutation of its w: sort
         # each run's positions and drop repeats (runs fill disjoint positions)
         perms = _PERMUTATIONS[:order + 1, :, MAX_ORDER - order:] - (MAX_ORDER - order)

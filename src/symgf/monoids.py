@@ -15,8 +15,7 @@ law, semiclassical expansion).  Three families are built here:
   an associativity fit.
 
 Plus the structure types they consume: ``LieStructure`` (structure
-constants), ``MatrixRep`` (a faithful matrix representation, used by the
-group-law oracle), and ``PolyPoisson`` (a polynomial bivector).
+constants) and ``PolyPoisson`` (a polynomial bivector).
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from .genfun import PolyGenFun
 from .jets import PolyKernel, canonical_poly
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
-from .matfun import mat_exp, mat_log
 
 STRUCTURE_JACOBI_TOL = 1e-12
 ORDER2_GATE_FLOOR = 1e-8
@@ -47,7 +45,7 @@ def _jacobi_residual(c) -> float:
 
 
 # --------------------------------------------------------------------------
-# Lie structures and matrix representations
+# Lie structures
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -86,61 +84,6 @@ class LieStructure:
         c[2, 0, 1] = 1.0
         c[2, 1, 0] = -1.0
         return cls(3, c, name="heisenberg")
-
-
-@dataclass
-class MatrixRep:
-    """A matrix representation of a Lie algebra: basis[i] represents e_i."""
-
-    basis: np.ndarray  # (d, N, N)
-    name: str = ""
-
-    @property
-    def d(self):
-        return self.basis.shape[0]
-
-    def matrix(self, v):
-        return np.einsum("i,iab->ab", np.asarray(v, float), self.basis)
-
-    def vee(self, M, tol=1e-8):
-        """Coordinates of M in the basis span; errors if M leaves the span."""
-        A = self.basis.reshape(self.d, -1).T
-        sol, *_ = np.linalg.lstsq(A, M.ravel(), rcond=None)
-        resid = np.linalg.norm(A @ sol - M.ravel(), ord=np.inf)
-        if resid > tol * max(1.0, np.linalg.norm(M, ord=np.inf)):
-            raise ValueError(f"matrix is not in the representation span (residual {resid:.3e})")
-        return sol
-
-    @classmethod
-    def so3(cls):
-        basis = np.zeros((3, 3, 3))
-        basis[0] = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
-        basis[1] = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-        basis[2] = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-        return cls(basis, name="so3")
-
-    @classmethod
-    def heisenberg(cls):
-        # strictly upper triangular 3x3; faithful (the adjoint rep is not)
-        basis = np.zeros((3, 3, 3))
-        basis[0][0, 1] = 1.0
-        basis[1][1, 2] = 1.0
-        basis[2][0, 2] = 1.0
-        return cls(basis, name="heisenberg")
-
-
-def builtin_rep(name: str) -> MatrixRep:
-    try:
-        return {"so3": MatrixRep.so3, "heisenberg": MatrixRep.heisenberg}[name]()
-    except KeyError:
-        raise ValueError(f"no builtin matrix representation named {name!r}") from None
-
-
-def group_log(rep: MatrixRep, u, v) -> np.ndarray:
-    """The group-law oracle: log(exp(u) exp(v)) computed in a faithful
-    matrix representation and pulled back to algebra coordinates."""
-    M = mat_exp(rep.matrix(u)) @ mat_exp(rep.matrix(v))
-    return rep.vee(mat_log(M))
 
 
 # --------------------------------------------------------------------------
@@ -193,12 +136,6 @@ def truncated_group_law(structure: LieStructure, trunc: int):
             for e, x in comp.items():
                 out[e] = out.get(e, 0.0) + scale * x
     return A
-
-
-def group_law_poly_eval(A, p1, p2):
-    """Evaluate a truncated group law at numeric (p1, p2)."""
-    pt = np.concatenate([np.asarray(p1, float), np.asarray(p2, float)])
-    return PolyKernel.from_polys(A, pt.size).jet(pt, 0)[0]
 
 
 def lie_monoid(structure: LieStructure, trunc: int = 4) -> PolyGenFun:

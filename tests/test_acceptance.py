@@ -8,19 +8,19 @@ import numpy as np
 import pytest
 
 from symgf import (Diffeo, LieStructure, PoissonField, PolyMap, PolyPoisson,
-                   abelian_monoid, base_map, builtin_rep, change_coordinates,
+                   abelian_monoid, base_map, change_coordinates,
                    check_associativity, check_groupoid, check_jacobi,
                    check_morphism, check_poisson_map, check_unit, compose,
-                   cotangent_lift, fit_tree_weights, group_law_poly_eval,
-                   group_log, identity_genfun, kontsevich_monoid, lie_monoid,
-                   poisson_bivector, poly_genfun, sample_ball, sample_box,
-                   source_target, standard_bivector, symplectic_monoid, tensor,
-                   truncated_group_law)
+                   cotangent_lift, fit_tree_weights, identity_genfun,
+                   kontsevich_monoid, lie_monoid, poisson_bivector, poly_genfun,
+                   sample_ball, sample_box, source_target, standard_bivector,
+                   symplectic_monoid, tensor, truncated_group_law)
 from symgf.cli import main as cli_main
 from symgf.maps import InverseMap
 from symgf.monoids import Order2GateError, TreeWeightFit
 
 from conftest import fd_grad, fd_jac
+from oracles import builtin_rep, group_law_poly_eval, group_log
 
 
 def _conclude(capsys, num, desc, checks):

@@ -261,6 +261,16 @@ def test_stacked_solve_names_the_degenerate_point():
     _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
 
 
+def test_failed_homotopy_names_the_sample_not_the_scaled_momenta():
+    # the first continuation step solves at p1 / 4 and runs out of iterations;
+    # the error names the sample's p1 and that step
+    S = lie_monoid(LieStructure.so3(), 4)
+    with pytest.raises(ConvergenceError, match=r"in 1 iterations .* at p1=\[0\.5( 0\.5){8}\], "
+                                               r"x3=\[0\.1 0\.2 0\.3\] \(homotopy at 0\.25 p1\)$"):
+        stationary_point(S, tensor(S, identity_genfun(3)), 0.5 * np.ones(9), [0.1, 0.2, 0.3],
+                         NewtonOptions(max_iter=1, homotopy_steps=4))
+
+
 def test_non_finite_jacobian_is_degenerate():
     # G_xx = p^3 - p^4 overflows to inf - inf = nan at p1 = 1e110: the point
     # is degenerate, not bad input, and the other points still solve
@@ -568,12 +578,12 @@ def test_homotopy_with_a_lift_outer_operand_matches_one_point_solves(monkeypatch
     module = sys.modules["symgf.compose"]
     newton, forced = module._newton, []
 
-    def direct_fails(Fev, G, P1, X3, opts, Z=None):
+    def direct_fails(Fev, G, P1, X3, opts, Z=None, t=1.0):
         # only the outer direct solve, the first _newton to start: the inner
         # composite's solves run inside it
         rows = list(forced)
         forced.clear()
-        sol = newton(Fev, G, P1, X3, opts, Z)
+        sol = newton(Fev, G, P1, X3, opts, Z, t)
         for i in rows:
             sol.errors[i] = ConvergenceError("forced onto the continuation")
         return sol

