@@ -487,25 +487,22 @@ def _fit_rows(seed, n_points, eps, levels):
 
         dT = T(p1 + p2, p3, x) + T(p1, p2, x) - T(p1, p2 + p3, x) - T(p2, p3, x).
 
-    ``b`` is the defect of the weight-free monoid's composites, its eps^2
-    coefficient taken by Richardson elimination over ``levels`` halvings of eps.
+    ``b`` is the weight-free monoid's associativity defect as ``check_associativity``
+    takes it, its eps^2 coefficient by Richardson elimination over ``levels`` halvings.
     """
-    from .compose import compose
-    from .genfun import identity_genfun, tensor
     from .grids import sample_ball, sample_box
+    from .verify import _associativity_defect
 
     cols, consts = [], []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d
         symbols = _symbols(alpha)
-        I = identity_genfun(d)
         ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
         xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
         defect = np.zeros((n_points, levels))
         for lev in range(levels):
             S = _expansion(alpha, symbols, eps / 2.0 ** lev, None, 1)
-            # each side solves all n_points as one stack
-            defect[:, lev] = compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+            defect[:, lev] = _associativity_defect(S)(ps, xs)
         consts.append(_richardson_leading(defect, eps))
         trees = PolyKernel.from_polys(
             [{pe + xe: c for (pe, xe), c in tree.items()} for tree in symbols[2]], 3 * d)

@@ -239,7 +239,8 @@ def test_fit_tree_weights_recovers_twelfths():
 def test_fit_gates_each_bivector_once(monkeypatch):
     # the fit assembles its weight-free monoids from symbols built once per
     # instance: one Jacobi gate per bivector, no call into the builder, and
-    # one stacked solve per instance, eps level and side
+    # two stacked solves per instance and eps level: both products of the
+    # 24 samples are 48 rows, at most BLOCK = 32 per stack
     from symgf import monoids
     composition = sys.modules["symgf.compose"]  # the package exports its function as compose
     calls = {"gate": 0, "builder": 0, "solve": 0}
@@ -263,28 +264,27 @@ def test_fit_gates_each_bivector_once(monkeypatch):
     monkeypatch.setattr(composition, "_solve", counted_solve)
     fit = fit_tree_weights.__wrapped__()
     assert fit.passed
-    # two fit instances x 4 eps levels x 2 sides of the defect
+    # two fit instances x 4 eps levels x 2 stacks of the defect
     assert calls == {"gate": 2, "builder": 0, "solve": 16}
 
 
 def _three_candidate_rows(seed=11, n_points=24, eps=0.08, levels=4):
-    """The fit's affine system from composites alone: the eps^2 defect
-    coefficient of the monoids with weights (0, 0), (1, 0) and (0, 1), by
-    Richardson elimination, and the columns as differences of those."""
-    from symgf import compose, identity_genfun, tensor
+    """The fit's affine system from composites alone: the eps^2 associativity
+    defect coefficient of the monoids with weights (0, 0), (1, 0) and (0, 1),
+    by Richardson elimination, and the columns as differences of those."""
+    from symgf.verify import _associativity_defect
     basis = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     leads = []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d
         symbols = _symbols(alpha)
-        I = identity_genfun(d)
         ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
         xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
         defect = np.zeros((len(basis), levels, n_points))
         for ci, cand in enumerate(basis):
             for lev in range(levels):
                 S = _expansion(alpha, symbols, eps / 2.0 ** lev, cand, 2)
-                defect[ci, lev] = compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+                defect[ci, lev] = _associativity_defect(S)(ps, xs)
         leads.append(_richardson_leading(np.moveaxis(defect, 1, -1), eps))
     lead = np.concatenate(leads, axis=1)
     return np.stack([lead[1] - lead[0], lead[2] - lead[0]], axis=1), lead[0]

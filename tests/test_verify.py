@@ -7,12 +7,13 @@ import pytest
 from symgf import (Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap, PolyPoisson,
                    base_map, bracket_sign, canonical_bracket, change_coordinates,
                    check_associativity, check_groupoid, check_jacobi, check_morphism,
-                   check_poisson_map, check_unit, compose, identity_genfun, lie_monoid,
-                   poisson_bivector, poly_genfun, sample_ball, sample_box,
+                   check_poisson_map, check_unit, compose, identity_genfun, kontsevich_monoid,
+                   lie_monoid, poisson_bivector, poly_genfun, sample_ball, sample_box,
                    source_target, standard_bivector, symplectic_monoid, tensor)
-from symgf.jets import Jet
+from symgf.jets import Jet, _shared_table
 from symgf.monoids import jacobi_defect
 from symgf.serialize import load_genfun, load_poisson
+from symgf.verify import BLOCK, _associativity_defect
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -90,7 +91,8 @@ def test_bivector_of_a_stack_matches_one_point_rows(make):
 def test_stacked_geometry_matches_one_point_rows(make):
     # 40 points span two check blocks; every row of the stacked source and
     # target jets, and every per-point residual of the unit, associativity,
-    # groupoid and Jacobi checks, equals its one-point evaluation
+    # groupoid and Jacobi checks, equals its one-point evaluation (for
+    # associativity, the one-stack defect of that sample alone)
     S = make()
     d = S.n
     gm, field = GroupoidMaps(S), poisson_bivector(S)
@@ -99,15 +101,14 @@ def test_stacked_geometry_matches_one_point_rows(make):
     p3s = sample_ball(40, 3 * d, 0.05, 5)
     stacked = gm.source_jet(ps, xs), gm.target_jet(ps, xs)
     upper = np.triu_indices(d, 1)
-    I, zero = identity_genfun(d), np.zeros(d)
-    left, right = compose(S, tensor(S, I)), compose(S, tensor(I, S))
+    zero, defect = np.zeros(d), _associativity_defect(S)
     want_unit, want_assoc = [], []
     want_ss, want_tt, want_st, want_jac = [], [], [], []
     for b, (p, x) in enumerate(zip(ps, xs)):
         px = p @ x
         want_unit.append(max(abs(S.value(np.concatenate([p, zero]), x) - px),
                              abs(S.value(np.concatenate([zero, p]), x) - px)))
-        want_assoc.append(abs(left(p3s[b], x) - right(p3s[b], x)))
+        want_assoc.append(abs(defect(p3s[b:b + 1], xs[b:b + 1])[0]))
         (s, dps, dxs), (t, dpt, dxt) = one = gm.source_jet(p, x), gm.target_jet(p, x)
         for got, row in zip(stacked, one):
             assert all(np.array_equal(g[b], r) for g, r in zip(got, row))
@@ -263,11 +264,14 @@ def test_unit_violation_detected():
     assert g3[0].passed
 
 
-def test_associativity_violation_detected():
-    S = symplectic_monoid(2)
-    terms = dict(S.terms)
+def _assoc_broken():
+    terms = dict(symplectic_monoid(2).terms)
     terms[((1, 1, 1, 0), (0, 1))] = 4.0  # dies at p1=0 or p2=0, breaks assoc
-    broken = poly_genfun(terms, 4, 2, label="assoc-broken")
+    return poly_genfun(terms, 4, 2, label="assoc-broken")
+
+
+def test_associativity_violation_detected():
+    broken = _assoc_broken()
     ps = sample_ball(30, 2, 0.1, 0)
     xs = sample_box(30, 2, -1.0, 1.0, 1)
     assert check_unit(broken, ps, xs, tol=1e-12).passed
@@ -276,6 +280,51 @@ def test_associativity_violation_detected():
     rep = check_associativity(broken, p3s, axs, tol=1e-4)
     assert not rep.passed
     assert rep.max_residual > 1e-4
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symplectic_monoid(2),
+    lambda: lie_monoid(LieStructure.so3(), trunc=4),
+    lambda: kontsevich_monoid(PolyPoisson.linear_from_structure(LieStructure.so3()),
+                              eps=0.05, order=2),
+    lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
+        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
+    _assoc_broken,
+], ids=["symplectic", "so3-trunc4", "kontsevich-so3-order2", "coordinate-change",
+        "assoc-broken"])
+def test_one_stack_defect_is_the_difference_of_the_two_products(make):
+    # (S o (I (x) S))(p1, p2, p3; x) = (S^op o (S (x) I))(p2, p3, p1; x) for any
+    # monoid-shaped S, associative or not, so rows of one stacked solve of
+    # S o (S (x) I) give the difference of the two composites
+    S = make()
+    d, I = S.n, identity_genfun(S.n)
+    ps, xs = sample_ball(40, 3 * d, 0.05, 5), sample_box(40, d, -0.3, 0.3, 4)
+    want = compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+    np.testing.assert_allclose(_associativity_defect(S)(ps, xs), want, rtol=0, atol=1e-15)
+
+
+def test_associativity_solves_both_products_in_stacks_of_at_most_block_rows(monkeypatch):
+    # so(3) trunc 4: the two products of 8 samples are one 16-row solve, not two
+    # 8-row solves, and the kernel tables of S and S (x) I serve it, not also
+    # those of I (x) S; at 40 samples no stack exceeds BLOCK rows
+    composition = sys.modules["symgf.compose"]
+    solve, rows = composition._solve, []
+    monkeypatch.setattr(composition, "_solve", lambda *a: rows.append(len(a[2])) or solve(*a))
+
+    def solved_rows_and_table_builds(products, n):
+        ps, xs = sample_ball(n, 9, 0.05, 2), sample_box(n, 3, -0.25, 0.25, 3)
+        rows.clear()
+        _shared_table.cache_clear()
+        products(lie_monoid(LieStructure.so3(), trunc=4), ps, xs)
+        return rows[:], _shared_table.cache_info().misses
+
+    def two_composites(S, ps, xs):
+        I = identity_genfun(3)
+        return compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
+
+    assert solved_rows_and_table_builds(two_composites, 8) == ([8, 8], 3)
+    assert solved_rows_and_table_builds(check_associativity, 8) == ([16], 2)
+    assert solved_rows_and_table_builds(check_associativity, 40) == ([BLOCK, BLOCK, 16], 2)
 
 
 def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch):
@@ -300,7 +349,7 @@ def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch)
 
     composition = sys.modules["symgf.compose"]
     solve, calls = composition._solve, []
-    monkeypatch.setattr(composition, "_solve", lambda *a: calls.append(1) or solve(*a))
+    monkeypatch.setattr(composition, "_solve", lambda *a: calls.append(len(a[2])) or solve(*a))
     # a negative tolerance fails every point, so the reports list every residual
     rep = check_unit(C, ps, xs, tol=-1.0)
     assert len(calls) == 3
@@ -309,3 +358,16 @@ def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch)
     assert len(calls) == 5
     for r, want in zip([rep, *reps], [unit, *groupoid], strict=True):
         assert np.array_equal([f["residual"] for f in r.failures], want), r.axiom
+    # the two triple products as rows of one stack: every outer Newton iterate
+    # re-solves the inner composites once for both sides, so the solves halve
+    # while the solved rows stay the same
+    p3s, axs = sample_ball(3, 6, 0.05, 2), sample_box(3, 2, -0.25, 0.25, 3)
+    I = identity_genfun(2)
+    calls.clear()
+    sides = compose(C, tensor(C, I))(p3s, axs) - compose(C, tensor(I, C))(p3s, axs)
+    assert (len(calls), sum(calls)) == (36, 108)
+    calls.clear()
+    rep = check_associativity(C, p3s, axs, tol=-1.0)
+    assert (len(calls), sum(calls)) == (18, 108)
+    np.testing.assert_allclose([f["residual"] for f in rep.failures], np.abs(sides),
+                               rtol=0, atol=1e-15)
