@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compose import DEFAULT_NEWTON, compose
-from .genfun import GenFun, identity_genfun, tensor
+from .genfun import GenFun, tensor
 from .monoids import PolyPoisson, jacobi_defect
 
 # Points per stacked evaluation in the blocked checks, a bound on memory:
-# the traced peak of one stacked composite value on the order-2 Kontsevich
-# triple product grows with the stack, 0.19 / 0.73 / 2.9 MB at 8 / 32 / 128
-# points (tracemalloc).
+# the traced peak of one stacked associativity defect on the order-2
+# Kontsevich monoid grows with the stack, 0.11 / 0.40 / 1.4 MB at 8 / 32 / 128
+# rows (tracemalloc).
 BLOCK = 32
 
 
@@ -257,11 +257,13 @@ def check_unit(S: GenFun, ps, xs, tol=1e-10) -> VerificationReport:
 def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
     """``defect(ps, xs)``: S o (S (x) I) - S o (I (x) S) at each sample, as the
     gap of adjacent rows (p, x), (rot p, x) of stacked solves of S o (S (x) I)
-    whose outer operand acts as S^op on the rotated rows (see
-    :func:`check_associativity`); at most :data:`BLOCK` rows per stack.
+    in its slot form, whose outer operand acts as S^op on the rotated rows
+    (see :func:`check_associativity`); at most :data:`BLOCK` rows per stack.
     """
     d = S.n
-    C = compose(S, tensor(S, identity_genfun(d)), opts)
+    # the outer operand S(q, c; x), momenta q over the base (c, x): only a
+    # shape, since its evaluator is always passed
+    C = compose(GenFun(d, 2 * d), S, opts)
     swap = np.r_[d:2 * d, :d, 2 * d:3 * d]  # the variables of S^op in S's order
     grids = [(slice(None),) + np.ix_(*(swap,) * q) for q in (1, 2, 3)]  # swap jet axes
 
@@ -269,18 +271,18 @@ def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
         gaps = []
         for i in range(0, len(ps), BLOCK // 2):
             p, x = ps[i:i + BLOCK // 2], xs[i:i + BLOCK // 2]
-            P1 = np.stack([p, np.roll(p, -d, axis=1)], axis=1).reshape(-1, 3 * d)
-            X3 = np.repeat(x, 2, axis=0)
-            S_at, odd = S.at_base(X3, 2), np.arange(len(X3)) % 2 == 1
+            P = np.stack([p, np.roll(p, -d, axis=1)], axis=1).reshape(-1, 3 * d)
+            X = np.concatenate([P[:, 2 * d:], np.repeat(x, 2, axis=0)], axis=1)
+            S_at, idx = S.at_base(x, 2), np.arange(len(X))
 
             def Fev(rows, Q, o):
-                flip = odd[rows]
-                j = S_at(rows, np.where(flip[:, None], Q[:, swap[:2 * d]], Q), o)
+                flip, Q = idx[rows] % 2 == 1, np.concatenate([Q, X[rows, :d]], axis=1)
+                j = S_at(idx[rows] // 2, np.where(flip[:, None], Q[:, swap[:2 * d]], Q), o)
                 for t, grid in zip((j.grad, j.hess, j.third)[:o], grids):
                     t[flip] = t[flip][grid]
                 return j
 
-            v = C._solve_jet(P1, X3, 0, Fev)[0].value
+            v = C._solve_jet(P[:, :2 * d], X, 0, Fev)[0].value
             gaps.append(v[0::2] - v[1::2])
         return np.concatenate(gaps)
 
@@ -293,12 +295,15 @@ def check_associativity(S: GenFun, ps, xs, tol=1e-9,
 
     ``ps[i]`` holds a momentum triple (3d coordinates), ``xs[i]`` a base
     point; the residual is |S o (S (x) I) - S o (I (x) S)| at that sample.
-    Swapping the halves of the intermediate pair, which keeps <pb, xb>, gives
-    (S o (I (x) S))(p1, p2, p3; x) = (S^op o (S (x) I))(p2, p3, p1; x) with
-    S^op(a, b; x) = S(b, a; x), associative or not; so both products are rows
-    of one stacked solve of S o (S (x) I), on stacks of at most :data:`BLOCK`
-    rows, by the path the order-2 weight fit shares.  An error on a
-    right-product row names the rotated momenta (p2, p3, p1).
+    The identity factor composes away: (S o (S (x) I))(a, b, c; x) is the
+    stationary value over (q, y) of S(q, c; x) + S(a, b; y) - <q, y>, the
+    composite of S with S read on its first momentum slot over the base
+    (c, x).  Swapping the halves of the intermediate pair, which keeps
+    <pb, xb>, gives (S o (I (x) S))(p1, p2, p3; x) = (S^op o (S (x) I))(p2, p3, p1; x)
+    with S^op(a, b; x) = S(b, a; x), associative or not; so both products
+    are rows of one stacked solve in d unknown pairs, on stacks of at most
+    :data:`BLOCK` rows, by the path the order-2 weight fit shares.  A solve
+    error names p1 = (a, b) and x3 = (c, x), rotated on a right-product row.
     """
     defect = _associativity_defect(S, opts)
     return _sweep({"associativity": tol}, lambda p, x: (np.abs(defect(p, x)),), ps, xs)[0]
