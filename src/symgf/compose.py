@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genfun import GenFun
+from .genfun import GenFun, cotangent_lift, tensor
 from .jets import Jet, jet_add, jet_embed
 
 __all__ = [
@@ -323,13 +323,8 @@ class ComposedGenFun(GenFun):
         # a diagnostic kept by name: perfbench/tracer.py patches it
         return self.eval_jet(np.zeros(self.m), x, 0).value
 
-    def eval_jet(self, p, x, order) -> Jet:
-        p1, x3 = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-        if p1.ndim < 2:
-            # one point is row 0 of a stack of one
-            j = self.eval_jet(p1.ravel()[None], x3.ravel()[None], order)
-            return Jet(order, j.value[0], *(t[0] for t in (j.grad, j.hess, j.third)[:order]))
-        return self._solve_jet(p1, x3, order)[0]
+    def _jet(self, P, X, order) -> Jet:
+        return self._solve_jet(P, X, order)[0]
 
     def at_base(self, X, order):
         Fev, idx = self.F.at_base(X, max(order, 2)), np.arange(len(X))
@@ -408,8 +403,6 @@ def change_coordinates(S: GenFun, diffeo: Diffeo,
     The result is again monoid-shaped; its bivector is the pushforward of
     the original one along g.
     """
-    from .genfun import cotangent_lift, tensor
-
     d = S.n
     if S.m != 2 * d:
         raise ValueError("change_coordinates expects a monoid-shaped genfun (m = 2n)")

@@ -14,13 +14,14 @@ and the elementary builders; the monoid families live in
 Variable convention for jets: a genfun jet is taken with respect to the
 m + n variables (p_1..p_m, x_1..x_n), momenta first.  ``eval_jet`` takes
 one point, ``p (m,)`` and ``x (n,)``, or a stack of B points, ``p (B, m)``
-and ``x (B, n)``, and then returns a stacked :class:`~symgf.jets.Jet`.
+and ``x (B, n)``, and then returns a stacked :class:`~symgf.jets.Jet`;
+a subclass implements only the stacked ``_jet``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed
+from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 from .maps import GenFunBaseMap, MapJet, PolyMap
@@ -41,17 +42,27 @@ class GenFun:
         self.label = label
 
     def eval_jet(self, p, x, order) -> Jet:
+        """The jet at one point ``p (m,)``, ``x (n,)``, with a float value,
+        or at a stack ``p (B, m)``, ``x (B, n)``."""
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.ndim >= 2:
+            return self._jet(p, x, order)
+        # one point is row 0 of a stack of one
+        j = self._jet(p.ravel()[None], x.ravel()[None], order)
+        return Jet(order, j.value[0], *(t[0] for t in (j.grad, j.hess, j.third)[:order]))
+
+    def _jet(self, P, X, order) -> Jet:
+        """The stacked jet at ``P (B, m)``, ``X (B, n)``: what a subclass implements."""
         raise NotImplementedError
 
     def at_base(self, X, order):
         """At base points ``X (B, n)``: ``ev(rows, P, o) = eval_jet(P, X[rows], o)``, o <= order."""
         return lambda rows, P, o: self.eval_jet(P, X[rows], o)
 
-    def __call__(self, p, x) -> float:
-        return self.eval_jet(p, x, 0).value
-
     def value(self, p, x) -> float:
         return self.eval_jet(p, x, 0).value
+
+    __call__ = value
 
     def __repr__(self):
         name = self.label or type(self).__name__
@@ -86,13 +97,9 @@ class PolyGenFun(GenFun):
                 )
         self._kernel = PolyKernel.from_polys([flat], self.m + self.n)
 
-    def eval_jet(self, p, x, order) -> Jet:
-        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-        if p.ndim < 2:
-            p, x = p.ravel(), x.ravel()
-        point = np.concatenate([p, x], axis=-1)
-        # drop the kernel's output axis, which follows the stack axis if any
-        return Jet(order, *(t.squeeze(p.ndim - 1) for t in self._kernel.jet(point, order)))
+    def _jet(self, P, X, order) -> Jet:
+        ts = self._kernel.jet(np.concatenate([P, X], axis=1), order)
+        return Jet(order, *(t.squeeze(1) for t in ts))  # drop the kernel's output axis
 
 
 class TensorGenFun(GenFun):
@@ -105,14 +112,11 @@ class TensorGenFun(GenFun):
         self.F = F
         self.G = G
 
-    def eval_jet(self, p, x, order) -> Jet:
-        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-        if p.ndim < 2:
-            p, x = p.ravel(), x.ravel()
+    def _jet(self, P, X, order) -> Jet:
         F, G = self.F, self.G
         nv = self.m + self.n
-        jF = F.eval_jet(p[..., :F.m], x[..., :F.n], order)
-        jG = G.eval_jet(p[..., F.m:], x[..., F.n:], order)
+        jF = F.eval_jet(P[:, :F.m], X[:, :F.n], order)
+        jG = G.eval_jet(P[:, F.m:], X[:, F.n:], order)
         idx_F = list(range(F.m)) + list(range(self.m, self.m + F.n))
         idx_G = list(range(F.m, self.m)) + list(range(self.m + F.n, nv))
         return jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
@@ -125,11 +129,8 @@ class LiftGenFun(GenFun):
         super().__init__(phi.d_out, phi.d_in, np.inf, label or "lift")
         self.phi = phi
 
-    def eval_jet(self, p, x, order) -> Jet:
-        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-        if p.ndim < 2:
-            p, x = p.ravel(), x.ravel()
-        return self._pair(p, self.phi.jet(x, order))
+    def _jet(self, P, X, order) -> Jet:
+        return self._pair(P, self.phi.jet(X, order))
 
     def at_base(self, X, order):
         mj = self.phi.jet(X, order)  # once: the evaluator slices it by rows
@@ -168,9 +169,8 @@ def identity_genfun(d) -> PolyGenFun:
     """S(p, x) = <p, x>, the identity micromorphism on R^d."""
     terms = {}
     for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        terms[(tuple(e), tuple(e))] = 1.0
+        e = unit_exponents(d, i)
+        terms[(e, e)] = 1.0
     return PolyGenFun(terms, d, d, np.inf, label=f"id_{d}")
 
 
@@ -189,11 +189,9 @@ def cotangent_lift(phi, label="") -> GenFun:
         m, n = phi.d_out, phi.d_in
         terms = {}
         for i, comp in enumerate(phi.components):
-            pe = [0] * m
-            pe[i] = 1
+            pe = unit_exponents(m, i)
             for xe, coeff in comp.items():
-                key = (tuple(pe), xe)
-                terms[key] = terms.get(key, 0.0) + coeff
+                terms[(pe, xe)] = coeff
         return PolyGenFun(terms, m, n, np.inf, label=label or "lift")
     return LiftGenFun(phi, label=label)
 
@@ -205,9 +203,9 @@ def tensor(F: GenFun, G: GenFun, label="") -> GenFun:
         terms = {}
         for (pe, xe), c in F.terms.items():
             terms[(pe + (0,) * G.m, xe + (0,) * G.n)] = c
+        # every G term carries a momentum of G, so no key repeats one of F's
         for (pe, xe), c in G.terms.items():
-            key = ((0,) * F.m + pe, (0,) * F.n + xe)
-            terms[key] = terms.get(key, 0.0) + c
+            terms[((0,) * F.m + pe, (0,) * F.n + xe)] = c
         return PolyGenFun(terms, m, n, min(F.domain_radius, G.domain_radius),
                           label or f"({F.label})(+)({G.label})")
     return TensorGenFun(F, G, label)

@@ -32,7 +32,7 @@ MAX_ORDER = 3
 
 @dataclass
 class Jet:
-    """Taylor data of a scalar function of ``nvars`` variables at a point,
+    """Taylor data of a scalar function of several variables at a point,
     or at each point of a stack (``value`` then has shape ``(B,)``)."""
 
     order: int
@@ -40,10 +40,6 @@ class Jet:
     grad: np.ndarray | None = None
     hess: np.ndarray | None = None
     third: np.ndarray | None = None
-
-    @property
-    def nvars(self) -> int:
-        return 0 if self.grad is None else self.grad.shape[-1]
 
     def __post_init__(self):
         if not 0 <= self.order <= MAX_ORDER:
@@ -116,6 +112,15 @@ def canonical_poly(items, nvars) -> dict:
             raise ValueError(f"negative exponents are not allowed, got {exps}")
         out[exps] = out.get(exps, 0.0) + float(coeff)
     return {e: c for e, c in out.items() if c != 0.0}
+
+
+def unit_exponents(n, *slots) -> tuple:
+    """Exponent tuple of the monomial ``prod v_s`` over ``slots`` in ``n``
+    variables; a repeated slot raises its power."""
+    e = [0] * n
+    for s in slots:
+        e[s] += 1
+    return tuple(e)
 
 
 class PolyKernel:

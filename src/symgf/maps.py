@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import PolyKernel, canonical_poly
+from .jets import PolyKernel, canonical_poly, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 
@@ -46,15 +46,8 @@ class PolyMap:
     def linear(cls, A):
         A = np.asarray(A, dtype=float)
         k, n = A.shape
-        comps = []
-        for i in range(k):
-            comp = {}
-            for j in range(n):
-                if A[i, j] != 0.0:
-                    e = [0] * n
-                    e[j] = 1
-                    comp[tuple(e)] = A[i, j]
-            comps.append(comp)
+        comps = [{unit_exponents(n, j): A[i, j] for j in range(n) if A[i, j] != 0.0}
+                 for i in range(k)]
         return cls(comps, n)
 
     @classmethod

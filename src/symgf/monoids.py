@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .genfun import PolyGenFun
-from .jets import PolyKernel, canonical_poly
+from .jets import PolyKernel, canonical_poly, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 
@@ -119,7 +119,7 @@ def truncated_group_law(structure: LieStructure, trunc: int):
     if not 1 <= trunc <= 4:
         raise ValueError(f"trunc must be between 1 and 4, got {trunc}")
     d, c = structure.d, structure.c
-    unit = [{tuple(e): 1.0} for e in np.eye(2 * d, dtype=int).tolist()]
+    unit = [{unit_exponents(2 * d, i): 1.0} for i in range(2 * d)]
     X, Y = unit[:d], unit[d:]
     series = [(1.0, X), (1.0, Y)]
     if trunc >= 2:
@@ -144,10 +144,9 @@ def lie_monoid(structure: LieStructure, trunc: int = 4) -> PolyGenFun:
     A = truncated_group_law(structure, trunc)
     terms = {}
     for k, comp in enumerate(A):
-        xe = [0] * d
-        xe[k] = 1
+        xe = unit_exponents(d, k)
         for pe, coeff in comp.items():
-            terms[(pe, tuple(xe))] = coeff
+            terms[(pe, xe)] = coeff
     kappa = float(np.linalg.norm(structure.c.ravel()))
     radius = np.inf if kappa == 0.0 else 0.5 * math.log(2.0) / kappa
     return PolyGenFun(terms, 2 * d, d, radius,
@@ -158,12 +157,9 @@ def abelian_monoid(d) -> PolyGenFun:
     """S = <p1 + p2, x>: the additive monoid, zero bivector."""
     terms = {}
     for i in range(d):
-        xe = [0] * d
-        xe[i] = 1
+        xe = unit_exponents(d, i)
         for slot in range(2):
-            pe = [0] * (2 * d)
-            pe[slot * d + i] = 1
-            terms[(tuple(pe), tuple(xe))] = 1.0
+            terms[(unit_exponents(2 * d, slot * d + i), xe)] = 1.0
     return PolyGenFun(terms, 2 * d, d, np.inf, label=f"abelian-{d}")
 
 
@@ -196,12 +192,8 @@ def symplectic_monoid(d, jinv=None) -> PolyGenFun:
     xe0 = (0,) * d
     for i in range(d):
         for j in range(d):
-            if jinv[i, j] == 0.0:
-                continue
-            pe = [0] * (2 * d)
-            pe[i] += 1
-            pe[d + j] += 1
-            terms[(tuple(pe), xe0)] = 0.5 * jinv[i, j]
+            if jinv[i, j] != 0.0:
+                terms[(unit_exponents(2 * d, i, d + j), xe0)] = 0.5 * jinv[i, j]
     return PolyGenFun(terms, 2 * d, d, np.inf, label=f"symplectic-{d}")
 
 
@@ -260,19 +252,12 @@ class PolyPoisson:
     def linear_from_structure(cls, structure: LieStructure):
         """alpha^{ij}(x) = sum_k c^k_{ij} x_k (the linear bivector attached
         to a Lie algebra)."""
-        d = structure.d
-        ent = {}
+        d, c = structure.d, structure.c
+        ent = {}  # the constructor drops the entries that come out empty
         for i in range(d):
             for j in range(i + 1, d):
-                poly = {}
-                for k in range(d):
-                    v = structure.c[k, i, j]
-                    if v != 0.0:
-                        e = [0] * d
-                        e[k] = 1
-                        poly[tuple(e)] = v
-                if poly:
-                    ent[(i, j)] = poly
+                ent[(i, j)] = {unit_exponents(d, k): c[k, i, j]
+                               for k in range(d) if c[k, i, j] != 0.0}
         return cls(d, ent)
 
     def entry_poly(self, i, j):
@@ -382,11 +367,9 @@ def _symbols(alpha: PolyPoisson):
     for i in range(d):
         for j in range(d):
             aij = alpha.entry_poly(i, j)
-            pe = [0] * (2 * d)
-            pe[i] += 1
-            pe[d + j] += 1
+            pe = unit_exponents(2 * d, i, d + j)
             for xe, c in aij.items():
-                first[(tuple(pe), xe)] = 0.5 * c
+                first[(pe, xe)] = 0.5 * c
             for l in range(d):
                 dij = _poly_derivative(aij, l)
                 if not dij:
@@ -397,9 +380,7 @@ def _symbols(alpha: PolyPoisson):
                         continue
                     prod = _poly_mul(dij, alk)
                     for tree, slot in ((t1, k), (t2, d + k)):
-                        pk = list(pe)
-                        pk[slot] += 1
-                        pk = tuple(pk)
+                        pk = unit_exponents(2 * d, i, d + j, slot)
                         for xe, c in prod.items():
                             tree[(pk, xe)] = tree.get((pk, xe), 0.0) + c
     return abelian_monoid(d).terms, first, (t1, t2)

@@ -519,13 +519,16 @@ def test_change_of_coordinates_requires_monoid_shape():
 
 # -- operands at fixed base points ------------------------------------------
 
-@pytest.mark.parametrize("make", [
+one_genfun_per_kind = pytest.mark.parametrize("make", [
     lambda: _cubicish(61, 2, 3),
     lambda: TensorGenFun(_cubicish(62, 2, 2),
                          LiftGenFun(InverseMap(PolyMap(QUADRATIC_G, d_in=2)))),
     lambda: LiftGenFun(InverseMap(PolyMap(QUADRATIC_G, d_in=2))),
     _coordinate_change,
 ], ids=["poly", "tensor", "lift-of-inverse", "coordinate-change"])
+
+
+@one_genfun_per_kind
 def test_base_evaluator_equals_eval_jet(make):
     # an evaluator built at `order` answers every order up to it, on any
     # rows of its base points, exactly as eval_jet there
@@ -541,6 +544,22 @@ def test_base_evaluator_equals_eval_jet(make):
                 for q, name in enumerate(("value", "grad", "hess", "third")[:o + 1]):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), \
                         (order, rows, o, name)
+
+
+@one_genfun_per_kind
+def test_one_point_is_row_of_its_stack(make):
+    # GenFun.eval_jet evaluates one point as row 0 of a stack of one, so the
+    # point's jet is the stack's row bit for bit, with a float value
+    S = make()
+    P = sample_ball(5, S.m, 0.05, 4)
+    X = sample_box(5, S.n, -0.25, 0.25, 9)
+    for o in range(4):
+        stack = S.eval_jet(P, X, o)
+        for b in range(len(P)):
+            one = S.eval_jet(P[b], X[b], o)
+            assert type(one.value) is float
+            for name in ("value", "grad", "hess", "third")[:o + 1]:
+                assert np.array_equal(getattr(one, name), getattr(stack, name)[b]), (o, b, name)
 
 
 def test_inverse_map_jets_once_per_outer_solve(monkeypatch):

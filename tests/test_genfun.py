@@ -73,6 +73,17 @@ def test_cotangent_lift_of_poly_map_is_poly():
     assert L(p, x) == pytest.approx(p @ phi.jet(x, 0).value, rel=1e-14)
 
 
+def test_builders_keep_their_term_order():
+    # term order fixes the kernel's row order and so the bits of every sum;
+    # dict equality ignores it, so compare the items as lists
+    assert list(identity_genfun(2).terms.items()) == [
+        (((1, 0), (1, 0)), 1.0), (((0, 1), (0, 1)), 1.0)]
+    g = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    assert list(cotangent_lift(g).terms.items()) == [
+        (((1, 0), (1, 0)), 1.0), (((1, 0), (0, 2)), 0.3),
+        (((0, 1), (0, 1)), 1.0), (((0, 1), (1, 1)), -0.2)]
+
+
 def test_base_map_is_p_gradient_at_zero():
     # S = <p, phi(x)> has base map phi
     phi = PolyMap([{(1, 1): 1.0}, {(0, 2): 1.0, (1, 0): 0.5}], d_in=2)

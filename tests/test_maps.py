@@ -21,6 +21,13 @@ def test_polymap_identity_and_linear():
     assert np.all(L.jet(y, 2).hess == 0.0)
 
 
+def test_linear_polymap_keeps_its_term_order():
+    # one unit exponent per nonzero entry, row by row in column order
+    L = PolyMap.linear([[2.0, 0.0, -1.5], [0.0, 0.5, 0.0]])
+    assert [list(c.items()) for c in L.components] == [
+        [((1, 0, 0), 2.0), ((0, 0, 1), -1.5)], [((0, 1, 0), 0.5)]]
+
+
 def test_polymap_jacobian_matches_fd():
     phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
     x = np.array([0.35, -0.6])

@@ -180,6 +180,18 @@ def test_poly_poisson_antisymmetry_and_eval():
     assert dA[1, 0, 0] == pytest.approx(-0.3)
 
 
+def test_builders_keep_their_term_order():
+    # term order fixes the kernel's row order and so the bits of every report;
+    # dict equality ignores it, so compare the items as lists
+    abelian = [(((1, 0, 0, 0), (1, 0)), 1.0), (((0, 0, 1, 0), (1, 0)), 1.0),
+               (((0, 1, 0, 0), (0, 1)), 1.0), (((0, 0, 0, 1), (0, 1)), 1.0)]
+    assert list(abelian_monoid(2).terms.items()) == abelian
+    assert list(symplectic_monoid(2).terms.items()) == abelian + [
+        (((1, 0, 0, 1), (0, 0)), 0.5), (((0, 1, 1, 0), (0, 0)), -0.5)]
+    assert list(PolyPoisson.linear_from_structure(LieStructure.so3()).entries.items()) == [
+        ((0, 1), {(0, 0, 1): 1.0}), ((0, 2), {(0, 1, 0): -1.0}), ((1, 2), {(1, 0, 0): 1.0})]
+
+
 def test_linear_from_structure_is_kirillov_kostant():
     st = LieStructure.so3()
     alpha = PolyPoisson.linear_from_structure(st)
