@@ -14,7 +14,10 @@ The critical point is found by damped Newton from the canonical anchor
 pb = 0, xb = grad_p F(0, x3).  For normalized operands the anchor is the
 exact critical point at p1 = 0, where Newton stops before its first step
 and the stationary value is exactly 0: the composite is normalized by
-construction and no constant is subtracted from its values.  Newton
+construction and no constant is subtracted from its values.  A
+momentum-linear F = <pb, psi(x3)> (a cotangent lift) has grad_p F free of pb,
+so Newton starts at the explicit critical point xb = psi(x3), pb = grad_x G(p1,
+xb), where the residual is exactly 0, and takes 0 iterations.  Newton
 evaluates the operands once per iterate, at order 2, F by rows of one
 evaluator at its fixed base points x3 per stacked solve (``F.at_base``);
 the composite reads orders 0-2 off the accepted iterate's jets.  First
@@ -83,17 +86,19 @@ class StationaryPoint:
     condition: float
 
 
-def _residual_and_jac(F, G, P1, X3, Z, jF=None):
+def _residual_and_jac(F, G, P1, X3, Z, jF=None, jG=None):
     """Residuals ``(B, 2k)``, Jacobians ``(B, 2k, 2k)`` and the order-2 operand
-    jets of the critical-point systems at a stack of iterates (F's is ``jF`` if given)."""
+    jets of the critical-point systems at a stack of iterates (``jF``, ``jG`` if given)."""
     k = G.n
     if jF is None:
         jF = F.eval_jet(Z[:, :k], X3, 2)
-    jG = G.eval_jet(P1, Z[:, k:], 2)
-    r = np.concatenate([
-        Z[:, :k] - jG.grad[:, G.m:],          # pb - grad_x G(p1, xb)
-        Z[:, k:] - jF.grad[:, :k],            # xb - grad_p F(pb, x3)
-    ], axis=1)
+    if jG is None:
+        jG = G.eval_jet(P1, Z[:, k:], 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: the solver classifies non-finite points
+        r = np.concatenate([
+            Z[:, :k] - jG.grad[:, G.m:],          # pb - grad_x G(p1, xb)
+            Z[:, k:] - jF.grad[:, :k],            # xb - grad_p F(pb, x3)
+        ], axis=1)
     J = np.zeros((len(Z), 2 * k, 2 * k))
     J.reshape(len(Z), -1)[:, ::2 * k + 1] = 1.0
     J[:, :k, k:] = -jG.hess[:, G.m:, G.m:]
@@ -154,7 +159,7 @@ def _phase_condition(J):
     of the symmetric phase Hessian their column-block swap gives (Golub & Van Loan, 8.6)."""
     k = J.shape[-1] // 2
     lam = np.abs(np.linalg.eigvalsh(np.concatenate([J[..., k:], J[..., :k]], axis=-1)))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return lam.max(axis=-1) / lam.min(axis=-1)
 
 
@@ -225,16 +230,21 @@ def _restrict(Fev, rows):
     return lambda r, P, o: Fev(rows[r], P, o)
 
 
-def _newton(Fev, G, P1, X3, opts, Z=None, t=1.0) -> _Solution:
+def _newton(Fev, G, P1, X3, opts, Z=None, t=1.0, linear=False) -> _Solution:
     """:func:`_damped_newton` on the critical-point systems at a stack of points
     ``(t * P1[i], X3[i])``, from the anchors or the iterates ``Z``; ``Fev`` is F
-    at ``X3``.  Errors name the sample ``(P1[i], X3[i])``, and ``t`` below 1."""
+    at ``X3``, ``linear`` if F is momentum-linear.  Errors name the sample
+    ``(P1[i], X3[i])``, and ``t`` below 1."""
     k, start, Pt = G.n, None, t * P1
     if Z is None:
-        # the anchor pb = 0, xb = grad_p F(0, x3); its F jet serves iterate 0
+        # the anchor pb = 0, xb = grad_p F(0, x3); its jets serve iterate 0
         jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
         Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
-        start = _residual_and_jac(None, G, Pt, X3, Z, jF)
+        jG = G.eval_jet(Pt, Z[:, k:], 2)
+        if linear:  # grad_p F is free of pb, so xb is final and pb = grad_x G(p1, xb)
+            Z[:, :k] += jG.grad[:, G.m:]
+            jF = Fev(slice(None), Z[:, :k], 2)
+        start = _residual_and_jac(None, G, Pt, X3, Z, jF, jG)
     step = "" if t == 1 else f" (homotopy at {t:g} p1)"
     return _damped_newton(
         lambda rows, Zr: _residual_and_jac(None, G, Pt[rows], X3[rows], Zr, Fev(rows, Zr[:, :k], 2)),
@@ -264,7 +274,7 @@ def _solve(F, G, P1, X3, opts, Fev=None) -> _Solution:
     first such point in stack order is raised.
     """
     Fev = Fev or F.at_base(X3, 2)
-    sol = _newton(Fev, G, P1, X3, opts)
+    sol = _newton(Fev, G, P1, X3, opts, linear=F.momentum_linear)
     stray = np.array([i for i, e in enumerate(sol.errors) if isinstance(e, ConvergenceError)],
                      dtype=int)
     if stray.size and opts.homotopy_steps > 0:
@@ -276,7 +286,8 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
                      opts: NewtonOptions = DEFAULT_NEWTON) -> StationaryPoint:
     """Solve the critical-point system of the composition F o G at (p1, x3).
 
-    Damped Newton from the canonical anchor; if that fails to converge and
+    Damped Newton from the canonical anchor, or from the explicit critical
+    point when F is momentum-linear; if that fails to converge and
     ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  The point
     is solved as a stack of one by the same stacked solver that composites
     use for grids.  A degenerate system raises :class:`DegeneracyError` and

@@ -35,6 +35,8 @@ class NormalizationError(ValueError):
 class GenFun:
     """Base class: a jet-evaluable generating function S(p, x)."""
 
+    momentum_linear = False  # S = <p, phi(x)>: grad_p S is free of p (compose uses it)
+
     def __init__(self, m, n, domain_radius=np.inf, label=""):
         self.m = int(m)
         self.n = int(n)
@@ -95,6 +97,7 @@ class PolyGenFun(GenFun):
                     f"term with x-exponents {xe} has momentum degree 0; "
                     "S(0, x) = 0 requires every term to carry at least one momentum factor"
                 )
+        self.momentum_linear = all(sum(pe) == 1 for pe, _ in self.terms)
         self._kernel = PolyKernel.from_polys([flat], self.m + self.n)
 
     def _jet(self, P, X, order) -> Jet:
@@ -111,6 +114,7 @@ class TensorGenFun(GenFun):
                          label or f"({F.label})(+)({G.label})")
         self.F = F
         self.G = G
+        self.momentum_linear = F.momentum_linear and G.momentum_linear
 
     def _jet(self, P, X, order) -> Jet:
         F, G = self.F, self.G
@@ -124,6 +128,8 @@ class TensorGenFun(GenFun):
 
 class LiftGenFun(GenFun):
     """Cotangent lift of a jet-evaluable map: S(p, x) = <p, phi(x)>."""
+
+    momentum_linear = True
 
     def __init__(self, phi, label=""):
         super().__init__(phi.d_out, phi.d_in, np.inf, label or "lift")

@@ -172,15 +172,15 @@ class PolyKernel:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         stack = v.reshape(-1, self.n)
-        if self._tables[order] is None:
-            tab = _shared_table(self.E.shape, self.E.tobytes(), order)
-            self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
-        tab, scaled = self._tables[order]
-        dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
-        # powers[b, i, r] = v_bi**r, one IEEE product per step, with 0**0 = 1
-        powers = np.ones((len(stack), self.n, self._P))
-        # far out the powers overflow; the caller classifies the non-finite jet
+        # far out the powers, and huge scaled coefficients, overflow; the caller classifies it
         with np.errstate(over="ignore", invalid="ignore"):
+            if self._tables[order] is None:
+                tab = _shared_table(self.E.shape, self.E.tobytes(), order)
+                self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
+            tab, scaled = self._tables[order]
+            dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
+            # powers[b, i, r] = v_bi**r, one IEEE product per step, with 0**0 = 1
+            powers = np.ones((len(stack), self.n, self._P))
             for r in range(1, self._P):
                 np.multiply(powers[..., r - 1], stack, out=powers[..., r])
             if tab.starts.size:

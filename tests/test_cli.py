@@ -343,6 +343,33 @@ def test_compose_builtin_tokens(capsys):
     assert "value" in text and "newton" in text
 
 
+def test_compose_with_a_lift_outermost_takes_no_newton_iterate(tmp_path, capsys):
+    # a lift's grad_p does not depend on its momenta, so the solve starts at the
+    # explicit critical point and iterate 0 already has residual 0
+    out = tmp_path / "compose.json"
+    code = main(["compose", "--f", str(DATA / "lift_shear_d2.json"), "--g",
+                 "builtin:symplectic:2", "--p", "0.3,-0.1,0.2,0.4", "--x", "1.1,-0.7",
+                 "--out", str(out)])
+    assert code == 0
+    assert "newton: 0 iterations, residual 0.000e+00" in capsys.readouterr().out
+    (row,) = json.loads(out.read_text())["points"]
+    assert (row["iterations"], row["residual"]) == (0, 0.0)
+
+
+def test_overflowing_coefficient_fails_with_one_line_on_stderr(tmp_path):
+    # 1e308 p1^2 p2 x^3 overflows the kernel's scaled coefficients; the
+    # non-finite jet is a degenerate system, reported with no RuntimeWarning
+    terms = {((1, 0), (1,)): 1.0, ((0, 1), (1,)): 1.0, ((2, 1), (3,)): 1e308}
+    path = tmp_path / "big.json"
+    dump(genfun_to_dict(poly_genfun(terms, 2, 1)), path)
+    proc = subprocess.run([sys.executable, "-m", "symgf.cli", "verify", "--monoid", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("composition failed:"), proc.stderr
+    assert "degenerate" in err[0]
+
+
 def test_compose_dimension_mismatch_exits_two(capsys):
     code = main(["compose", "--f", "builtin:identity:2", "--g",
                  "builtin:identity:3", "--p", "0,0,0", "--x", "0,0"])

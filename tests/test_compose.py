@@ -8,8 +8,9 @@ from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import _damped_newton, _phase_condition, _residual_and_jac, _solve
+from symgf.compose import COND_LIMIT, _damped_newton, _phase_condition, _residual_and_jac, _solve
 from symgf.genfun import GenFun, LiftGenFun, TensorGenFun
+from symgf.jets import Jet
 from symgf.maps import InverseMap
 from symgf.verify import check_associativity, check_groupoid, check_jacobi, check_unit
 
@@ -592,34 +593,107 @@ def test_inverse_map_jets_once_per_outer_solve(monkeypatch):
     assert counted == {"unit": 6, "associativity": 21, "groupoid": 12, "jacobi": 3}
 
 
+class _BentLift(LiftGenFun):
+    """<p, phi(x)> + |p|^2 / 40: a lift's evaluator with F_pp = I / 20, so it is
+    not momentum-linear and its composites take Newton iterates."""
+
+    momentum_linear = False
+
+    def _pair(self, p, mj) -> Jet:
+        out, m = super()._pair(p, mj), self.m
+        out.value = out.value + (p * p).sum(axis=-1) / 40
+        if out.order >= 1:
+            out.grad[..., :m] += p / 20
+        if out.order >= 2:
+            out.hess[..., :m, :m] += np.eye(m) / 20
+        return out
+
+
+def test_lift_outer_operand_starts_at_its_explicit_critical_point(monkeypatch):
+    # grad_p F of a lift does not depend on pb, so xb = grad_p F(0, x3) and
+    # pb = grad_x G(p1, xb) solve the system outright: every stacked solve
+    # of lift(g^-1) o inner reads one order-2 jet of the inner composite per
+    # row and takes no Newton iterate
+    module = sys.modules["symgf.compose"]
+    C = _coordinate_change()
+    solve, solved, G_rows = module._solve, [], []
+    jet = C.G.eval_jet
+
+    def counting(F, G, P1, X3, opts, Fev=None):
+        sol = solve(F, G, P1, X3, opts, Fev)
+        if F is C.F:
+            solved.append((len(P1), sol.iterations.tolist(), sol.residuals.max()))
+        return sol
+
+    monkeypatch.setattr(module, "_solve", counting)
+    monkeypatch.setattr(C.G, "eval_jet", lambda P, X, order: G_rows.append((order, len(P)))
+                        or jet(P, X, order))
+    ps, xs = sample_ball(5, C.m, 0.05, 4), sample_box(5, C.n, -0.25, 0.25, 9)
+    check_unit(C, ps[:, :2], xs)
+    check_groupoid(C, ps[:, :2], xs)
+    C.eval_jet(ps, xs, 2)
+    assert len(solved) == 4
+    assert G_rows == [(2, rows) for rows, _, _ in solved]
+    assert all(its == [0] * rows and res == 0.0 for rows, its, res in solved)
+    # a momentum-nonlinear outer operand on the same maps still takes Newton
+    bent = _BentLift(C.F.phi)
+    assert not bent.momentum_linear
+    G_rows.clear()
+    sol = _solve(bent, C.G, ps, xs, C.opts)
+    assert sol.iterations.min() >= 1
+    assert G_rows == [(2, 5)] * (1 + sol.iterations.max())
+
+
+def test_explicit_start_still_checks_the_condition():
+    # F = <p, x> is momentum-linear: its Jacobian [[1, -G_xx], [0, 1]] is
+    # invertible for every finite G_xx = 2 c p, but its phase condition grows
+    # like G_xx^2; iterate 0 is checked like any other, so a huge or
+    # non-finite G_xx is degenerate while a moderate one solves in 0 iterations
+    # (at 1e200 the condition itself overflows to inf, without a warning)
+    F = identity_genfun(1)
+    assert F.momentum_linear
+    p1, x3 = np.array([0.5]), np.array([0.3])
+    for c, ok in [(1e3, True), (1e6, False), (1e200, False), (1e308, False)]:
+        G = poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): c}, 1, 1)
+        if ok:
+            sp = stationary_point(F, G, p1, x3)
+            assert (sp.iterations, sp.residual) == (0, 0.0)
+            assert sp.p_mid == pytest.approx(p1 * (1 + 2 * c * x3), rel=1e-15)
+            assert sp.condition < COND_LIMIT
+        else:
+            with pytest.raises(DegeneracyError, match="stationary-point system is degenerate"):
+                stationary_point(F, G, p1, x3)
+
+
 def test_homotopy_with_a_lift_outer_operand_matches_one_point_solves(monkeypatch):
-    # a lift's phase has F_pp = 0, so direct Newton always converges in one
-    # step; failing the direct solve of chosen points forces them onto the
-    # continuation, which reads the lift's evaluator through its sub-stacks
+    # a lift's own solve has no Newton to fail, so the outer operand here is a
+    # lift bent by |p|^2 / 40 on the same map; failing the direct solve of
+    # chosen points forces them onto the continuation, which reads the lift's
+    # evaluator through its sub-stacks
     module = sys.modules["symgf.compose"]
     newton, forced = module._newton, []
 
-    def direct_fails(Fev, G, P1, X3, opts, Z=None, t=1.0):
+    def direct_fails(Fev, G, P1, X3, opts, Z=None, t=1.0, linear=False):
         # only the outer direct solve, the first _newton to start: the inner
         # composite's solves run inside it
         rows = list(forced)
         forced.clear()
-        sol = newton(Fev, G, P1, X3, opts, Z, t)
+        sol = newton(Fev, G, P1, X3, opts, Z, t, linear)
         for i in rows:
             sol.errors[i] = ConvergenceError("forced onto the continuation")
         return sol
 
     monkeypatch.setattr(module, "_newton", direct_fails)
     C = _coordinate_change()
-    assert isinstance(C.F, LiftGenFun)
+    F = _BentLift(C.F.phi)
     ps = sample_ball(5, C.m, 0.05, 4)
     xs = sample_box(5, C.n, -0.25, 0.25, 9)
-    direct = _solve(C.F, C.G, ps, xs, C.opts)
+    direct = _solve(F, C.G, ps, xs, C.opts)
     forced[:] = [1, 3, 4]
-    sol = _solve(C.F, C.G, ps, xs, C.opts)
+    sol = _solve(F, C.G, ps, xs, C.opts)
     for b in range(5):
         forced[:] = [0] if b in (1, 3, 4) else []
-        one = _solve(C.F, C.G, ps[b:b + 1], xs[b:b + 1], C.opts)
+        one = _solve(F, C.G, ps[b:b + 1], xs[b:b + 1], C.opts)
         assert np.array_equal(sol.Z[b], one.Z[0]), b
         assert sol.iterations[b] == one.iterations[0]
         for got, want in zip(sol.jets, one.jets):

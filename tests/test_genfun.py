@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symgf import (NormalizationError, PolyMap, base_map, cotangent_lift,
+from symgf import (GenFun, NormalizationError, PolyMap, base_map, cotangent_lift,
                    identity_genfun, poly_genfun, sample_ball, sample_box,
-                   tensor, unit_genfun)
+                   symplectic_monoid, tensor, unit_genfun)
+from symgf.genfun import LiftGenFun, TensorGenFun
+from symgf.maps import InverseMap
 
 from conftest import fd_grad, normalization_residual
 
@@ -95,7 +97,6 @@ def test_base_map_is_p_gradient_at_zero():
 
 
 def test_lift_genfun_jets_match_fd():
-    from symgf.maps import InverseMap
     phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
     L = cotangent_lift(InverseMap(phi))  # non-poly branch
     p = np.array([0.25, -0.15])
@@ -113,3 +114,19 @@ def test_domain_radius_minimum_under_tensor():
     F = poly_genfun({((1,), (1,)): 1.0}, 1, 1, domain_radius=0.3)
     G = poly_genfun({((1,), (1,)): 1.0}, 1, 1, domain_radius=0.8)
     assert tensor(F, G).domain_radius == pytest.approx(0.3)
+
+
+def test_momentum_linear_marks_exactly_the_lifts():
+    # S = <p, phi(x)> has grad_p S independent of p; any term of momentum
+    # degree 2 or more (every monoid has one) breaks that
+    phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    lift, inverse_lift = cotangent_lift(phi), cotangent_lift(InverseMap(phi))
+    assert isinstance(inverse_lift, LiftGenFun)
+    assert isinstance(tensor(inverse_lift, inverse_lift), TensorGenFun)
+    linear = [lift, inverse_lift, identity_genfun(3), tensor(lift, lift),
+              tensor(inverse_lift, inverse_lift), tensor(lift, inverse_lift)]
+    assert [F.momentum_linear for F in linear] == [True] * len(linear)
+    bent = poly_genfun({((1,), (1,)): 1.0, ((2,), (1,)): 0.5}, 1, 1)
+    nonlinear = [symplectic_monoid(2), bent, tensor(lift, symplectic_monoid(2)),
+                 tensor(inverse_lift, bent), GenFun(2, 2)]
+    assert [F.momentum_linear for F in nonlinear] == [False] * len(nonlinear)

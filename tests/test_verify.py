@@ -342,9 +342,11 @@ def test_associativity_solves_both_products_in_stacks_of_at_most_block_rows(monk
 
 
 def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch):
-    # the coordinate-changed composite nests three solves per evaluation: stacking
-    # (p, 0) with (0, p), and alpha(s) with alpha(t), halves the solves, and rows
-    # are solved independently, so each residual equals its side-by-side formula
+    # the coordinate-changed composite nests two solves per evaluation (its outer
+    # lift starts at its explicit critical point and so evaluates the inner
+    # composite once): stacking (p, 0) with (0, p), and alpha(s) with alpha(t),
+    # halves the solves, and rows are solved independently, so each residual
+    # equals its side-by-side formula
     g = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
     C = change_coordinates(symplectic_monoid(2), Diffeo(g))
     ps, xs = sample_ball(3, 2, 0.05, 0), sample_box(3, 2, -0.25, 0.25, 1)
@@ -366,10 +368,10 @@ def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch)
     monkeypatch.setattr(composition, "_solve", lambda *a: calls.append(len(a[2])) or solve(*a))
     # a negative tolerance fails every point, so the reports list every residual
     rep = check_unit(C, ps, xs, tol=-1.0)
-    assert len(calls) == 3
+    assert len(calls) == 2
     calls.clear()
     reps = check_groupoid(C, ps, xs, tol=-1.0)
-    assert len(calls) == 5
+    assert len(calls) == 4
     for r, want in zip([rep, *reps], [unit, *groupoid], strict=True):
         assert np.array_equal([f["residual"] for f in r.failures], want), r.axiom
     # the two triple products as rows of one stack: every outer Newton iterate
@@ -378,12 +380,12 @@ def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch)
     I = identity_genfun(2)
     calls.clear()
     sides = compose(C, tensor(C, I))(p3s, axs) - compose(C, tensor(I, C))(p3s, axs)
-    assert (len(calls), sum(calls)) == (36, 108)
+    assert (len(calls), sum(calls)) == (26, 78)
     calls.clear()
     rep = check_associativity(C, p3s, axs, tol=-1.0)
-    # one solve of 6 rows more than half of the 36: at the anchor the slot
-    # form's outer operand reads C at momenta (0, c), not at 0, so C's own
-    # solve takes an iterate there instead of stopping at its exact anchor
-    assert (len(calls), sum(calls)) == (19, 114)
+    # half the 26 solves, on the same rows: at the anchor the slot form's outer
+    # operand reads C at momenta (0, c), not at 0, and C's own solve starts at
+    # its explicit critical point there as at 0, so no side costs an iterate more
+    assert (len(calls), sum(calls)) == (13, 78)
     np.testing.assert_allclose([f["residual"] for f in rep.failures], np.abs(sides),
                                rtol=0, atol=1e-15)
