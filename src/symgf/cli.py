@@ -85,6 +85,8 @@ def build_monoid(args) -> GenFun:
         raise UserInputError("--builtin kontsevich needs --alpha (name or JSON path)")
     weights = None
     if args.weights is not None:
+        if args.order != 2:
+            raise UserInputError("--weights needs --order 2")
         weights = tuple(_parse_floats(args.weights, "--weights", 2))
     return kontsevich_monoid(_bivector(args.alpha), eps=args.eps,
                              order=args.order, weights=weights)

@@ -192,7 +192,7 @@ class PolyKernel:
                 for q in range(order + 1)]
 
 
-# bounded: 64 entries hold the 10 (E, order) pairs of the order-2 fit and a check's few
+# bounded: 64 entries hold the 4 (E, order) pairs of the order-2 fit and a check's few
 @lru_cache(maxsize=64)
 def _shared_table(shape, data, order):
     E = np.frombuffer(data, dtype=np.int64).reshape(shape)

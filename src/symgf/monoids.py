@@ -325,8 +325,6 @@ class TreeWeightFit:
     floor: float
     n_rows: int
     seed: int
-    eps: float
-    levels: int
 
     @property
     def passed(self) -> bool:
@@ -411,7 +409,7 @@ def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
 
     order=1:  S = <p1+p2, x> + (eps/2) alpha^{ij}(x) p1_i p2_j
     order=2:  adds eps^2 (c1 T1 + c2 T2) with (c1, c2) from the
-              associativity fit (or ``weights`` if given).
+              associativity fit (or ``weights``, taken at order 2 only).
 
     The bivector must satisfy the Jacobi identity, checked on a small
     deterministic grid.  Raises :class:`Order2GateError` when the fit
@@ -419,6 +417,8 @@ def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    if weights is not None and order != 2:
+        raise ValueError(f"tree weights need order 2, got order {order}")
     symbols = _symbols(alpha)
     fit = None
     if order == 2 and weights is None:
@@ -435,20 +435,6 @@ def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
 # The associativity fit for the order-2 tree weights
 # --------------------------------------------------------------------------
 
-def _richardson_leading(values, eps, leading=2):
-    """Coefficient of eps^leading from evaluations at eps / 2^i.
-
-    ``values[..., i] = R(eps / 2^i)``, i < K; models each R as a polynomial
-    with powers leading .. leading + K - 1 and eliminates all but the
-    leading power, in one batched solve.
-    """
-    K = values.shape[-1]
-    powers = np.arange(leading, leading + K)
-    V = np.array([[(eps / 2.0 ** i) ** q for q in powers] for i in range(K)])
-    coef = np.linalg.solve(np.broadcast_to(V, values.shape[:-1] + V.shape), values[..., None])
-    return coef[..., 0, 0]
-
-
 def _fit_instances():
     """Bivectors used by the weight fit: one linear (so3) and one
     non-linear d=2 instance (any single-entry bivector is Poisson)."""
@@ -457,7 +443,7 @@ def _fit_instances():
     return [lin, quad]
 
 
-def _fit_rows(seed, n_points, eps, levels):
+def _fit_rows(seed, n_points):
     """The eps^2 coefficient ``A c + b`` of the associativity defect at each
     row (fit instance, sample point), affine in the tree weights ``c``.
 
@@ -468,11 +454,15 @@ def _fit_rows(seed, n_points, eps, levels):
 
         dT = T(p1 + p2, p3, x) + T(p1, p2, x) - T(p1, p2 + p3, x) - T(p2, p3, x).
 
-    ``b`` is the weight-free monoid's associativity defect as ``check_associativity``
-    takes it, its eps^2 coefficient by Richardson elimination over ``levels`` halvings.
+    ``b`` is the weight-free monoid's defect, with no Newton solve: each
+    triple product's slot-form phase L0 + eps L1 is linear in eps, so its
+    eps^2 term is the second variation -g (hess L0)^-1 g / 2, g = grad L1,
+    at the critical point (q, y) = (p1 + p2, x) of L0.  There hess L0 =
+    [[0, -I], [-I, 0]] makes it g_q . g_y, with g_q = alpha(x) p3 / 2 and
+    g_y = d alpha(x)[p1, p2] / 2 on the left, g_q = alpha(x)^T p1 / 2 and
+    g_y = d alpha(x)[p2, p3] / 2 on the right.
     """
     from .grids import sample_ball, sample_box
-    from .verify import _associativity_defect
 
     cols, consts = [], []
     for inst_idx, alpha in enumerate(_fit_instances()):
@@ -480,14 +470,13 @@ def _fit_rows(seed, n_points, eps, levels):
         symbols = _symbols(alpha)
         ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
         xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
-        defect = np.zeros((n_points, levels))
-        for lev in range(levels):
-            S = _expansion(alpha, symbols, eps / 2.0 ** lev, None, 1)
-            defect[:, lev] = _associativity_defect(S)(ps, xs)
-        consts.append(_richardson_leading(defect, eps))
+        p1, p2, p3 = ps[:, :d], ps[:, d:2 * d], ps[:, 2 * d:]
+        al, dal = alpha.matrix_jet(xs, 1)
+        left = np.einsum("blk,bk,bijl,bi,bj->b", al, p3, dal, p1, p2)
+        right = np.einsum("bkl,bk,bijl,bi,bj->b", al, p1, dal, p2, p3)
+        consts.append((left - right) / 4)
         trees = PolyKernel.from_polys(
             [{pe + xe: c for (pe, xe), c in tree.items()} for tree in symbols[2]], 3 * d)
-        p1, p2, p3 = ps[:, :d], ps[:, d:2 * d], ps[:, 2 * d:]
         T = [trees.jet(np.concatenate([u, v, xs], axis=1), 0)[0]
              for u, v in ((p1 + p2, p3), (p1, p2), (p1, p2 + p3), (p2, p3))]
         cols.append(T[0] + T[1] - T[2] - T[3])
@@ -495,15 +484,14 @@ def _fit_rows(seed, n_points, eps, levels):
 
 
 @lru_cache(maxsize=None)
-def fit_tree_weights(seed: int = 11, n_points: int = 24, eps: float = 0.08,
-                     levels: int = 4) -> TreeWeightFit:
+def fit_tree_weights(seed: int = 11, n_points: int = 24) -> TreeWeightFit:
     """Determine the order-2 tree weights by least squares on the affine
     system of :func:`_fit_rows`.  The floor (its residual, in
     eps^2-coefficient units) reports how associative the fitted order-2
     monoid can possibly be.
     """
-    A, b = _fit_rows(seed, n_points, eps, levels)
+    A, b = _fit_rows(seed, n_points)
     sol, *_ = np.linalg.lstsq(A, -b, rcond=None)
     floor = float(np.max(np.abs(A @ sol + b), initial=0.0))
     return TreeWeightFit(float(sol[0]), float(sol[1]), floor,
-                         n_rows=len(b), seed=seed, eps=eps, levels=levels)
+                         n_rows=len(b), seed=seed)

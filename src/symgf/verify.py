@@ -302,8 +302,7 @@ def check_associativity(S: GenFun, ps, xs, tol=1e-9,
     <pb, xb>, gives (S o (I (x) S))(p1, p2, p3; x) = (S^op o (S (x) I))(p2, p3, p1; x)
     with S^op(a, b; x) = S(b, a; x), associative or not; so both products
     are rows of one stacked solve in d unknown pairs, on stacks of at most
-    :data:`BLOCK` rows, by the path the order-2 weight fit shares.  A solve
-    error names p1 = (a, b) and x3 = (c, x), rotated on a right-product row.
+    :data:`BLOCK` rows.  A solve error names p1 = (a, b) and x3 = (c, x), rotated on a right-product row.
     """
     defect = _associativity_defect(S, opts)
     return _sweep({"associativity": tol}, lambda p, x: (np.abs(defect(p, x)),), ps, xs)[0]

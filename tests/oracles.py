@@ -9,6 +9,11 @@ scaling (repeated principal square roots via the Denman-Beavers iteration)
 followed by a Mercator series.  Matrices are plain ``numpy.ndarray``;
 inputs here are tiny (<= 10 x 10 group representations), so simplicity and
 verifiable series truncation beat cleverness.
+
+The order-2 associativity oracle: ``composite_defect_eps2`` measures the
+eps^2 coefficient of a semiclassical monoid's associativity defect through
+the composition engine, by Newton solves at eps / 2^i and Richardson
+elimination (``richardson_leading``), to check the closed-form fit against.
 """
 from __future__ import annotations
 
@@ -159,3 +164,30 @@ def group_law_poly_eval(A, p1, p2):
     """Evaluate a truncated group law at numeric (p1, p2)."""
     pt = np.concatenate([np.asarray(p1, float), np.asarray(p2, float)])
     return PolyKernel.from_polys(A, pt.size).jet(pt, 0)[0]
+
+
+def richardson_leading(values, eps, leading=2):
+    """Coefficient of eps^leading from evaluations at eps / 2^i.
+
+    ``values[..., i] = R(eps / 2^i)``, i < K; models each R as a polynomial
+    with powers leading .. leading + K - 1 and eliminates all but the
+    leading power, in one batched solve.
+    """
+    K = values.shape[-1]
+    powers = np.arange(leading, leading + K)
+    V = np.array([[(eps / 2.0 ** i) ** q for q in powers] for i in range(K)])
+    coef = np.linalg.solve(np.broadcast_to(V, values.shape[:-1] + V.shape), values[..., None])
+    return coef[..., 0, 0]
+
+
+def composite_defect_eps2(alpha, ps, xs, weights=None, eps=0.08, levels=4):
+    """The eps^2 coefficient of the associativity defect of the semiclassical
+    monoid of ``alpha`` (order 1, or order 2 with tree ``weights``) at each
+    sample, from its Newton-solved defect at eps / 2^i, i < ``levels``."""
+    from symgf.monoids import _expansion, _symbols
+    from symgf.verify import _associativity_defect
+    symbols, order = _symbols(alpha), 1 if weights is None else 2
+    defect = np.stack([_associativity_defect(
+        _expansion(alpha, symbols, eps / 2.0 ** lev, weights, order))(ps, xs)
+        for lev in range(levels)], axis=-1)
+    return richardson_leading(defect, eps)

@@ -172,8 +172,7 @@ def test_criterion_4_semiclassical_expansion(capsys):
                    f"{r2:.3f} in 8 +/- 1"))
 
     # a fit that misses its floor must refuse to build and say so
-    bad_fit = TreeWeightFit(c1=0.0, c2=0.0, floor=1e-3, n_rows=8, seed=0,
-                            eps=0.1, levels=2)
+    bad_fit = TreeWeightFit(c1=0.0, c2=0.0, floor=1e-3, n_rows=8, seed=0)
     gate_ok = (not bad_fit.passed)
     try:
         raise Order2GateError(bad_fit)

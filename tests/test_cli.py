@@ -207,6 +207,13 @@ def test_a_genfun_that_is_not_a_monoid_exits_two_with_one_message(argv, capsys):
         f"error: {flag} builtin:identity:2: expected a monoid genfun (m = 2n), got m=2, n=2\n")
 
 
+def test_weights_below_order_2_exit_two_with_one_message(capsys):
+    # without --order 2 the weights have no tree to weigh
+    argv = ["verify", "--builtin", "kontsevich", "--alpha", "so3", "--weights", "1,2"]
+    assert main(argv + ["--grid-n", "4"]) == 2
+    assert capsys.readouterr().err == "error: --weights needs --order 2\n"
+
+
 @pytest.mark.parametrize("argv, text", [
     (["verify", "--monoid", "{file}"], '{"d": 2.7, "terms": []}'),
     (["verify", "--monoid", "{file}"], '{"d": true, "terms": []}'),
@@ -472,7 +479,7 @@ def test_verify_builtins_presets_pass(preset, capsys):
 
 
 def test_fit_tree_weights_script_recovers_twelfths(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["fit_tree_weights.py", "--n-points", "4", "--levels", "3"])
+    monkeypatch.setattr(sys, "argv", ["fit_tree_weights.py", "--n-points", "4"])
     _script("fit_tree_weights").main()
     out = capsys.readouterr().out
     assert "gate: pass" in out

@@ -7,10 +7,10 @@ import pytest
 from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                    fit_tree_weights, kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
-from symgf.monoids import (_expansion, _fit_instances, _fit_rows, _jacobi_residual,
-                           _richardson_leading, _symbols)
+from symgf.monoids import _fit_instances, _fit_rows, _jacobi_residual
 
-from oracles import builtin_rep, group_law_poly_eval, group_log
+from oracles import (builtin_rep, composite_defect_eps2, group_law_poly_eval, group_log,
+                     richardson_leading)
 
 
 # -- structure constants and representations -------------------------------
@@ -243,74 +243,87 @@ def test_kontsevich_linear_order2_matches_lie_monoid_trunc3():
 def test_fit_tree_weights_recovers_twelfths():
     fit = fit_tree_weights()
     assert fit.passed
-    assert fit.floor < 1e-9
-    assert fit.c1 == pytest.approx(-1.0 / 12.0, abs=1e-7)
-    assert fit.c2 == pytest.approx(+1.0 / 12.0, abs=1e-7)
+    assert fit.floor < 1e-15
+    assert fit.c1 == pytest.approx(-1.0 / 12.0, abs=1e-15)
+    assert fit.c2 == pytest.approx(+1.0 / 12.0, abs=1e-15)
 
 
-def test_fit_gates_each_bivector_once(monkeypatch):
-    # the fit assembles its weight-free monoids from symbols built once per
-    # instance: one Jacobi gate per bivector, no call into the builder, and
-    # two stacked solves per instance and eps level: both products of the
-    # 24 samples are 48 rows, at most BLOCK = 32 per stack
+def _counting(monkeypatch):
+    """Count the Jacobi gates, builder calls and Newton solves made from now on."""
     from symgf import monoids
     composition = sys.modules["symgf.compose"]  # the package exports its function as compose
     calls = {"gate": 0, "builder": 0, "solve": 0}
-    gate, builder, solve = (PolyPoisson.jacobi_residual, monoids.kontsevich_monoid,
-                            composition._solve)
 
-    def counted_gate(self, xs):
-        calls["gate"] += 1
-        return gate(self, xs)
+    def counter(key, f):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return counted
 
-    def counted_builder(*args, **kwargs):
-        calls["builder"] += 1
-        return builder(*args, **kwargs)
+    for owner, name, key in ((PolyPoisson, "jacobi_residual", "gate"),
+                             (monoids, "kontsevich_monoid", "builder"),
+                             (composition, "_solve", "solve")):
+        monkeypatch.setattr(owner, name, counter(key, getattr(owner, name)))
+    return calls
 
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(PolyPoisson, "jacobi_residual", counted_gate)
-    monkeypatch.setattr(monoids, "kontsevich_monoid", counted_builder)
-    monkeypatch.setattr(composition, "_solve", counted_solve)
+def test_fit_gates_each_bivector_once(monkeypatch):
+    # the fit takes its tree symbols from symbols built once per instance:
+    # one Jacobi gate per bivector, no call into the builder, and no solve
+    calls = _counting(monkeypatch)
     fit = fit_tree_weights.__wrapped__()
     assert fit.passed
-    # two fit instances x 4 eps levels x 2 stacks of the defect
-    assert calls == {"gate": 2, "builder": 0, "solve": 16}
+    assert calls == {"gate": 2, "builder": 0, "solve": 0}
 
 
-def _three_candidate_rows(seed=11, n_points=24, eps=0.08, levels=4):
+def test_fit_makes_no_newton_solve(monkeypatch):
+    # the closed form holds at any sample set, with no composite behind it
+    calls = _counting(monkeypatch)
+    fit = fit_tree_weights.__wrapped__(seed=3, n_points=8)
+    assert calls["solve"] == 0
+    assert fit.n_rows == 16 and fit.floor < 1e-15
+    assert fit.c1 == pytest.approx(-1.0 / 12.0, abs=1e-15)
+    assert fit.c2 == pytest.approx(+1.0 / 12.0, abs=1e-15)
+
+
+def _fit_samples(seed=11, n_points=24):
+    """(alpha, ps, xs) for each fit instance, sampled as ``_fit_rows`` does."""
+    for inst_idx, alpha in enumerate(_fit_instances()):
+        d = alpha.d
+        yield (alpha, sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx),
+               sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1))
+
+
+def _three_candidate_rows():
     """The fit's affine system from composites alone: the eps^2 associativity
     defect coefficient of the monoids with weights (0, 0), (1, 0) and (0, 1),
     by Richardson elimination, and the columns as differences of those."""
-    from symgf.verify import _associativity_defect
     basis = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    leads = []
-    for inst_idx, alpha in enumerate(_fit_instances()):
-        d = alpha.d
-        symbols = _symbols(alpha)
-        ps = sample_ball(n_points, 3 * d, 0.35, seed=seed + 100 * inst_idx)
-        xs = sample_box(n_points, d, -0.9, 0.9, seed=seed + 100 * inst_idx + 1)
-        defect = np.zeros((len(basis), levels, n_points))
-        for ci, cand in enumerate(basis):
-            for lev in range(levels):
-                S = _expansion(alpha, symbols, eps / 2.0 ** lev, cand, 2)
-                defect[ci, lev] = _associativity_defect(S)(ps, xs)
-        leads.append(_richardson_leading(np.moveaxis(defect, 1, -1), eps))
-    lead = np.concatenate(leads, axis=1)
+    lead = np.concatenate([[composite_defect_eps2(alpha, ps, xs, cand) for cand in basis]
+                           for alpha, ps, xs in _fit_samples()], axis=1)
     return np.stack([lead[1] - lead[0], lead[2] - lead[0]], axis=1), lead[0]
 
 
 def test_fit_columns_are_the_coboundary_of_the_trees():
     # the closed-form columns agree with the composite differences, and the
-    # weight-free monoid has exactly the terms of the (0, 0) candidate
-    A, b = _fit_rows(11, 24, 0.08, 4)
+    # closed-form constant with the composite defect of the (0, 0) candidate
+    A, b = _fit_rows(11, 24)
     A_ref, b_ref = _three_candidate_rows()
     assert A.shape == A_ref.shape == (48, 2)
     assert np.max(np.abs(A - A_ref)) < 1e-10
     assert np.max(np.abs(A)) > 1e-3
-    assert np.array_equal(b, b_ref)
+    assert np.max(np.abs(b - b_ref)) < 1e-10
+
+
+def test_fit_constant_is_the_weight_free_composite_defect():
+    # the second variation of the stationary value is what the composition
+    # engine measures on the order-1 monoid, by Newton and Richardson, on
+    # samples other than the fit's own
+    _, b = _fit_rows(3, 8)
+    b_ref = np.concatenate([composite_defect_eps2(alpha, ps, xs)
+                            for alpha, ps, xs in _fit_samples(3, 8)])
+    assert np.max(np.abs(b)) > 1e-4
+    assert np.max(np.abs(b - b_ref)) < 1e-10
 
 
 def test_batched_richardson_matches_one_solve_per_series():
@@ -319,17 +332,23 @@ def test_batched_richardson_matches_one_solve_per_series():
     values = np.random.default_rng(5).standard_normal((3, 24, 4)) * eps ** 2
     V = np.array([[(eps / 2.0 ** i) ** q for q in np.arange(2, 6)] for i in range(4)])
     want = np.array([[np.linalg.solve(V, v)[0] for v in row] for row in values])
-    got = _richardson_leading(values, eps)
+    got = richardson_leading(values, eps)
     assert got.shape == (3, 24) and np.array_equal(got, want)
 
 
 def test_order2_gate_error_carries_fit():
     from symgf.monoids import TreeWeightFit
-    fit = TreeWeightFit(c1=0.0, c2=0.0, floor=1.0, n_rows=4, seed=0, eps=0.1, levels=2)
+    fit = TreeWeightFit(c1=0.0, c2=0.0, floor=1.0, n_rows=4, seed=0)
     assert not fit.passed
     err = Order2GateError(fit)
     assert err.fit is fit
     assert "gate" in str(err)
+
+
+def test_weights_need_order_2():
+    alpha = PolyPoisson.linear_from_structure(LieStructure.so3())
+    with pytest.raises(ValueError, match="order 2"):
+        kontsevich_monoid(alpha, order=1, weights=(1.0, 2.0))
 
 
 def test_abelian_monoid_is_additive():
