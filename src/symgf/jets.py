@@ -127,15 +127,15 @@ class PolyKernel:
     """Exact jets to order 3 of k polynomials in n variables sharing one
     exponent matrix: output o is ``sum_t C[t, o] * prod_i v_i**E[t, i]``.
 
-    Derivatives come from falling-factorial tables, Taylor-mode propagation
-    for monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-    ch. 13), shared per exponent matrix and scaled by ``C`` once per order;
-    they hold only the partials that do not vanish identically: per term,
-    the sorted index tuples over its support that its exponents allow.
-    Evaluation is a handful of array operations for all orders together,
-    whatever the term count, on one point or a stack of points: the powers
-    ``v_i**r`` by repeated products, one gather and product per distinct
-    monomial of the partials (a common subexpression), then the scaled sums.
+    Derivatives come from a falling-factorial table, Taylor-mode propagation for
+    monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), built
+    to order 3 once per exponent matrix and scaled by ``C`` once; a jet of order o
+    reads its order-o prefix.  It holds only the partials that do not vanish
+    identically: per term, the sorted index tuples over its support that its
+    exponents allow.  Evaluation is a handful of array operations for all orders
+    together, whatever the term count, on one point or a stack of points: the powers
+    ``v_i**r`` by repeated products, one gather and product per distinct monomial of
+    the partials (a common subexpression), then the scaled sums.
     """
 
     def __init__(self, E, C):
@@ -146,7 +146,7 @@ class PolyKernel:
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
         self._P = int(self.E.max(initial=0)) + 1  # powers v_i**0 .. v_i**(P - 1)
-        self._tables = [None] * (MAX_ORDER + 1)  # (shared table, its scaled coefficients)
+        self._table = None  # (shared table, its scaled coefficients)
 
     @classmethod
     def from_polys(cls, polys, nvars):
@@ -174,33 +174,33 @@ class PolyKernel:
         stack = v.reshape(-1, self.n)
         # far out the powers, and huge scaled coefficients, overflow; the caller classifies it
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._tables[order] is None:
-                tab = _shared_table(self.E.shape, self.E.tobytes(), order)
-                self._tables[order] = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
-            tab, scaled = self._tables[order]
-            dense = np.zeros((len(stack), self.k, tab.offsets[-1]))
+            if self._table is None:
+                tab = _shared_table(self.E.shape, self.E.tobytes())
+                self._table = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
+            tab, scaled = self._table
+            N, R, F, M = tab.ends[order]  # the prefix: entries, runs, fills, monomials
+            dense = np.zeros((len(stack), self.k, tab.offsets[order + 1]))
             # powers[b, i, r] = v_bi**r, one IEEE product per step, with 0**0 = 1
             powers = np.ones((len(stack), self.n, self._P))
             for r in range(1, self._P):
                 np.multiply(powers[..., r - 1], stack, out=powers[..., r])
-            if tab.starts.size:
-                mono = np.multiply.reduce(powers.reshape(len(stack), -1)[:, tab.flat], axis=2)
-                sums = np.add.reduceat(mono[:, tab.inv, None] * scaled, tab.starts, axis=1)
-                dense[:, :, tab.dst] = sums[:, tab.src].transpose(0, 2, 1)
+            if R:
+                mono = np.multiply.reduce(powers.reshape(len(stack), -1)[:, tab.flat[:M]], axis=2)
+                sums = np.add.reduceat(mono[:, tab.inv[:N], None] * scaled[:N], tab.starts[:R], 1)
+                dense[:, :, tab.dst[:F]] = sums[:, tab.src[:F]].transpose(0, 2, 1)
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
                 for q in range(order + 1)]
 
 
-# bounded: 64 entries hold the 4 (E, order) pairs of the order-2 fit and a check's few
+# bounded: 64 entries hold the 4 exponent matrices of the order-2 fit and a check's few
 @lru_cache(maxsize=64)
-def _shared_table(shape, data, order):
-    E = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    return _PartialTable(E, order, int(E.max(initial=0)) + 1)
+def _shared_table(shape, data):
+    return _PartialTable(np.frombuffer(data, dtype=np.int64).reshape(shape))
 
 
 class _PartialTable:
-    """The nonzero partials of orders 0..``order`` of the monomials ``E``.
+    """The nonzero partials of orders 0..3 of the monomials ``E``.
 
     Entry r differentiates term ``t = term[r]`` along a sorted index tuple
     ``w``: it leaves the monomial ``prod_j powers[flat[inv[r], j]]`` (``flat
@@ -211,30 +211,30 @@ class _PartialTable:
     are sorted by ``(len(w), w)``, then by term, so ``starts`` delimits the
     runs that ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of
     the flattened dense tensors of all orders, order q at ``offsets[q]``,
-    once per distinct permutation of its ``w``.  The table is built with
-    array operations over all terms, each enumerating its own support.
+    once per distinct permutation of its ``w``.  Monomials are numbered by first
+    use, so orders 0..o are a prefix of each array, of lengths ``ends[o]``; the
+    table is built by array operations over all terms, each on its own support.
     """
 
-    def __init__(self, E, order, P):
+    def __init__(self, E):
         T, n = E.shape
-        self.offsets = np.array([0, *accumulate(n ** q for q in range(order + 1))])
+        P = int(E.max(initial=0)) + 1
+        self.offsets = np.array([0, *accumulate(n ** q for q in range(MAX_ORDER + 1))])
         # support[t, a]: the a-th column where E[t] > 0; the negative slots that
-        # pad a tuple w to `order` places are column n, of exponent 1
+        # pad a tuple w to MAX_ORDER places are column n, of exponent 1
         size = (E > 0).sum(axis=1)
         smax = int(size.max(initial=0))
-        support = np.full((T, smax + order), n)
+        support = np.full((T, smax + MAX_ORDER), n)
         support[:, :smax] = np.argsort(E == 0, axis=1, kind="stable")[:, :smax]
         E1 = np.concatenate((E, np.ones((T, 1), np.int64)), axis=1)
-        # the sorted tuples of at most `order` slots, right-aligned and ordered by
-        # their largest slot: the first comb(s + order, order) range over s slots;
-        # with each, how often each place's slot occurs in the places before it
-        tuples = [()] + [w + (s,) for s in range(smax) for q in range(order)
+        # the sorted tuples of at most MAX_ORDER slots, right-aligned, by largest slot (the first
+        # comb(s + MAX_ORDER, MAX_ORDER) use s slots); before: earlier places of the same slot
+        tuples = [()] + [w + (s,) for s in range(smax) for q in range(MAX_ORDER)
                          for w in combinations_with_replacement(range(s + 1), q)]
-        slots = np.array([tuple(range(len(w) - order, 0)) + w for w in tuples], dtype=np.int64)
-        before = ((slots[:, :, None] == slots[:, None, :])
-                  & (np.arange(order) < np.arange(order)[:, None])).sum(axis=2)
+        slots = np.array([tuple(range(len(w) - MAX_ORDER, 0)) + w for w in tuples], dtype=np.int64)
+        before = np.tril(slots[:, :, None] == slots[:, None, :], -1).sum(axis=2)
         # term t enumerates the tuples over its own support
-        count = np.array([comb(s + order, order) for s in range(smax + 1)])[size]
+        count = np.array([comb(s + MAX_ORDER, MAX_ORDER) for s in range(smax + 1)])[size]
         term, begin = np.repeat(np.arange(T), count), np.cumsum(count) - count
         m = np.arange(term.size) - np.repeat(begin, count)
         cols = support[term[:, None], slots[m]]
@@ -243,13 +243,12 @@ class _PartialTable:
         keep = np.flatnonzero(factor)
         term, cols, factor = term[keep], cols[keep], factor[keep]
         # w of order q sits at offsets[q] + digits @ place, with digit 0 on the padding
-        q = (cols < n).sum(axis=1)
-        digits = cols * (cols < n)
-        place = n ** np.arange(order - 1, -1, -1)
+        q, digits = (cols < n).sum(axis=1), cols * (cols < n)
+        place = n ** np.arange(MAX_ORDER - 1, -1, -1)
         key = self.offsets[q] + digits @ place
         rank = np.lexsort((term, key))  # by (q, w), then by term
         term, cols, factor, q, key, digits = (a[rank] for a in (term, cols, factor, q, key, digits))
-        self.starts = _firsts(key)
+        self.starts, self.term, self.factor = _firsts(key), term, factor
         reduced = E1[term]
         np.subtract.at(reduced, (np.arange(term.size)[:, None], cols), 1)
         support = reduced[:, :n] > 0
@@ -262,21 +261,22 @@ class _PartialTable:
                 size, key = term.size, np.unique(key, return_inverse=True)[1]
             key, size = key * (n * P) + col, size * n * P
         _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        self.flat, self.inv, self.factor, self.term = flat[first], inv, factor, term
+        used = np.sort(first)  # the entry that first uses each monomial, in order
+        self.flat, self.inv = flat[used], np.searchsorted(used, first)[inv]
         # run i fills the position of each distinct permutation of its w: sort
         # each run's positions and drop repeats (runs fill disjoint positions)
-        perms = _PERMUTATIONS[:order + 1, :, MAX_ORDER - order:] - (MAX_ORDER - order)
         run_q = q[self.starts]
-        codes = digits[self.starts[:, None, None], perms[run_q]] @ place
+        codes = digits[self.starts[:, None, None], _PERMUTATIONS[run_q]] @ place
         dst = np.sort(self.offsets[run_q, None] + codes, axis=1).ravel()
         first = _firsts(dst)
-        self.dst, self.src = dst[first], first // perms.shape[1]
+        self.dst, self.src = dst[first], first // _PERMUTATIONS.shape[1]
+        N, R = (np.searchsorted(a, np.arange(MAX_ORDER + 1), "right") for a in (q, run_q))
+        self.ends = np.stack([N, R, np.searchsorted(self.src, R), np.searchsorted(used, N)], 1)
         for a in vars(self).values():  # shared by every kernel with this E
             a.flags.writeable = False
 
 
-# _PERMUTATIONS[q]: the permutations of the last q of MAX_ORDER places, repeated
-# to MAX_ORDER! rows; shifted down, its last `order` columns permute `order` places
+# _PERMUTATIONS[q]: the permutations of the last q of MAX_ORDER places, MAX_ORDER! rows
 _PERMUTATIONS = np.array([[tuple(range(MAX_ORDER - q)) + p
                            for p in permutations(range(MAX_ORDER - q, MAX_ORDER))]
                           * (factorial(MAX_ORDER) // factorial(q)) for q in range(MAX_ORDER + 1)])

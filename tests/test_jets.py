@@ -211,19 +211,25 @@ def _reference_table(E, C, order, P):
 
 
 def _assert_table_matches_reference(E, C, order):
-    # the shared coefficient-free table, and the coefficients the kernel scales it by
+    # order o's prefix of the shared coefficient-free table, and of the
+    # coefficients the kernel scales it by
     kernel = PolyKernel(E, C)
     kernel.jet(np.zeros(kernel.n), order)
-    got, scaled = kernel._tables[order]
+    got, scaled = kernel._table
+    entries, runs, fills, monomials = got.ends[order]
     want, pairs = _reference_table(kernel.E, kernel.C, order, kernel._P)
+    # the table keeps each distinct monomial once; inv maps entries to them
+    inv = got.inv[:entries]
+    prefix = {"flat": got.flat[inv], "scaled": scaled[:entries], "starts": got.starts[:runs],
+              "offsets": got.offsets[:order + 2]}
     for name, ref in want.items():
-        # the table keeps each distinct monomial once; inv maps entries to them
-        arr = {"scaled": scaled, "flat": got.flat[got.inv]}.get(name)
-        arr = getattr(got, name) if arr is None else arr
-        assert arr.dtype == ref.dtype and np.array_equal(arr, ref), (name, order)
+        assert prefix[name].dtype == ref.dtype and np.array_equal(prefix[name], ref), (name, order)
+    # numbered by first use, order o's monomials are the first `monomials` rows
+    assert np.array_equal(np.unique(inv), np.arange(monomials)), order
     assert len(np.unique(got.flat, axis=0)) == len(got.flat), order
+    assert got.ends[-1].tolist() == [got.inv.size, got.starts.size, got.dst.size, len(got.flat)]
     assert got.src.dtype == got.dst.dtype == got.inv.dtype == np.int64
-    assert sorted(zip(got.dst.tolist(), got.src.tolist())) == pairs, order
+    assert sorted(zip(got.dst[:fills].tolist(), got.src[:fills].tolist())) == pairs, order
 
 
 @given(data=st.data())
@@ -248,16 +254,31 @@ def test_kernel_tables_match_per_term_loop(case):
 
 
 def test_partial_tables_gather_each_distinct_monomial_once():
-    # (entries, distinct monomials) of the order-2 and order-3 tables
+    # (entries, distinct monomials) of each order's prefix of the one table
     so3 = LieStructure.so3()
-    counts = {lie_monoid(so3, trunc=4): {2: (534, 262), 3: (768, 262)},
+    counts = {lie_monoid(so3, trunc=4): {0: (54, 54), 2: (534, 262), 3: (768, 262)},
               kontsevich_monoid(PolyPoisson.linear_from_structure(so3), eps=0.05,
                                 order=2): {2: (294, 145)}}
     for S, want in counts.items():
         for order, (entries, distinct) in want.items():
             S._kernel.jet(np.zeros(S._kernel.n), order)
-            table = S._kernel._tables[order][0]
-            assert (table.inv.size, len(table.flat)) == (entries, distinct), order
+            ends = S._kernel._table[0].ends[order]
+            assert (ends[0], ends[3]) == (entries, distinct), order
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_jet_bits_do_not_depend_on_call_order_and_build_one_table(case):
+    # every order reads a prefix of the one order-3 table, built on first use
+    polys, nvars, _ = KERNEL_CASES[case]
+    v = np.linspace(-0.9, 1.1, 2 * nvars).reshape(2, nvars)
+    jets = []
+    for orders in ((3, 2, 1, 0), (0, 1, 2, 3)):
+        _shared_table.cache_clear()
+        kernel = PolyKernel.from_polys(polys, nvars)
+        jets.append({order: kernel.jet(v, order) for order in orders})
+        assert _shared_table.cache_info().misses == 1, orders
+    for order in range(4):
+        assert all(np.array_equal(a, b) for a, b in zip(jets[0][order], jets[1][order])), order
 
 
 def test_partial_table_ranks_a_monomial_key_wider_than_int64():
@@ -319,14 +340,14 @@ def test_kernels_with_equal_exponents_share_one_table():
     v = np.array([[0.3, -0.7, 1.1], [0.0, 0.2, -0.4]])
     a, b = PolyKernel(E, C1), PolyKernel(E.copy(), C2)
     jets = [a.jet(v, 3), b.jet(v, 3)]
-    table = a._tables[3][0]
-    assert b._tables[3][0] is table
+    table = a._table[0]
+    assert b._table[0] is table
     assert not any(arr.flags.writeable for arr in vars(table).values())
     for kernel, got in zip((a, b), jets):
         _shared_table.cache_clear()
         alone = PolyKernel(kernel.E, kernel.C)
         want = alone.jet(v, 3)
-        assert alone._tables[3][0] is not table
+        assert alone._table[0] is not table
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -337,7 +358,7 @@ def test_partial_table_memory_at_the_dimension_bound():
     kernel = symplectic_monoid(MAX_DIM)._kernel
     tracemalloc.start()
     try:
-        _PartialTable(kernel.E, 3, kernel._P)
+        _PartialTable(kernel.E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -341,6 +341,29 @@ def test_associativity_solves_both_products_in_stacks_of_at_most_block_rows(monk
     assert all(s[1] == 6 and s[3] == 1 for s in got)
 
 
+@pytest.mark.parametrize("monoid, builds", [
+    (lambda: lie_monoid(LieStructure.so3(), trunc=4), 1),
+    (lambda: kontsevich_monoid(PolyPoisson.linear_from_structure(LieStructure.so3()),
+                               eps=0.05, order=2), 1),
+    # the coordinate-change benchmark's composite: the tables of g, of S and of
+    # lift(g) (+) lift(g); the inverse lift's jets solve through g's kernel
+    (lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
+        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))), 3),
+], ids=["lie-so3-trunc4", "kontsevich-order2", "coordinate-change"])
+def test_checks_build_one_table_per_exponent_matrix(monoid, builds):
+    # the four checks ask each kernel for several orders; every order reads a
+    # prefix of the kernel's one order-3 table
+    S = monoid()
+    d = S.n
+    ps, xs = sample_ball(2, d, 0.05, 0), sample_box(2, d, -0.25, 0.25, 1)
+    _shared_table.cache_clear()
+    check_unit(S, ps, xs)
+    check_associativity(S, sample_ball(2, 3 * d, 0.05, 2), xs)
+    check_groupoid(S, ps, xs)
+    check_jacobi(S, xs)
+    assert _shared_table.cache_info().misses == builds
+
+
 def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch):
     # the coordinate-changed composite nests two solves per evaluation (its outer
     # lift starts at its explicit critical point and so evaluates the inner
