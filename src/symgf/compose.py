@@ -115,6 +115,12 @@ def _put(dst, rows, src, sel=slice(None)):
         d.hess[rows] = s.hess[sel]
 
 
+def _pair(u, v):
+    """<u[i], v[i]> for each row i, as a stack of (1, k) @ (k, 1) products:
+    each rounds as u[i] @ v[i] does; an einsum over the rows rounds differently."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _at(P1, X3, i):
     return f"at p1={P1[i]}, x3={X3[i]}"
 
@@ -347,11 +353,9 @@ class ComposedGenFun(GenFun):
         Fev = Fev or F.at_base(x3, max(order, 2))
         sol = _solve(F, G, p1, x3, self.opts, Fev)
         pm, xm = sol.Z[:, :k], sol.Z[:, k:]
-        # <pb, xb> row by row with @: an einsum over the rows rounds differently
-        pair = np.array([a @ b for a, b in zip(pm, xm)])
         # orders 0-2 read the solve's operand jets at the critical point
         jF, jG = sol.jets if order <= 2 else (Fev(slice(None), pm, 3), G.eval_jet(p1, xm, 3))
-        out = Jet(order, jF.value + jG.value - pair)
+        out = Jet(order, jF.value + jG.value - _pair(pm, xm))
         if order == 0:
             return out, sol
         # envelope identities give the exact first derivatives

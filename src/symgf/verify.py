@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import DEFAULT_NEWTON, compose
+from .compose import DEFAULT_NEWTON, _pair, compose
 from .genfun import GenFun, tensor
 from .monoids import PolyPoisson, jacobi_defect
 
 # Points per stacked evaluation in the blocked checks, a bound on memory:
-# the traced peak of one stacked associativity defect on the order-2
-# Kontsevich monoid grows with the stack, 0.11 / 0.40 / 1.4 MB at 8 / 32 / 128
-# rows (tracemalloc).
+# associativity solves a block's two products as one stack of 2 * BLOCK rows,
+# whose traced peak on the order-2 Kontsevich monoid grows with the block,
+# 0.21 / 0.73 MB at 8 / 32 samples (tracemalloc).
 BLOCK = 32
 
 
@@ -212,20 +212,18 @@ def _sweep(tols, residuals, *samples) -> list:
 
     Cuts the sample stacks into row-aligned blocks of at most :data:`BLOCK`
     rows, in grid order, over as many rows as the shortest holds, and calls
-    ``residuals(*block)`` once per block for one per-point array per axiom.
+    ``residuals(*block)`` once per block for one per-point array per axiom,
+    joined over the blocks once.
     Each point is recorded as its sample rows joined.
     """
     samples = [np.atleast_2d(s) for s in samples]
     n = min(len(s) for s in samples)
     samples = [s[:n] for s in samples]
-    res = [[] for _ in tols]
-    for i in range(0, n, BLOCK):
-        for acc, r in zip(res, residuals(*(s[i:i + BLOCK] for s in samples))):
-            acc.extend(r)
+    blocks = [residuals(*(s[i:i + BLOCK] for s in samples)) for i in range(0, n, BLOCK)]
     points = np.concatenate(samples, axis=1)
     reports = []
-    for (axiom, tol), r in zip(tols.items(), res):
-        r = np.asarray(r, dtype=float)
+    for k, (axiom, tol) in enumerate(tols.items()):
+        r = np.concatenate([np.empty(0)] + [b[k] for b in blocks])  # an empty grid too
         # written so that a NaN residual or tolerance fails
         failures = [
             {"point": list(np.asarray(points[i], float)), "residual": float(r[i])}
@@ -246,8 +244,7 @@ def _sweep(tols, residuals, *samples) -> list:
 def check_unit(S: GenFun, ps, xs, tol=1e-10) -> VerificationReport:
     """S(p, 0, x) = S(0, p, x) = <p, x> over paired samples (ps[i], xs[i])."""
     def residual(p, x):
-        px = np.array([a @ b for a, b in zip(p, x)])
-        zero = np.zeros_like(p)
+        px, zero = _pair(p, x), np.zeros_like(p)
         left, right = np.split(S.value(np.block([[p, zero], [zero, p]]), np.concatenate([x, x])), 2)
         return (np.maximum(np.abs(left - px), np.abs(right - px)),)
 
@@ -256,9 +253,9 @@ def check_unit(S: GenFun, ps, xs, tol=1e-10) -> VerificationReport:
 
 def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
     """``defect(ps, xs)``: S o (S (x) I) - S o (I (x) S) at each sample, as the
-    gap of adjacent rows (p, x), (rot p, x) of stacked solves of S o (S (x) I)
-    in its slot form, whose outer operand acts as S^op on the rotated rows
-    (see :func:`check_associativity`); at most :data:`BLOCK` rows per stack.
+    gap of adjacent rows (p, x), (rot p, x) of one stacked solve of
+    S o (S (x) I) in its slot form, whose outer operand acts as S^op on the
+    rotated rows (see :func:`check_associativity`): 2 rows per sample.
     """
     d = S.n
     # the outer operand S(q, c; x), momenta q over the base (c, x): only a
@@ -267,24 +264,20 @@ def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
     swap = np.r_[d:2 * d, :d, 2 * d:3 * d]  # the variables of S^op in S's order
     grids = [(slice(None),) + np.ix_(*(swap,) * q) for q in (1, 2, 3)]  # swap jet axes
 
-    def defect(ps, xs):
-        gaps = []
-        for i in range(0, len(ps), BLOCK // 2):
-            p, x = ps[i:i + BLOCK // 2], xs[i:i + BLOCK // 2]
-            P = np.stack([p, np.roll(p, -d, axis=1)], axis=1).reshape(-1, 3 * d)
-            X = np.concatenate([P[:, 2 * d:], np.repeat(x, 2, axis=0)], axis=1)
-            S_at, idx = S.at_base(x, 2), np.arange(len(X))
+    def defect(p, x):
+        P = np.stack([p, np.roll(p, -d, axis=1)], axis=1).reshape(-1, 3 * d)
+        X = np.concatenate([P[:, 2 * d:], np.repeat(x, 2, axis=0)], axis=1)
+        S_at, idx = S.at_base(x, 2), np.arange(len(X))
 
-            def Fev(rows, Q, o):
-                flip, Q = idx[rows] % 2 == 1, np.concatenate([Q, X[rows, :d]], axis=1)
-                j = S_at(idx[rows] // 2, np.where(flip[:, None], Q[:, swap[:2 * d]], Q), o)
-                for t, grid in zip((j.grad, j.hess, j.third)[:o], grids):
-                    t[flip] = t[flip][grid]
-                return j
+        def Fev(rows, Q, o):
+            flip, Q = idx[rows] % 2 == 1, np.concatenate([Q, X[rows, :d]], axis=1)
+            j = S_at(idx[rows] // 2, np.where(flip[:, None], Q[:, swap[:2 * d]], Q), o)
+            for t, grid in zip((j.grad, j.hess, j.third)[:o], grids):
+                t[flip] = t[flip][grid]
+            return j
 
-            v = C._solve_jet(P[:, :2 * d], X, 0, Fev)[0].value
-            gaps.append(v[0::2] - v[1::2])
-        return np.concatenate(gaps)
+        v = C._solve_jet(P[:, :2 * d], X, 0, Fev)[0].value
+        return v[0::2] - v[1::2]
 
     return defect
 
@@ -301,8 +294,9 @@ def check_associativity(S: GenFun, ps, xs, tol=1e-9,
     (c, x).  Swapping the halves of the intermediate pair, which keeps
     <pb, xb>, gives (S o (I (x) S))(p1, p2, p3; x) = (S^op o (S (x) I))(p2, p3, p1; x)
     with S^op(a, b; x) = S(b, a; x), associative or not; so both products
-    are rows of one stacked solve in d unknown pairs, on stacks of at most
-    :data:`BLOCK` rows.  A solve error names p1 = (a, b) and x3 = (c, x), rotated on a right-product row.
+    are rows of one stacked solve in d unknown pairs, one solve per sweep
+    block of at most :data:`BLOCK` samples (2 * BLOCK rows).  A solve error
+    names p1 = (a, b) and x3 = (c, x), rotated on a right-product row.
     """
     defect = _associativity_defect(S, opts)
     return _sweep({"associativity": tol}, lambda p, x: (np.abs(defect(p, x)),), ps, xs)[0]

@@ -8,7 +8,8 @@ from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import COND_LIMIT, _damped_newton, _phase_condition, _residual_and_jac, _solve
+from symgf.compose import (COND_LIMIT, _damped_newton, _pair, _phase_condition, _residual_and_jac,
+                           _solve)
 from symgf.genfun import GenFun, LiftGenFun, TensorGenFun
 from symgf.jets import Jet
 from symgf.maps import InverseMap
@@ -228,6 +229,22 @@ def test_stacked_solve_matches_one_point_solves(make):
         sp = C.stationary(p, x)
         assert np.array_equal(sol.Z[b], np.concatenate([sp.p_mid, sp.x_mid]))
         assert sol.iterations[b] == sp.iterations
+
+
+@pytest.mark.parametrize("B", [1, 3, 64])
+def test_stacked_pairing_equals_the_row_loop_bit_for_bit(B):
+    # <pb, xb> of a composite and <p, x> of the unit check: the stacked
+    # products round as the row-by-row u[i] @ v[i] does, on the column halves
+    # of a solve's iterates as on contiguous rows, for magnitudes 1e-8 to 1e3,
+    # mixed signs and signed zeros
+    rng = np.random.default_rng(B)
+    for k in range(1, 13):
+        Z = rng.choice([-1.0, 1.0], (B, 2 * k)) * 10.0 ** rng.uniform(-8, 3, (B, 2 * k))
+        Z[rng.random((B, 2 * k)) < 0.1] *= 0.0
+        for u, v in ((Z[:, :k], Z[:, k:]), (Z[:, :k].copy(), Z[:, k:].copy())):
+            got, want = _pair(u, v), np.array([a @ b for a, b in zip(u, v)])
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want)), k
 
 
 def test_stacked_solve_sends_only_stragglers_to_homotopy():

@@ -1,11 +1,12 @@
 import pathlib
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from symgf import (Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap, PolyPoisson,
-                   base_map, bracket_sign, canonical_bracket, change_coordinates,
+from symgf import (DegeneracyError, Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap,
+                   PolyPoisson, base_map, bracket_sign, canonical_bracket, change_coordinates,
                    check_associativity, check_groupoid, check_jacobi, check_morphism,
                    check_poisson_map, check_unit, compose, identity_genfun, kontsevich_monoid,
                    lie_monoid, poisson_bivector, poly_genfun, sample_ball, sample_box,
@@ -303,10 +304,11 @@ def test_one_stack_defect_is_the_difference_of_the_two_products(make):
     np.testing.assert_allclose(_associativity_defect(S)(ps, xs), want, rtol=0, atol=1e-15)
 
 
-def test_associativity_solves_both_products_in_stacks_of_at_most_block_rows(monkeypatch):
+def test_associativity_solves_both_products_in_one_stack_per_sweep_block(monkeypatch):
     # so(3) trunc 4: the two products of 8 samples are one 16-row solve, not two
-    # 8-row solves; at 40 samples no stack exceeds BLOCK rows.  Each solve is
-    # recorded as (rows, unknowns, iterations summed, iterations max)
+    # 8-row solves; at 40 samples each sweep block of at most BLOCK samples is
+    # one solve of 2 rows per sample.  Each solve is recorded as (rows,
+    # unknowns, iterations summed, iterations max)
     composition = sys.modules["symgf.compose"]
     solve, solves = composition._solve, []
 
@@ -337,23 +339,59 @@ def test_associativity_solves_both_products_in_stacks_of_at_most_block_rows(monk
     # S's one table serves both operands, as no S (x) I kernel is built
     assert solves_and_table_builds(check_associativity, 8) == ([(16, 6, 16, 1)], 1)
     got, builds = solves_and_table_builds(check_associativity, 40)
-    assert [s[0] for s in got] == [BLOCK, BLOCK, 16] and builds == 1
+    assert [s[0] for s in got] == [2 * BLOCK, 16] and builds == 1
     assert all(s[1] == 6 and s[3] == 1 for s in got)
 
 
-@pytest.mark.parametrize("monoid, builds", [
-    (lambda: lie_monoid(LieStructure.so3(), trunc=4), 1),
-    (lambda: kontsevich_monoid(PolyPoisson.linear_from_structure(LieStructure.so3()),
-                               eps=0.05, order=2), 1),
-    # the coordinate-change benchmark's composite: the tables of g, of S and of
-    # lift(g) (+) lift(g); the inverse lift's jets solve through g's kernel
-    (lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
-        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))), 3),
-], ids=["lie-so3-trunc4", "kontsevich-order2", "coordinate-change"])
-def test_checks_build_one_table_per_exponent_matrix(monoid, builds):
+# the monoids of the three benchmark workloads; the last is the coordinate-change
+# benchmark's composite
+BENCH_MONOIDS = {
+    "lie-so3-trunc4": lambda: lie_monoid(LieStructure.so3(), trunc=4),
+    "kontsevich-order2": lambda: kontsevich_monoid(
+        PolyPoisson.linear_from_structure(LieStructure.so3()), eps=0.05, order=2),
+    "coordinate-change": lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
+        [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_MONOIDS)
+def test_associativity_defect_bits_do_not_depend_on_the_stack_size(name):
+    # every row's Newton run is its own, so 32 samples solved as one stack, as
+    # one sweep block is, give the same bits as the same samples in pieces
+    S = BENCH_MONOIDS[name]()
+    d = S.n
+    ps, xs = sample_ball(BLOCK, 3 * d, 0.05, 2), sample_box(BLOCK, d, -0.25, 0.25, 3)
+    defect = _associativity_defect(S)
+    whole = defect(ps, xs)
+    for piece in (1, 5, 16):
+        parts = [defect(ps[i:i + piece], xs[i:i + piece]) for i in range(0, BLOCK, piece)]
+        assert np.array_equal(np.concatenate(parts), whole), piece
+
+
+def test_associativity_error_names_the_first_bad_sample_of_a_block():
+    # S = (p1 + p2) x + p1 x^2: the left product's phase Hessian holds
+    # G_yy = 2 p1, so a huge first momentum is degenerate there; two such
+    # samples, one in each half of a block, and the error names the first
+    S = poly_genfun({((1, 0), (1,)): 1.0, ((0, 1), (1,)): 1.0, ((1, 0), (2,)): 1.0}, 2, 1)
+    ps, xs = sample_ball(BLOCK, 3, 0.05, 2), sample_box(BLOCK, 1, -0.25, 0.25, 3)
+    ps[3, 0], ps[20, 0] = 1e6, 2e6
+    for i in (3, 20):
+        with pytest.raises(DegeneracyError,
+                           match=re.escape(f"at p1={ps[i, :2]}, x3={np.r_[ps[i, 2:], xs[i]]}")):
+            check_associativity(S, ps, xs)
+        ps[i, 0] = 0.0
+
+
+@pytest.mark.parametrize("name, builds", [
+    ("lie-so3-trunc4", 1), ("kontsevich-order2", 1),
+    # the tables of g, of S and of lift(g) (+) lift(g); the inverse lift's jets
+    # solve through g's kernel
+    ("coordinate-change", 3),
+], ids=list(BENCH_MONOIDS))
+def test_checks_build_one_table_per_exponent_matrix(name, builds):
     # the four checks ask each kernel for several orders; every order reads a
     # prefix of the kernel's one order-3 table
-    S = monoid()
+    S = BENCH_MONOIDS[name]()
     d = S.n
     ps, xs = sample_ball(2, d, 0.05, 0), sample_box(2, d, -0.25, 0.25, 1)
     _shared_table.cache_clear()
