@@ -183,22 +183,31 @@ def _warn_beyond_domain(args, S):
               f"{S.domain_radius:g}", file=sys.stderr)
 
 
+def verify_monoid(S: GenFun, grid_n, p_radius, x_box, seed, tols, opts=DEFAULT_NEWTON) -> list:
+    """The six reports of ``symgf verify``, in its order, with tolerances from
+    ``tols`` (an axiom -> tolerance dict such as :data:`DEFAULT_TOLS`).
+
+    Grid ``seed`` draws the momenta, ``seed + 1`` the base points, ``seed + 2``
+    the momentum triples, ``seed + 3`` their base points and ``seed + 4`` the
+    Jacobi points.  The checks are called through this module's globals, grid
+    second, so a wrapper set on ``symgf.cli.check_*`` sees every call."""
+    d, n = S.n, grid_n
+    ps = sample_ball(n, d, p_radius, seed)
+    xs = sample_box(n, d, -x_box, x_box, seed + 1)
+    p3s = sample_ball(n, 3 * d, p_radius, seed + 2)
+    axs = sample_box(n, d, -x_box, x_box, seed + 3)
+    jxs = sample_box(n, d, -x_box, x_box, seed + 4)
+    return [check_unit(S, ps, xs, tols["unit"]),
+            check_associativity(S, p3s, axs, tols["associativity"], opts),
+            *check_groupoid(S, ps, xs, tols),
+            check_jacobi(S, jxs, tols["jacobi"])]
+
+
 def cmd_verify(args) -> int:
     S = build_monoid(args)
     _warn_beyond_domain(args, S)
-    tols = _parse_tols(args.tol)
-    d, n, seed = S.n, args.grid_n, args.seed
-    ps = sample_ball(n, d, args.p_radius, seed)
-    xs = sample_box(n, d, -args.x_box, args.x_box, seed + 1)
-    p3s = sample_ball(n, 3 * d, args.p_radius, seed + 2)
-    axs = sample_box(n, d, -args.x_box, args.x_box, seed + 3)
-    jxs = sample_box(n, d, -args.x_box, args.x_box, seed + 4)
-
-    reports = [check_unit(S, ps, xs, tols["unit"])]
-    reports.append(check_associativity(S, p3s, axs, tols["associativity"],
-                                       NewtonOptions(tol=args.newton_tol)))
-    reports.extend(check_groupoid(S, ps, xs, tols))
-    reports.append(check_jacobi(S, jxs, tols["jacobi"]))
+    reports = verify_monoid(S, args.grid_n, args.p_radius, args.x_box, args.seed,
+                            _parse_tols(args.tol), NewtonOptions(tol=args.newton_tol))
 
     fit = getattr(S, "order2_fit", None)
     extra = None if fit is None else {"order2_gate": {

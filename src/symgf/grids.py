@@ -104,7 +104,11 @@ def halton(n, dims, seed=0) -> np.ndarray:
 
 def sample_box(n, d, lo, hi, seed=0) -> np.ndarray:
     """n deterministic points in the box [lo, hi]^d."""
-    return lo + (hi - lo) * halton(n, d, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = lo + (hi - lo) * halton(n, d, seed=seed)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"the box [{lo:g}, {hi:g}]^{d} is too wide for finite sample points")
+    return pts
 
 
 def sample_ball(n, d, radius, seed=0) -> np.ndarray:
@@ -120,5 +124,9 @@ def sample_ball(n, d, radius, seed=0) -> np.ndarray:
     v[small] = 0.0
     v[small, 0] = 1.0
     norms[small] = 1.0
-    r = radius * u[:, d] ** (1.0 / d)
-    return (r / norms)[:, None] * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = radius * u[:, d] ** (1.0 / d)
+        pts = (r / norms)[:, None] * v
+    if not np.isfinite(pts).all():
+        raise ValueError(f"the ball of radius {radius:g} is too large for finite sample points")
+    return pts

@@ -185,13 +185,17 @@ class VerificationReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
+        """A non-finite residual is written as the string "nan", "inf" or "-inf"."""
+        def num(v):
+            return float(v) if np.isfinite(v) else str(float(v))
+
         return {
             "axiom": self.axiom,
-            "max": self.max_residual,
-            "mean": self.mean_residual,
+            "max": num(self.max_residual),
+            "mean": num(self.mean_residual),
             "n": self.n,
             "failures": [
-                {"point": [float(v) for v in f["point"]], "residual": f["residual"]}
+                {"point": [float(v) for v in f["point"]], "residual": num(f["residual"])}
                 for f in self.failures
             ],
             "bracket_sign": self.bracket_sign,

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symgf import (cli, identity_genfun, poly_genfun, sample_ball, stationary_point,
-                   symplectic_monoid)
+from symgf import (Diffeo, LieStructure, PolyMap, change_coordinates, check_associativity,
+                   check_groupoid, check_jacobi, check_unit, cli, identity_genfun, lie_monoid,
+                   poly_genfun, sample_ball, sample_box, stationary_point, symplectic_monoid)
 from symgf.cli import main
 from symgf.genfun import PolyGenFun
 from symgf.serialize import dump, genfun_to_dict
@@ -509,6 +510,87 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--builtin", "nonsense"])
     assert exc.value.code == 2
+
+
+# -- the verification battery of symgf verify ---------------------------------
+
+def _coordinate_change():
+    # y = g(x), a quadratic near-identity map of the plane
+    g = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    return change_coordinates(symplectic_monoid(2), Diffeo(g))
+
+
+@pytest.mark.parametrize("make, radius, box", [
+    (lambda: lie_monoid(LieStructure.so3(), trunc=2), 0.05, 1.0),
+    (_coordinate_change, 0.05, 0.25),
+], ids=["so3-trunc2", "coordinate-change"])
+def test_verify_monoid_is_the_four_checks_on_the_five_grids(make, radius, box):
+    S, n, seed, tols = make(), 6, 11, cli.DEFAULT_TOLS
+    d = S.n
+    ps, xs = sample_ball(n, d, radius, seed), sample_box(n, d, -box, box, seed + 1)
+    p3s, axs = sample_ball(n, 3 * d, radius, seed + 2), sample_box(n, d, -box, box, seed + 3)
+    jxs = sample_box(n, d, -box, box, seed + 4)
+    want = [check_unit(S, ps, xs, tols["unit"]),
+            check_associativity(S, p3s, axs, tols["associativity"]),
+            *check_groupoid(S, ps, xs, tols),
+            check_jacobi(S, jxs, tols["jacobi"])]
+    got = cli.verify_monoid(S, n, radius, box, seed, tols)
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+    assert [r.tol for r in got] == [r.tol for r in want]
+
+
+def test_verify_calls_each_check_through_the_cli_module(monkeypatch):
+    # the benchmark's phase hook and tracer wrap these attributes of symgf.cli
+    # and read the grid size as the length of the second positional argument
+    names = ("check_unit", "check_associativity", "check_groupoid", "check_jacobi")
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _check=getattr(cli, name), **kwargs):
+            calls.append((_name, len(args[1])))
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert main(["verify", "--builtin", "symplectic", "--grid-n", "7"]) == 0
+    assert calls == [(name, 7) for name in names]
+
+
+def test_non_finite_residual_is_written_and_exits_one(tmp_path):
+    # far out the unit residual overflows to NaN; numpy warns on stderr, so
+    # the run is a subprocess, outside the suite's RuntimeWarning filter
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "symgf.cli", "verify", "--builtin", "symplectic", "--d", "2",
+         "--grid-n", "4", "--x-box", "1e300", "--p-radius", "1e10", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "overall: FAIL" in proc.stdout
+    doc = json.loads(out.read_text())
+    assert (doc["passed"], doc["exit_code"]) == (False, 1)
+    unit = doc["reports"][0]
+    assert (unit["axiom"], unit["max"], unit["mean"]) == ("unit", "nan", "nan")
+    assert unit["failures"] and all(f["residual"] == "nan" for f in unit["failures"])
+
+
+def test_a_box_too_wide_for_finite_points_exits_two(tmp_path, capsys):
+    out = tmp_path / "poisson.json"
+    assert main(["poisson", "--builtin", "symplectic", "--d", "2", "--grid-n", "2",
+                 "--x-box", "1e308", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the box [-1e+308, 1e+308]^2 is too wide for finite sample points"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, dims", [
+    (["verify", "--builtin", "symplectic", "--d", "14"], 43),
+    (["poisson", "--builtin", "identity", "--d", "40"], 41),
+    (["morphism", "--f", "builtin:identity:20", "--dom", "builtin:abelian:20",
+      "--cod", "builtin:abelian:20"], 41),
+], ids=["verify", "poisson", "morphism"])
+def test_dimensions_beyond_the_halton_bases_exit_two(argv, dims, capsys):
+    # the 40 Halton bases limit verify to d <= 13, poisson to d <= 39 and
+    # morphism to d_M <= 19, below the accepted 64 (README, Limitations)
+    assert main(argv + ["--grid-n", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: at most 40 dimensions supported, got {dims}"]
 
 
 # -- the 0/1/2 exit-code contract under fuzzed input --------------------------

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from symgf import halton
+from symgf import halton, sample_ball, sample_box
 from symgf.grids import _PRIMES, _digit_permutations
 
 
@@ -34,6 +34,18 @@ def test_halton_matches_scalar_digit_loop_bitwise(n, dims):
 def test_halton_rejects_too_many_dimensions():
     with pytest.raises(ValueError):
         halton(4, len(_PRIMES) + 1)
+
+
+def test_sample_box_refuses_non_finite_points():
+    # hi - lo overflows to inf
+    with pytest.raises(ValueError, match=r"the box \[-1e\+308, 1e\+308\]\^2 is too wide"):
+        sample_box(4, 2, -1e308, 1e308)
+
+
+def test_sample_ball_refuses_non_finite_points():
+    # radius / norm overflows, and inf * 0 makes NaN; neither warns
+    with pytest.raises(ValueError, match=r"the ball of radius 1e\+308 is too large"):
+        sample_ball(3, 2, 1e308)
 
 
 def _numpy_digit_permutations(dims, seed):

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from symgf import (DegeneracyError, Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap,
-                   PolyPoisson, base_map, bracket_sign, canonical_bracket, change_coordinates,
-                   check_associativity, check_groupoid, check_jacobi, check_morphism,
-                   check_poisson_map, check_unit, compose, identity_genfun, kontsevich_monoid,
-                   lie_monoid, poisson_bivector, poly_genfun, sample_ball, sample_box,
-                   source_target, standard_bivector, symplectic_monoid, tensor)
+                   PolyPoisson, VerificationReport, base_map, bracket_sign, canonical_bracket,
+                   change_coordinates, check_associativity, check_groupoid, check_jacobi,
+                   check_morphism, check_poisson_map, check_unit, compose, identity_genfun,
+                   kontsevich_monoid, lie_monoid, poisson_bivector, poly_genfun, sample_ball,
+                   sample_box, source_target, standard_bivector, symplectic_monoid, tensor)
 from symgf.jets import Jet, _shared_table
 from symgf.monoids import jacobi_defect
-from symgf.serialize import load_genfun, load_poisson
+from symgf.serialize import dumps, load_genfun, load_poisson
 from symgf.verify import BLOCK, _associativity_defect
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -243,6 +243,16 @@ def test_json_report_schema():
     assert doc["axiom"] == "unit"
     assert doc["n"] == 4
     assert isinstance(doc["failures"], list)
+    assert type(doc["max"]) is float and type(doc["mean"]) is float
+
+
+def test_json_report_writes_non_finite_residuals_as_strings():
+    failures = [{"point": [0.5], "residual": r} for r in (np.nan, np.inf, -np.inf, 2.0)]
+    rep = VerificationReport("jacobi", np.inf, np.nan, 4, failures, bracket_sign(), tol=1.0)
+    doc = rep.to_json_dict()
+    assert (doc["max"], doc["mean"]) == ("inf", "nan")
+    assert [f["residual"] for f in doc["failures"]] == ["nan", "inf", "-inf", 2.0]
+    assert '"max": "inf"' in dumps(doc)
 
 
 def test_unit_violation_detected():
