@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genfun import GenFun, cotangent_lift, tensor
-from .jets import Jet, jet_add, jet_embed
+from .jets import Jet, jet_sum
 
 __all__ = [
     "NewtonOptions", "StationaryPoint", "CompositionError", "ConvergenceError",
@@ -86,12 +86,11 @@ class StationaryPoint:
     condition: float
 
 
-def _residual_and_jac(F, G, P1, X3, Z, jF=None, jG=None):
+def _residual_and_jac(G, P1, Z, jF, jG=None):
     """Residuals ``(B, 2k)``, Jacobians ``(B, 2k, 2k)`` and the order-2 operand
-    jets of the critical-point systems at a stack of iterates (``jF``, ``jG`` if given)."""
+    jets of the critical-point systems at a stack of iterates, from the order-2
+    jets ``jF`` of F at ``(pb, x3)`` and ``jG`` of G at ``(p1, xb)`` (evaluated if not given)."""
     k = G.n
-    if jF is None:
-        jF = F.eval_jet(Z[:, :k], X3, 2)
     if jG is None:
         jG = G.eval_jet(P1, Z[:, k:], 2)
     with np.errstate(invalid="ignore"):  # inf - inf: the solver classifies non-finite points
@@ -250,10 +249,10 @@ def _newton(Fev, G, P1, X3, opts, Z=None, t=1.0, linear=False) -> _Solution:
         if linear:  # grad_p F is free of pb, so xb is final and pb = grad_x G(p1, xb)
             Z[:, :k] += jG.grad[:, G.m:]
             jF = Fev(slice(None), Z[:, :k], 2)
-        start = _residual_and_jac(None, G, Pt, X3, Z, jF, jG)
+        start = _residual_and_jac(G, Pt, Z, jF, jG)
     step = "" if t == 1 else f" (homotopy at {t:g} p1)"
     return _damped_newton(
-        lambda rows, Zr: _residual_and_jac(None, G, Pt[rows], X3[rows], Zr, Fev(rows, Zr[:, :k], 2)),
+        lambda rows, Zr: _residual_and_jac(G, Pt[rows], Zr, Fev(rows, Zr[:, :k], 2)),
         Z, opts, "stationary-point", lambda i: _at(P1, X3, i) + step, _phase_condition, start)
 
 
@@ -295,16 +294,11 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     Damped Newton from the canonical anchor, or from the explicit critical
     point when F is momentum-linear; if that fails to converge and
     ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  The point
-    is solved as a stack of one by the same stacked solver that composites
-    use for grids.  A degenerate system raises :class:`DegeneracyError` and
-    a failed solve :class:`ConvergenceError`.
+    is the composite's stacked solve on a stack of one.  A degenerate system
+    raises :class:`DegeneracyError` and a failed solve :class:`ConvergenceError`.
     """
-    if F.m != G.n:
-        raise ValueError(
-            f"cannot compose: F has {F.m} momenta but G has base dimension {G.n}")
-    p1 = np.asarray(p1, dtype=float).ravel()
-    x3 = np.asarray(x3, dtype=float).ravel()
-    sol = _solve(F, G, p1[None], x3[None], opts)
+    row = [np.asarray(a, dtype=float).reshape(1, -1) for a in (p1, x3)]
+    sol = compose(F, G, opts)._solve_jet(*row, 0)[1]
     k, z = F.m, sol.Z[0]
     return StationaryPoint(z[:k].copy(), z[k:].copy(), int(sol.iterations[0]),
                            float(sol.residuals[0]), float(sol.conditions[0]))
@@ -331,9 +325,6 @@ class ComposedGenFun(GenFun):
         self.F = F
         self.G = G
         self.opts = opts
-
-    def stationary(self, p, x) -> StationaryPoint:
-        return stationary_point(self.F, self.G, p, x, self.opts)
 
     def renorm_constant(self, x) -> float:
         """The composite value at p = 0; exactly 0.0 for normalized operands."""
@@ -364,9 +355,7 @@ class ComposedGenFun(GenFun):
             return out, sol
         # Hessian of L(pb, xb, p1, x3) = F(pb, x3) + G(p1, xb) - <pb, xb>
         nv = 2 * k + m + n
-        idx_F = list(range(k)) + list(range(2 * k + m, nv))
-        idx_G = list(range(2 * k, 2 * k + m)) + list(range(k, 2 * k))
-        L = jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
+        L = jet_sum(nv, (jF, np.r_[:k, 2 * k + m:nv]), (jG, np.r_[2 * k:2 * k + m, k:2 * k]))
         for i in range(k):
             L.hess[..., i, k + i] -= 1.0
             L.hess[..., k + i, i] -= 1.0

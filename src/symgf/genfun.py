@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, PolyKernel, canonical_poly, jet_add, jet_embed, unit_exponents
+from .jets import Jet, PolyKernel, canonical_poly, jet_sum, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 from .maps import GenFunBaseMap, MapJet, PolyMap
@@ -117,13 +117,10 @@ class TensorGenFun(GenFun):
         self.momentum_linear = F.momentum_linear and G.momentum_linear
 
     def _jet(self, P, X, order) -> Jet:
-        F, G = self.F, self.G
-        nv = self.m + self.n
+        F, G, m, nv = self.F, self.G, self.m, self.m + self.n
         jF = F.eval_jet(P[:, :F.m], X[:, :F.n], order)
         jG = G.eval_jet(P[:, F.m:], X[:, F.n:], order)
-        idx_F = list(range(F.m)) + list(range(self.m, self.m + F.n))
-        idx_G = list(range(F.m, self.m)) + list(range(self.m + F.n, nv))
-        return jet_add(jet_embed(jF, idx_F, nv), jet_embed(jG, idx_G, nv))
+        return jet_sum(nv, (jF, np.r_[:F.m, m:m + F.n]), (jG, np.r_[F.m:m, m + F.n:nv]))
 
 
 class LiftGenFun(GenFun):

@@ -21,7 +21,6 @@ so on; the indices above then count from the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations
 from math import comb, factorial
 
@@ -57,40 +56,23 @@ def jet_const(value, nvars, order) -> Jet:
     return Jet(order, value, g, h, t)
 
 
-def jet_add(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    out = Jet(a.order, a.value + b.value)
-    if a.order >= 1:
-        out.grad = a.grad + b.grad
-    if a.order >= 2:
-        out.hess = a.hess + b.hess
-    if a.order >= 3:
-        out.third = a.third + b.third
-    return out
+def jet_sum(nvars, *parts) -> Jet:
+    """The jet of a sum of functions of disjoint variables over ``nvars`` variables.
 
-
-def _check_compatible(a: Jet, b: Jet):
-    if a.order != b.order:
-        raise ValueError(f"jet order mismatch: {a.order} vs {b.order}")
-    if a.order >= 1 and a.grad.shape != b.grad.shape:
-        raise ValueError("jet variable-count mismatch")
-
-
-def jet_embed(j: Jet, index_map, nvars_out) -> Jet:
-    """Re-index a jet into a larger variable space.
-
-    ``index_map[i]`` is the slot in the output space occupied by input
-    variable ``i``.  Derivatives with respect to all other output variables
-    vanish (the function does not depend on them).
+    Each part is ``(jet, index_map)``: ``index_map[i]`` is the slot in the
+    output space of the part's variable ``i``, and mixed derivatives across
+    parts vanish.  Every part has the output's order, the first part's.
     """
-    idx = np.asarray(index_map, dtype=int)
-    out = jet_const(j.value, nvars_out, j.order)
-    if j.order >= 1:
-        out.grad[..., idx] = j.grad
-    if j.order >= 2:
-        out.hess[..., idx[:, None], idx] = j.hess
-    if j.order >= 3:
-        out.third[..., idx[:, None, None], idx[:, None], idx] = j.third
+    first, order = parts[0][0], parts[0][0].order
+    out = jet_const(sum((j.value for j, _ in parts[1:]), first.value), nvars, order)
+    for j, index_map in parts:
+        idx = np.asarray(index_map, dtype=int)
+        if order >= 1:
+            out.grad[..., idx] += j.grad
+        if order >= 2:
+            out.hess[..., idx[:, None], idx] += j.hess
+        if order >= 3:
+            out.third[..., idx[:, None, None], idx[:, None], idx] += j.third
     return out
 
 
@@ -129,8 +111,8 @@ class PolyKernel:
 
     Derivatives come from a falling-factorial table, Taylor-mode propagation for
     monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), built
-    to order 3 once per exponent matrix and scaled by ``C`` once; a jet of order o
-    reads its order-o prefix.  It holds only the partials that do not vanish
+    to order 3 on the first jet and scaled by ``C`` once; a jet of order o reads its
+    order-o prefix.  It holds only the partials that do not vanish
     identically: per term, the sorted index tuples over its support that its
     exponents allow.  Evaluation is a handful of array operations for all orders
     together, whatever the term count, on one point or a stack of points: the powers
@@ -146,7 +128,7 @@ class PolyKernel:
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
         self._P = int(self.E.max(initial=0)) + 1  # powers v_i**0 .. v_i**(P - 1)
-        self._table = None  # (shared table, its scaled coefficients)
+        self._table = None  # (the table, its scaled coefficients)
 
     @classmethod
     def from_polys(cls, polys, nvars):
@@ -175,7 +157,7 @@ class PolyKernel:
         # far out the powers, and huge scaled coefficients, overflow; the caller classifies it
         with np.errstate(over="ignore", invalid="ignore"):
             if self._table is None:
-                tab = _shared_table(self.E.shape, self.E.tobytes())
+                tab = _PartialTable(self.E)
                 self._table = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
             tab, scaled = self._table
             N, R, F, M = tab.ends[order]  # the prefix: entries, runs, fills, monomials
@@ -191,12 +173,6 @@ class PolyKernel:
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
                 for q in range(order + 1)]
-
-
-# bounded: 64 entries hold the 4 exponent matrices of the order-2 fit and a check's few
-@lru_cache(maxsize=64)
-def _shared_table(shape, data):
-    return _PartialTable(np.frombuffer(data, dtype=np.int64).reshape(shape))
 
 
 class _PartialTable:
@@ -272,7 +248,7 @@ class _PartialTable:
         self.dst, self.src = dst[first], first // _PERMUTATIONS.shape[1]
         N, R = (np.searchsorted(a, np.arange(MAX_ORDER + 1), "right") for a in (q, run_q))
         self.ends = np.stack([N, R, np.searchsorted(self.src, R), np.searchsorted(used, N)], 1)
-        for a in vars(self).values():  # shared by every kernel with this E
+        for a in vars(self).values():  # read-only: every jet reads the table as built
             a.flags.writeable = False
 
 

@@ -185,7 +185,7 @@ class VerificationReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        """A non-finite residual is written as the string "nan", "inf" or "-inf"."""
+        """A non-finite residual or point coordinate is written as "nan", "inf" or "-inf"."""
         def num(v):
             return float(v) if np.isfinite(v) else str(float(v))
 
@@ -195,7 +195,7 @@ class VerificationReport:
             "mean": num(self.mean_residual),
             "n": self.n,
             "failures": [
-                {"point": [float(v) for v in f["point"]], "residual": num(f["residual"])}
+                {"point": [num(v) for v in f["point"]], "residual": num(f["residual"])}
                 for f in self.failures
             ],
             "bracket_sign": self.bracket_sign,
@@ -223,7 +223,8 @@ def _sweep(tols, residuals, *samples) -> list:
     samples = [np.atleast_2d(s) for s in samples]
     n = min(len(s) for s in samples)
     samples = [s[:n] for s in samples]
-    blocks = [residuals(*(s[i:i + BLOCK] for s in samples)) for i in range(0, n, BLOCK)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf residual fails below
+        blocks = [residuals(*(s[i:i + BLOCK] for s in samples)) for i in range(0, n, BLOCK)]
     points = np.concatenate(samples, axis=1)
     reports = []
     for k, (axiom, tol) in enumerate(tols.items()):

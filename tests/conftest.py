@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from symgf import jets
+
 settings.register_profile(
     "dev",
     deadline=None,
@@ -43,3 +45,16 @@ def normalization_residual(S, xs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The exponent matrices of the kernel tables built during the test, in order."""
+    built, build = [], jets._PartialTable
+
+    def spy(E):
+        built.append(E)
+        return build(E)
+
+    monkeypatch.setattr(jets, "_PartialTable", spy)
+    return built

@@ -554,20 +554,30 @@ def test_verify_calls_each_check_through_the_cli_module(monkeypatch):
 
 
 def test_non_finite_residual_is_written_and_exits_one(tmp_path):
-    # far out the unit residual overflows to NaN; numpy warns on stderr, so
-    # the run is a subprocess, outside the suite's RuntimeWarning filter
+    # far out the unit residual overflows to NaN; the run is a subprocess, so
+    # that no RuntimeWarning reaches its stderr
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-m", "symgf.cli", "verify", "--builtin", "symplectic", "--d", "2",
          "--grid-n", "4", "--x-box", "1e300", "--p-radius", "1e10", "--out", str(out)],
         capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
     assert "overall: FAIL" in proc.stdout
     doc = json.loads(out.read_text())
     assert (doc["passed"], doc["exit_code"]) == (False, 1)
     unit = doc["reports"][0]
     assert (unit["axiom"], unit["max"], unit["mean"]) == ("unit", "nan", "nan")
     assert unit["failures"] and all(f["residual"] == "nan" for f in unit["failures"])
+
+
+def test_overflowing_kontsevich_residuals_fail_without_a_runtime_warning(capsys):
+    # at eps = 1e308 every check but unit overflows to NaN; the sweep evaluates
+    # its blocks with overflow silent, so the suite's RuntimeWarning filter passes
+    code = main(["verify", "--builtin", "kontsevich", "--alpha", "so3", "--eps", "1e308",
+                 "--order", "1", "--grid-n", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out.count("[FAIL]") == 5 and "overall: FAIL" in out
+    assert err.splitlines() == ["warning: --p-radius 0.1 exceeds the monoid's domain radius 5e-309"]
 
 
 def test_a_box_too_wide_for_finite_points_exits_two(tmp_path, capsys):

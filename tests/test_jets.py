@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from symgf import (LieStructure, PolyMap, PolyPoisson, kontsevich_monoid,
                    lie_monoid, poly_genfun, symplectic_monoid, unit_genfun)
 from symgf.cli import MAX_DIM
-from symgf.jets import (PolyKernel, _PartialTable, _shared_table, jet_add, jet_const, jet_embed,
-                        poly_term_jet)
+from symgf.jets import PolyKernel, _PartialTable, jet_sum, poly_term_jet
 
 from conftest import fd_grad
 
@@ -50,22 +49,19 @@ def test_poly_term_jet_exact_quadratic():
     assert np.all(j.third == 0.0)
 
 
-def test_jet_embed_scatters_indices():
-    z = np.array([0.6, 0.25])
-    j = poly_term_jet(1.0, (1, 2), z, 3)
-    big = jet_embed(j, (2, 0), 4)
-    full = poly_term_jet(1.0, (2, 0, 1, 0), np.array([0.25, 9.9, 0.6, -1.0]), 3)
-    np.testing.assert_allclose(big.value, full.value, rtol=1e-12)
-    np.testing.assert_allclose(big.grad, full.grad, rtol=1e-12)
-    np.testing.assert_allclose(big.hess, full.hess, rtol=1e-12)
-    np.testing.assert_allclose(big.third, full.third, rtol=1e-12)
-
-
-def test_jet_order_mismatch_raises():
-    a = jet_const(1.0, 2, 2)
-    b = jet_const(1.0, 2, 3)
-    with pytest.raises(ValueError):
-        jet_add(a, b)
+def test_jet_sum_scatters_disjoint_parts():
+    # u w**2 on the slots (2, 0) plus 0.5 y**3 z on (3, 1): the sum of the two
+    # monomials written over all four variables
+    v = np.array([0.25, -1.3, 0.6, 0.8])
+    for order in range(4):
+        got = jet_sum(4, (poly_term_jet(1.0, (1, 2), v[[2, 0]], order), (2, 0)),
+                      (poly_term_jet(0.5, (3, 1), v[[3, 1]], order), (3, 1)))
+        a, b = (poly_term_jet(c, e, v, order) for c, e in ((1.0, (2, 0, 1, 0)), (0.5, (0, 1, 0, 3))))
+        assert got.order == order
+        np.testing.assert_allclose(got.value, a.value + b.value, rtol=1e-12)
+        for name in ("grad", "hess", "third")[:order]:
+            np.testing.assert_allclose(getattr(got, name), getattr(a, name) + getattr(b, name),
+                                       rtol=1e-12)
 
 
 def test_zero_exponent_at_zero_point():
@@ -267,16 +263,16 @@ def test_partial_tables_gather_each_distinct_monomial_once():
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_jet_bits_do_not_depend_on_call_order_and_build_one_table(case):
+def test_jet_bits_do_not_depend_on_call_order_and_build_one_table(case, table_builds):
     # every order reads a prefix of the one order-3 table, built on first use
     polys, nvars, _ = KERNEL_CASES[case]
     v = np.linspace(-0.9, 1.1, 2 * nvars).reshape(2, nvars)
     jets = []
     for orders in ((3, 2, 1, 0), (0, 1, 2, 3)):
-        _shared_table.cache_clear()
+        table_builds.clear()
         kernel = PolyKernel.from_polys(polys, nvars)
         jets.append({order: kernel.jet(v, order) for order in orders})
-        assert _shared_table.cache_info().misses == 1, orders
+        assert len(table_builds) == 1, orders
     for order in range(4):
         assert all(np.array_equal(a, b) for a, b in zip(jets[0][order], jets[1][order])), order
 
@@ -331,24 +327,12 @@ def test_kernel_jets_at_signed_zeros_infinities_and_nan(E, C, jets):
         assert np.array_equal(np.signbit(got[signed]), np.signbit(ref[signed])), order
 
 
-def test_kernels_with_equal_exponents_share_one_table():
-    # the table depends on E alone; each kernel scales it by its own C, and
-    # its jets equal those of a kernel whose table was built for it alone
-    E = np.array([[2, 0, 1], [0, 3, 0], [1, 1, 1], [0, 0, 0]])
-    C1 = np.array([[1.0, -0.5], [0.3, 2.0], [-1.2, 0.0], [0.7, 0.1]])
-    C2 = np.array([[0.4], [0.0], [2.5], [-1.0]])
-    v = np.array([[0.3, -0.7, 1.1], [0.0, 0.2, -0.4]])
-    a, b = PolyKernel(E, C1), PolyKernel(E.copy(), C2)
-    jets = [a.jet(v, 3), b.jet(v, 3)]
-    table = a._table[0]
-    assert b._table[0] is table
-    assert not any(arr.flags.writeable for arr in vars(table).values())
-    for kernel, got in zip((a, b), jets):
-        _shared_table.cache_clear()
-        alone = PolyKernel(kernel.E, kernel.C)
-        want = alone.jet(v, 3)
-        assert alone._table[0] is not table
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def test_kernel_table_is_read_only():
+    # every jet reads the table as its kernel's first jet built it
+    kernel = PolyKernel(np.array([[2, 0, 1], [0, 3, 0], [1, 1, 1], [0, 0, 0]]),
+                        np.array([[1.0, -0.5], [0.3, 2.0], [-1.2, 0.0], [0.7, 0.1]]))
+    kernel.jet(np.array([[0.3, -0.7, 1.1], [0.0, 0.2, -0.4]]), 3)
+    assert not any(arr.flags.writeable for arr in vars(kernel._table[0]).values())
 
 
 def test_partial_table_memory_at_the_dimension_bound():

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 import sys
@@ -11,9 +12,9 @@ from symgf import (DegeneracyError, Diffeo, GroupoidMaps, LieStructure, PoissonF
                    check_morphism, check_poisson_map, check_unit, compose, identity_genfun,
                    kontsevich_monoid, lie_monoid, poisson_bivector, poly_genfun, sample_ball,
                    sample_box, source_target, standard_bivector, symplectic_monoid, tensor)
-from symgf.jets import Jet, _shared_table
+from symgf.jets import Jet
 from symgf.monoids import jacobi_defect
-from symgf.serialize import dumps, load_genfun, load_poisson
+from symgf.serialize import dumps, load_genfun, load_poisson, reports_to_dict
 from symgf.verify import BLOCK, _associativity_defect
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -200,16 +201,21 @@ def test_reports_carry_failures_and_points():
 
 
 def test_non_finite_residuals_and_tolerances_fail():
-    # NaN > tol is False: the verdict must not rest on that comparison
+    # NaN > tol is False: the verdict must not rest on that comparison; a failing
+    # point's non-finite coordinates are written "nan", "inf" or "-inf", as residuals are
     def backend(x, order):
         v = x[..., 0, None, None]
         return v * np.ones((2, 2)), v[..., None] * np.ones((2, 2, 2))
 
     field = PoissonField(2, backend)
-    rep = check_jacobi(field, [[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]], tol=1.0)
+    rep = check_jacobi(field, [[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, -1.5]],
+                       tol=1.0)
     assert not rep.passed
-    assert [f["point"][0] for f in rep.failures] == pytest.approx([np.nan, np.inf],
+    assert [f["point"][0] for f in rep.failures] == pytest.approx([np.nan, np.inf, -np.inf],
                                                                   nan_ok=True)
+    doc = json.loads(dumps(reports_to_dict([rep])))
+    assert [f["point"] for f in doc["reports"][0]["failures"]] == [
+        ["nan", 0.0], ["inf", 0.0], ["-inf", -1.5]]
     assert not check_jacobi(field, [[0.0, 0.0]], tol=np.nan).passed
 
 
@@ -314,7 +320,7 @@ def test_one_stack_defect_is_the_difference_of_the_two_products(make):
     np.testing.assert_allclose(_associativity_defect(S)(ps, xs), want, rtol=0, atol=1e-15)
 
 
-def test_associativity_solves_both_products_in_one_stack_per_sweep_block(monkeypatch):
+def test_associativity_solves_both_products_in_one_stack_per_sweep_block(monkeypatch, table_builds):
     # so(3) trunc 4: the two products of 8 samples are one 16-row solve, not two
     # 8-row solves; at 40 samples each sweep block of at most BLOCK samples is
     # one solve of 2 rows per sample.  Each solve is recorded as (rows,
@@ -333,9 +339,9 @@ def test_associativity_solves_both_products_in_one_stack_per_sweep_block(monkeyp
     def solves_and_table_builds(products, n):
         ps, xs = sample_ball(n, 9, 0.05, 2), sample_box(n, 3, -0.25, 0.25, 3)
         solves.clear()
-        _shared_table.cache_clear()
+        table_builds.clear()
         products(lie_monoid(LieStructure.so3(), trunc=4), ps, xs)
-        return solves[:], _shared_table.cache_info().misses
+        return solves[:], len(table_builds)
 
     def two_composites(S, ps, xs):
         I = identity_genfun(3)
@@ -398,18 +404,18 @@ def test_associativity_error_names_the_first_bad_sample_of_a_block():
     # solve through g's kernel
     ("coordinate-change", 3),
 ], ids=list(BENCH_MONOIDS))
-def test_checks_build_one_table_per_exponent_matrix(name, builds):
+def test_checks_build_one_table_per_exponent_matrix(name, builds, table_builds):
     # the four checks ask each kernel for several orders; every order reads a
     # prefix of the kernel's one order-3 table
     S = BENCH_MONOIDS[name]()
     d = S.n
     ps, xs = sample_ball(2, d, 0.05, 0), sample_box(2, d, -0.25, 0.25, 1)
-    _shared_table.cache_clear()
+    table_builds.clear()
     check_unit(S, ps, xs)
     check_associativity(S, sample_ball(2, 3 * d, 0.05, 2), xs)
     check_groupoid(S, ps, xs)
     check_jacobi(S, xs)
-    assert _shared_table.cache_info().misses == builds
+    assert len(table_builds) == builds
 
 
 def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch):
