@@ -30,10 +30,12 @@ equations, so a composite is itself a full jet-evaluable GenFun and can be
 composed again.
 
 Newton runs on stacks of points: a grid is solved as one stack, each point
-with its own iterate, line search and convergence test, and points that
-direct Newton cannot solve are continued by homotopy as a sub-stack.  A
-single point is a stack of one.  When points fail, the error raised names
-the first of them in stack order.
+with its own iterate, line search and convergence test.  A single point is
+a stack of one.  A composite is a germ near the zero section, so the
+critical point that defines it is the one on the branch through the anchor,
+and a point that Newton from the anchor cannot solve fails: there is no
+fallback.  When points fail, the error raised names the first of them in
+stack order.
 """
 from __future__ import annotations
 
@@ -71,7 +73,6 @@ class DegeneracyError(CompositionError):
 class NewtonOptions:
     tol: float = 1e-12
     max_iter: int = 50
-    homotopy_steps: int = 10
 
 
 DEFAULT_NEWTON = NewtonOptions()
@@ -105,15 +106,6 @@ def _residual_and_jac(G, P1, Z, jF, jG=None):
     return r, J, (jF, jG)
 
 
-def _put(dst, rows, src, sel=slice(None)):
-    """Copy rows ``sel`` of the stacked order-2 jets ``src`` into rows
-    ``rows`` of ``dst``."""
-    for d, s in zip(dst, src):
-        d.value[rows] = s.value[sel]
-        d.grad[rows] = s.grad[sel]
-        d.hess[rows] = s.hess[sel]
-
-
 def _pair(u, v):
     """<u[i], v[i]> for each row i, as a stack of (1, k) @ (k, 1) products:
     each rounds as u[i] @ v[i] does; an einsum over the rows rounds differently."""
@@ -126,10 +118,10 @@ def _at(P1, X3, i):
 
 @dataclass
 class _Solution:
-    """Per-point results of a stacked solve: iterates ``Z (B, 2k)``,
-    iterations, final residuals, condition numbers, the order-2 operand
-    jets of the accepted iterates, and the error that ended each point's
-    solve (None where it converged)."""
+    """Per-point results of one stacked damped Newton: iterates ``Z (B, q)``,
+    iterations, final residuals, condition numbers, the stacked order-2 jets
+    of the accepted iterates (maybe none), and the error that ended each
+    point's solve (None where it converged)."""
 
     Z: np.ndarray
     iterations: np.ndarray
@@ -138,25 +130,12 @@ class _Solution:
     jets: tuple
     errors: list
 
-    def solved(self) -> np.ndarray:
-        return np.array([i for i, e in enumerate(self.errors) if e is None], dtype=int)
-
     def checked(self) -> _Solution:
         """Raise the error of the first failing point, if any."""
         for err in self.errors:
             if err is not None:
                 raise err
         return self
-
-    def put(self, rows, other: _Solution):
-        """Overwrite the points ``rows`` with the points of ``other``."""
-        self.Z[rows] = other.Z
-        self.iterations[rows] = other.iterations
-        self.residuals[rows] = other.residuals
-        self.conditions[rows] = other.conditions
-        _put(self.jets, rows, other.jets)
-        for i, e in zip(rows, other.errors):
-            self.errors[i] = e
 
 
 def _phase_condition(J):
@@ -217,7 +196,8 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
             ok = np.abs(rt).max(axis=1) <= (1.0 - 0.5 * lam) * rn
             acc, fail = search[ok], ~ok
             z[acc], r[acc], J[acc] = zt[ok], rt[ok], Jt[ok]
-            _put(jets, acc, jt, ok)
+            for d, t in zip(jets, jt):
+                d.value[acc], d.grad[acc], d.hess[acc] = t.value[ok], t.grad[ok], t.hess[ok]
             search, step, rn = search[fail], step[fail], rn[fail]
             if lam < 1e-6:
                 for i, e in zip(search.tolist(), rn.tolist()):
@@ -235,56 +215,23 @@ def _restrict(Fev, rows):
     return lambda r, P, o: Fev(rows[r], P, o)
 
 
-def _newton(Fev, G, P1, X3, opts, Z=None, t=1.0, linear=False) -> _Solution:
-    """:func:`_damped_newton` on the critical-point systems at a stack of points
-    ``(t * P1[i], X3[i])``, from the anchors or the iterates ``Z``; ``Fev`` is F
-    at ``X3``, ``linear`` if F is momentum-linear.  Errors name the sample
-    ``(P1[i], X3[i])``, and ``t`` below 1."""
-    k, start, Pt = G.n, None, t * P1
-    if Z is None:
-        # the anchor pb = 0, xb = grad_p F(0, x3); its jets serve iterate 0
-        jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
-        Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
-        jG = G.eval_jet(Pt, Z[:, k:], 2)
-        if linear:  # grad_p F is free of pb, so xb is final and pb = grad_x G(p1, xb)
-            Z[:, :k] += jG.grad[:, G.m:]
-            jF = Fev(slice(None), Z[:, :k], 2)
-        start = _residual_and_jac(G, Pt, Z, jF, jG)
-    step = "" if t == 1 else f" (homotopy at {t:g} p1)"
+def _solve(Fev, G, P1, X3, opts, linear) -> _Solution:
+    """:func:`_damped_newton` on the critical-point systems of F o G at a stack
+    of points ``(P1[i], X3[i])``, from the anchors; ``Fev`` is F at ``X3``,
+    ``linear`` if F is momentum-linear.  If any point fails, the error of the
+    first such point in stack order is raised."""
+    k = G.n
+    # the anchor pb = 0, xb = grad_p F(0, x3); its jets serve iterate 0
+    jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
+    Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
+    jG = G.eval_jet(P1, Z[:, k:], 2)
+    if linear:  # grad_p F is free of pb, so xb is final and pb = grad_x G(p1, xb)
+        Z[:, :k] += jG.grad[:, G.m:]
+        jF = Fev(slice(None), Z[:, :k], 2)
     return _damped_newton(
-        lambda rows, Zr: _residual_and_jac(G, Pt[rows], Zr, Fev(rows, Zr[:, :k], 2)),
-        Z, opts, "stationary-point", lambda i: _at(P1, X3, i) + step, _phase_condition, start)
-
-
-def _homotopy(Fev, G, P1, X3, opts) -> _Solution:
-    """Continuation in the incoming momenta from 0 to p1, warm-started, on a
-    stack; iterations are summed over the continuation steps."""
-    steps = max(1, opts.homotopy_steps)
-    sol = _newton(Fev, G, P1, X3, opts, t=1 / steps)
-    for s in range(2, steps + 1):
-        live = sol.solved()
-        if not live.size:
-            break
-        nxt = _newton(_restrict(Fev, live), G, P1[live], X3[live], opts, sol.Z[live], s / steps)
-        nxt.iterations += sol.iterations[live]
-        sol.put(live, nxt)
-    return sol
-
-
-def _solve(F, G, P1, X3, opts, Fev=None) -> _Solution:
-    """Solve the critical-point systems of F o G at a stack of points.
-
-    Points on which direct Newton fails to converge are continued by
-    homotopy as a sub-stack.  If any point fails for good, the error of the
-    first such point in stack order is raised.
-    """
-    Fev = Fev or F.at_base(X3, 2)
-    sol = _newton(Fev, G, P1, X3, opts, linear=F.momentum_linear)
-    stray = np.array([i for i, e in enumerate(sol.errors) if isinstance(e, ConvergenceError)],
-                     dtype=int)
-    if stray.size and opts.homotopy_steps > 0:
-        sol.put(stray, _homotopy(_restrict(Fev, stray), G, P1[stray], X3[stray], opts))
-    return sol.checked()
+        lambda rows, Zr: _residual_and_jac(G, P1[rows], Zr, Fev(rows, Zr[:, :k], 2)),
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition,
+        _residual_and_jac(G, P1, Z, jF, jG)).checked()
 
 
 def stationary_point(F: GenFun, G: GenFun, p1, x3,
@@ -292,10 +239,9 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     """Solve the critical-point system of the composition F o G at (p1, x3).
 
     Damped Newton from the canonical anchor, or from the explicit critical
-    point when F is momentum-linear; if that fails to converge and
-    ``opts.homotopy_steps > 0``, a continuation in p1 is tried.  The point
-    is the composite's stacked solve on a stack of one.  A degenerate system
-    raises :class:`DegeneracyError` and a failed solve :class:`ConvergenceError`.
+    point when F is momentum-linear.  The point is the composite's stacked
+    solve on a stack of one.  A degenerate system raises
+    :class:`DegeneracyError` and a failed solve :class:`ConvergenceError`.
     """
     row = [np.asarray(a, dtype=float).reshape(1, -1) for a in (p1, x3)]
     sol = compose(F, G, opts)._solve_jet(*row, 0)[1]
@@ -342,7 +288,7 @@ class ComposedGenFun(GenFun):
         """The jet at a stack of points and the solve it was read from."""
         F, G, k, m, n = self.F, self.G, self.F.m, self.m, self.n
         Fev = Fev or F.at_base(x3, max(order, 2))
-        sol = _solve(F, G, p1, x3, self.opts, Fev)
+        sol = _solve(Fev, G, p1, x3, self.opts, F.momentum_linear)
         pm, xm = sol.Z[:, :k], sol.Z[:, k:]
         # orders 0-2 read the solve's operand jets at the critical point
         jF, jG = sol.jets if order <= 2 else (Fev(slice(None), pm, 3), G.eval_jet(p1, xm, 3))

@@ -66,16 +66,15 @@ class InverseMap:
 
     ``jet(y, order)`` solves base(z) = y by the damped Newton of
     :mod:`symgf.compose`, from z = y (right for near-identity
-    diffeomorphisms) to a residual of 1e-14, then fills in derivative
-    tensors of the inverse by implicit differentiation.
+    diffeomorphisms) to a residual of 1e-14 in at most 60 iterations, then
+    fills in derivative tensors of the inverse by implicit differentiation.
     """
 
-    def __init__(self, base, max_iter=60):
+    def __init__(self, base):
         self.base = base
         if base.d_in != base.d_out:
             raise ValueError("only same-dimension maps can be inverted")
         self.d_in = self.d_out = base.d_in
-        self.max_iter = max_iter
 
     def __call__(self, y):
         return self.jet(y, 0).value
@@ -89,7 +88,7 @@ class InverseMap:
             bj = self.base.jet(Z, 1)
             return bj.value - Y[rows], bj.jac, ()
 
-        sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=self.max_iter),
+        sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=60),
                              "inverse-map", lambda i: f"at y={Y[i]}", np.linalg.cond).checked()
         out = MapJet(order, sol.Z.reshape(y.shape))
         if order == 0:

@@ -3,13 +3,12 @@ import sys
 import numpy as np
 import pytest
 
-from symgf import (DEFAULT_NEWTON, ConvergenceError, DegeneracyError, Diffeo,
+from symgf import (ConvergenceError, DegeneracyError, Diffeo,
                    LieStructure, NewtonOptions, PolyMap, PolyPoisson, change_coordinates,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import (COND_LIMIT, _damped_newton, _pair, _phase_condition, _residual_and_jac,
-                           _solve)
+from symgf.compose import COND_LIMIT, _damped_newton, _pair, _phase_condition, _residual_and_jac
 from symgf.genfun import GenFun, LiftGenFun, TensorGenFun
 from symgf.jets import Jet
 from symgf.maps import InverseMap
@@ -203,7 +202,7 @@ def test_solve_returns_the_operand_jets_at_the_critical_point(make):
     x = sample_box(1, C.n, -0.25, 0.25, 9)[0]
     sp = stationary_point(C.F, C.G, p, x, C.opts)
     fresh = (C.F.eval_jet(sp.p_mid, x, 2), C.G.eval_jet(p, sp.x_mid, 2))
-    for got, want in zip(_solve(C.F, C.G, p[None], x[None], C.opts).jets, fresh):
+    for got, want in zip(C._solve_jet(p[None], x[None], 0)[1].jets, fresh):
         assert got.order == 2 and got.value[0] == want.value
         assert np.array_equal(got.grad[0], want.grad)
         assert np.array_equal(got.hess[0], want.hess)
@@ -216,7 +215,7 @@ def test_stacked_solve_matches_one_point_solves(make):
     C = make()
     ps = sample_ball(5, C.m, 0.05, 4)
     xs = sample_box(5, C.n, -0.25, 0.25, 9)
-    sol = _solve(C.F, C.G, ps, xs, C.opts)
+    sol = C._solve_jet(ps, xs, 0)[1]
     for order in range(4):
         stacked = C.eval_jet(ps, xs, order)
         for b, (p, x) in enumerate(zip(ps, xs)):
@@ -247,22 +246,37 @@ def test_stacked_pairing_equals_the_row_loop_bit_for_bit(B):
                                                                 np.signbit(want)), k
 
 
-def test_stacked_solve_sends_only_stragglers_to_homotopy():
+def test_stacked_toy_solve_matches_one_point_solves():
     # x_mid solves 1.5 p1 x^2 - x + p1 + 0.2 = 0: from the anchor, p1 = 0.3
-    # needs six direct Newton steps, the others at most four
+    # needs six Newton steps, the others at most four
     F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.5}, 1, 1)
     G = poly_genfun({((1,), (1,)): 1.0, ((1,), (3,)): 0.5}, 1, 1)
     ps = np.array([[0.0], [0.3], [0.1], [0.2]])
     xs = np.full((4, 1), 0.2)
-    opts = NewtonOptions(max_iter=4, homotopy_steps=10)
-    with pytest.raises(ConvergenceError, match=r"p1=\[0\.3\]"):
-        stationary_point(F, G, ps[1], xs[1], NewtonOptions(max_iter=4, homotopy_steps=0))
-    sol = _solve(F, G, ps, xs, opts)
+    sol = compose(F, G)._solve_jet(ps, xs, 0)[1]
     for b, (p, x) in enumerate(zip(ps, xs)):
-        sp = stationary_point(F, G, p, x, opts)
+        sp = stationary_point(F, G, p, x)
         assert np.array_equal(sol.Z[b], np.concatenate([sp.p_mid, sp.x_mid]))
         assert sol.iterations[b] == sp.iterations
-    assert list(sol.iterations) == [0, 33, 3, 4]
+    assert list(sol.iterations) == [0, 6, 3, 4]
+    short = compose(F, G, NewtonOptions(max_iter=4))
+    with pytest.raises(ConvergenceError, match=r"in 4 iterations .* at p1=\[0\.3\], x3=\[0\.2\]$"):
+        short._solve_jet(ps, xs, 0)
+    with pytest.raises(ConvergenceError, match=r"p1=\[0\.3\]"):
+        stationary_point(F, G, ps[1], xs[1], NewtonOptions(max_iter=4))
+
+
+def test_point_without_a_real_critical_point_fails_by_name():
+    # at p1 = 1, x3 = 0.2 the toy system's 1.5 x^2 - x + 1.2 = 0 has no real
+    # root: the stack raises that sample's error, with no rescue attempted,
+    # and its solvable row still solves alone
+    F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.5}, 1, 1)
+    G = poly_genfun({((1,), (1,)): 1.0, ((1,), (3,)): 0.5}, 1, 1)
+    ps, xs = np.array([[0.1], [1.0]]), np.full((2, 1), 0.2)
+    with pytest.raises(ConvergenceError, match=r"at p1=\[1\.\], x3=\[0\.2\]$") as err:
+        compose(F, G)._solve_jet(ps, xs, 0)
+    assert "homotopy" not in str(err.value)
+    compose(F, G)._solve_jet(ps[:1], xs[:1], 0)
 
 
 def test_stacked_solve_names_the_degenerate_point():
@@ -273,20 +287,10 @@ def test_stacked_solve_names_the_degenerate_point():
     ps = np.array([[0.1], [1.0], [0.2]])
     xs = np.array([[0.1], [1.0], [-0.3]])
     with pytest.raises(DegeneracyError, match=r"at p1=\[1\.\], x3=\[1\.\]$"):
-        _solve(F, G, ps, xs, DEFAULT_NEWTON)
+        compose(F, G)._solve_jet(ps, xs, 0)
     with pytest.raises(DegeneracyError, match=r"at p1=\[1\.\], x3=\[1\.\]$"):
         compose(F, G).eval_jet(ps, xs, 0)
-    _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
-
-
-def test_failed_homotopy_names_the_sample_not_the_scaled_momenta():
-    # the first continuation step solves at p1 / 4 and runs out of iterations;
-    # the error names the sample's p1 and that step
-    S = lie_monoid(LieStructure.so3(), 4)
-    with pytest.raises(ConvergenceError, match=r"in 1 iterations .* at p1=\[0\.5( 0\.5){8}\], "
-                                               r"x3=\[0\.1 0\.2 0\.3\] \(homotopy at 0\.25 p1\)$"):
-        stationary_point(S, tensor(S, identity_genfun(3)), 0.5 * np.ones(9), [0.1, 0.2, 0.3],
-                         NewtonOptions(max_iter=1, homotopy_steps=4))
+    compose(F, G)._solve_jet(ps[[0, 2]], xs[[0, 2]], 0)
 
 
 def test_non_finite_jacobian_is_degenerate():
@@ -297,8 +301,8 @@ def test_non_finite_jacobian_is_degenerate():
     ps = np.array([[0.1], [1e110], [-0.2]])
     xs = np.full((3, 1), 0.3)
     with pytest.raises(DegeneracyError, match=r"condition inf .* at p1=\[1\.e\+110\]"):
-        _solve(F, G, ps, xs, DEFAULT_NEWTON)
-    _solve(F, G, ps[[0, 2]], xs[[0, 2]], DEFAULT_NEWTON)
+        compose(F, G)._solve_jet(ps, xs, 0)
+    compose(F, G)._solve_jet(ps[[0, 2]], xs[[0, 2]], 0)
 
 
 @composites
@@ -311,7 +315,7 @@ def test_phase_condition_matches_the_svd(make):
     xs = sample_box(6, C.n, -0.25, 0.25, 9)
     anchor = np.concatenate([np.zeros((6, C.F.m)), C.F.eval_jet(np.zeros((6, C.F.m)), xs, 1)
                              .grad[:, :C.F.m]], axis=1)
-    for Z in (anchor, _solve(C.F, C.G, ps, xs, C.opts).Z):
+    for Z in (anchor, C._solve_jet(ps, xs, 0)[1].Z):
         J = _residual_and_jac(C.G, ps, Z, C.F.eval_jet(Z[:, :C.F.m], xs, 2))[1]
         np.testing.assert_allclose(_phase_condition(J), np.linalg.cond(J), rtol=1e-12, atol=0)
 
@@ -359,8 +363,7 @@ def test_line_search_floor_ends_the_direct_solve():
     F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.75}, 1, 1)
     G = _WrongHessian(poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 0.75}, 1, 1))
     with pytest.raises(ConvergenceError, match="no descent step"):
-        stationary_point(F, G, np.array([1.0]), np.array([0.2]),
-                         NewtonOptions(homotopy_steps=0))
+        stationary_point(F, G, np.array([1.0]), np.array([0.2]))
     assert G.calls == 1 + 21  # iterate 0, then lam = 1, 1/2, ..., 2**-20
 
 
@@ -469,7 +472,7 @@ def test_nonconvergence_raises_with_tiny_budget():
     G = poly_genfun({((1,), (1,)): 1.0, ((1,), (3,)): 0.5}, 1, 1)
     p1 = np.array([0.3])
     x3 = np.array([0.2])
-    opts = NewtonOptions(max_iter=1, homotopy_steps=1)
+    opts = NewtonOptions(max_iter=1)
     with pytest.raises(ConvergenceError):
         stationary_point(F, G, p1, x3, opts)
     # the same problem is fine with the default budget
@@ -638,9 +641,9 @@ def test_lift_outer_operand_starts_at_its_explicit_critical_point(monkeypatch):
     solve, solved, G_rows = module._solve, [], []
     jet = C.G.eval_jet
 
-    def counting(F, G, P1, X3, opts, Fev=None):
-        sol = solve(F, G, P1, X3, opts, Fev)
-        if F is C.F:
+    def counting(Fev, G, P1, X3, opts, linear):
+        sol = solve(Fev, G, P1, X3, opts, linear)
+        if G is C.G:  # the outer solve; the inner composite's have G = lift (+) lift
             solved.append((len(P1), sol.iterations.tolist(), sol.residuals.max()))
         return sol
 
@@ -658,7 +661,7 @@ def test_lift_outer_operand_starts_at_its_explicit_critical_point(monkeypatch):
     bent = _BentLift(C.F.phi)
     assert not bent.momentum_linear
     G_rows.clear()
-    sol = _solve(bent, C.G, ps, xs, C.opts)
+    sol = compose(bent, C.G, C.opts)._solve_jet(ps, xs, 0)[1]
     assert sol.iterations.min() >= 1
     assert G_rows == [(2, 5)] * (1 + sol.iterations.max())
 
@@ -682,41 +685,3 @@ def test_explicit_start_still_checks_the_condition():
         else:
             with pytest.raises(DegeneracyError, match="stationary-point system is degenerate"):
                 stationary_point(F, G, p1, x3)
-
-
-def test_homotopy_with_a_lift_outer_operand_matches_one_point_solves(monkeypatch):
-    # a lift's own solve has no Newton to fail, so the outer operand here is a
-    # lift bent by |p|^2 / 40 on the same map; failing the direct solve of
-    # chosen points forces them onto the continuation, which reads the lift's
-    # evaluator through its sub-stacks
-    module = sys.modules["symgf.compose"]
-    newton, forced = module._newton, []
-
-    def direct_fails(Fev, G, P1, X3, opts, Z=None, t=1.0, linear=False):
-        # only the outer direct solve, the first _newton to start: the inner
-        # composite's solves run inside it
-        rows = list(forced)
-        forced.clear()
-        sol = newton(Fev, G, P1, X3, opts, Z, t, linear)
-        for i in rows:
-            sol.errors[i] = ConvergenceError("forced onto the continuation")
-        return sol
-
-    monkeypatch.setattr(module, "_newton", direct_fails)
-    C = _coordinate_change()
-    F = _BentLift(C.F.phi)
-    ps = sample_ball(5, C.m, 0.05, 4)
-    xs = sample_box(5, C.n, -0.25, 0.25, 9)
-    direct = _solve(F, C.G, ps, xs, C.opts)
-    forced[:] = [1, 3, 4]
-    sol = _solve(F, C.G, ps, xs, C.opts)
-    for b in range(5):
-        forced[:] = [0] if b in (1, 3, 4) else []
-        one = _solve(F, C.G, ps[b:b + 1], xs[b:b + 1], C.opts)
-        assert np.array_equal(sol.Z[b], one.Z[0]), b
-        assert sol.iterations[b] == one.iterations[0]
-        for got, want in zip(sol.jets, one.jets):
-            assert np.array_equal(got.hess[b], want.hess[0])
-    # the continuation reaches the direct solve's critical points
-    assert list(sol.iterations[[1, 3, 4]]) == [C.opts.homotopy_steps] * 3
-    np.testing.assert_allclose(sol.Z, direct.Z, rtol=0, atol=1e-13)

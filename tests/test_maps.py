@@ -71,10 +71,11 @@ def test_inverse_of_linear_is_exact():
 
 
 def test_inverse_map_nonconvergence_raises_convergence_error():
-    # a CompositionError, which the CLI maps to exit 1 instead of a traceback
-    phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    # a CompositionError, which the CLI maps to exit 1 instead of a traceback:
+    # x + x^2 >= -1/4 has no preimage of -0.6
+    phi = PolyMap([{(1,): 1.0, (2,): 1.0}], d_in=1)
     with pytest.raises(ConvergenceError):
-        InverseMap(phi, max_iter=1).jet(np.array([0.21, -0.13]), 0)
+        InverseMap(phi).jet(np.array([-0.6]), 0)
 
 
 def test_inverse_map_stack_matches_one_point_jets():
