@@ -106,34 +106,35 @@ def unit_exponents(n, *slots) -> tuple:
 
 
 class PolyKernel:
-    """Exact jets to order 3 of k polynomials in n variables sharing one
+    """Exact jets up to ``order`` <= 3 of k polynomials in n variables sharing one
     exponent matrix: output o is ``sum_t C[t, o] * prod_i v_i**E[t, i]``.
 
     Derivatives come from a falling-factorial table, Taylor-mode propagation for
     monomials (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), built
-    to order 3 on the first jet and scaled by ``C`` once; a jet of order o reads its
-    order-o prefix.  It holds only the partials that do not vanish
-    identically: per term, the sorted index tuples over its support that its
-    exponents allow.  Evaluation is a handful of array operations for all orders
-    together, whatever the term count, on one point or a stack of points: the powers
-    ``v_i**r`` by repeated products, one gather and product per distinct monomial of
-    the partials (a common subexpression), then the scaled sums.
+    to ``order`` on the first jet and scaled by ``C`` once; a jet of order o reads its
+    order-o prefix, and one above ``order`` raises ValueError.  It holds only the
+    partials that do not vanish identically: per term, the sorted index tuples over
+    its support that its exponents allow.  Evaluation is a handful of array operations
+    for all orders together, whatever the term count, on one point or a stack of
+    points: the powers ``v_i**r`` by repeated products, one gather and product per
+    distinct monomial of the partials (a common subexpression), then the scaled sums.
     """
 
-    def __init__(self, E, C):
+    def __init__(self, E, C, order=MAX_ORDER):
         self.E = np.asarray(E, dtype=np.int64)
         self.C = np.asarray(C, dtype=float)
         if self.E.ndim != 2 or self.C.ndim != 2 or self.C.shape[0] != self.E.shape[0]:
             raise ValueError(f"need E (T, n) and C (T, k), got {self.E.shape} and {self.C.shape}")
         self.n = self.E.shape[1]
         self.k = self.C.shape[1]
+        self.order = order
         self._P = int(self.E.max(initial=0)) + 1  # powers v_i**0 .. v_i**(P - 1)
         self._table = None  # (the table, its scaled coefficients)
 
     @classmethod
-    def from_polys(cls, polys, nvars):
+    def from_polys(cls, polys, nvars, order=MAX_ORDER):
         """Kernel of canonical polynomial dicts over ``nvars`` variables,
-        one output per dict."""
+        one output per dict, with jets up to ``order``."""
         rows = {}
         for poly in polys:
             for e in poly:
@@ -142,7 +143,7 @@ class PolyKernel:
         for o, poly in enumerate(polys):
             for e, c in poly.items():
                 C[rows[e], o] = c
-        return cls(np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars), C)
+        return cls(np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars), C, order)
 
     def jet(self, v, order) -> list:
         """``[value (k,), jac (k, n), hess (k, n, n), third (k, n, n, n)]`` at
@@ -151,13 +152,13 @@ class PolyKernel:
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.n,) or v.ndim > 2:
             raise ValueError(f"point has shape {v.shape}, expected ({self.n},) or (B, {self.n})")
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"jet order must be in [0, {self.order}], got {order}")
         stack = v.reshape(-1, self.n)
         # far out the powers, and huge scaled coefficients, overflow; the caller classifies it
         with np.errstate(over="ignore", invalid="ignore"):
             if self._table is None:
-                tab = _PartialTable(self.E)
+                tab = _PartialTable(self.E, self.order)
                 self._table = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
             tab, scaled = self._table
             N, R, F, M = tab.ends[order]  # the prefix: entries, runs, fills, monomials
@@ -176,7 +177,7 @@ class PolyKernel:
 
 
 class _PartialTable:
-    """The nonzero partials of orders 0..3 of the monomials ``E``.
+    """The nonzero partials of orders 0..``order`` of the monomials ``E``.
 
     Entry r differentiates term ``t = term[r]`` along a sorted index tuple
     ``w``: it leaves the monomial ``prod_j powers[flat[inv[r], j]]`` (``flat
@@ -192,10 +193,10 @@ class _PartialTable:
     table is built by array operations over all terms, each on its own support.
     """
 
-    def __init__(self, E):
+    def __init__(self, E, order):
         T, n = E.shape
         P = int(E.max(initial=0)) + 1
-        self.offsets = np.array([0, *accumulate(n ** q for q in range(MAX_ORDER + 1))])
+        self.offsets = np.array([0, *accumulate(n ** q for q in range(order + 1))])
         # support[t, a]: the a-th column where E[t] > 0; the negative slots that
         # pad a tuple w to MAX_ORDER places are column n, of exponent 1
         size = (E > 0).sum(axis=1)
@@ -203,14 +204,14 @@ class _PartialTable:
         support = np.full((T, smax + MAX_ORDER), n)
         support[:, :smax] = np.argsort(E == 0, axis=1, kind="stable")[:, :smax]
         E1 = np.concatenate((E, np.ones((T, 1), np.int64)), axis=1)
-        # the sorted tuples of at most MAX_ORDER slots, right-aligned, by largest slot (the first
-        # comb(s + MAX_ORDER, MAX_ORDER) use s slots); before: earlier places of the same slot
-        tuples = [()] + [w + (s,) for s in range(smax) for q in range(MAX_ORDER)
+        # the sorted tuples of at most `order` slots, right-aligned, by largest slot (the first
+        # comb(s + order, order) use s slots); before: earlier places of the same slot
+        tuples = [()] + [w + (s,) for s in range(smax) for q in range(order)
                          for w in combinations_with_replacement(range(s + 1), q)]
         slots = np.array([tuple(range(len(w) - MAX_ORDER, 0)) + w for w in tuples], dtype=np.int64)
         before = np.tril(slots[:, :, None] == slots[:, None, :], -1).sum(axis=2)
         # term t enumerates the tuples over its own support
-        count = np.array([comb(s + MAX_ORDER, MAX_ORDER) for s in range(smax + 1)])[size]
+        count = np.array([comb(s + order, order) for s in range(smax + 1)])[size]
         term, begin = np.repeat(np.arange(T), count), np.cumsum(count) - count
         m = np.arange(term.size) - np.repeat(begin, count)
         cols = support[term[:, None], slots[m]]
@@ -246,7 +247,7 @@ class _PartialTable:
         dst = np.sort(self.offsets[run_q, None] + codes, axis=1).ravel()
         first = _firsts(dst)
         self.dst, self.src = dst[first], first // _PERMUTATIONS.shape[1]
-        N, R = (np.searchsorted(a, np.arange(MAX_ORDER + 1), "right") for a in (q, run_q))
+        N, R = (np.searchsorted(a, np.arange(order + 1), "right") for a in (q, run_q))
         self.ends = np.stack([N, R, np.searchsorted(self.src, R), np.searchsorted(used, N)], 1)
         for a in vars(self).values():  # read-only: every jet reads the table as built
             a.flags.writeable = False

@@ -233,7 +233,7 @@ class PolyPoisson:
                 self.entries[(i, j)] = canon
         upper = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
         self._rows, self._cols = upper[:, 0], upper[:, 1]
-        self._kernel = PolyKernel.from_polys(list(self.entries.values()), self.d)
+        self._kernel = PolyKernel.from_polys(list(self.entries.values()), self.d, order=1)
 
     @classmethod
     def from_constant(cls, A):
@@ -476,7 +476,7 @@ def _fit_rows(seed, n_points):
         right = np.einsum("bkl,bk,bijl,bi,bj->b", al, p1, dal, p2, p3)
         consts.append((left - right) / 4)
         trees = PolyKernel.from_polys(
-            [{pe + xe: c for (pe, xe), c in tree.items()} for tree in symbols[2]], 3 * d)
+            [{pe + xe: c for (pe, xe), c in tree.items()} for tree in symbols[2]], 3 * d, order=0)
         T = [trees.jet(np.concatenate([u, v, xs], axis=1), 0)[0]
              for u, v in ((p1 + p2, p3), (p1, p2), (p1, p2 + p3), (p2, p3))]
         cols.append(T[0] + T[1] - T[2] - T[3])

@@ -19,6 +19,8 @@ from .monoids import LieStructure, PolyPoisson
 
 # The order-3 jet of a monoid genfun on R^d holds (3d)^3 floats: 57 MB at d = 64.
 MAX_DIM = 64
+# A jet tabulates every power of a variable up to the largest exponent, B n (e + 1) floats.
+MAX_EXPONENT = 64
 
 
 # --------------------------------------------------------------------------
@@ -132,12 +134,13 @@ def _number(v, what) -> float:
 
 
 def _int_tuple(seq, what, length=None):
+    """An exponent list, each entry from 0 to :data:`MAX_EXPONENT`."""
     try:
         out = tuple(_integer(v, f"each entry of {what}") for v in seq)
     except TypeError as exc:
         raise ValueError(f"{what} must be a list of integers") from exc
-    if any(v < 0 for v in out):
-        raise ValueError(f"{what} must be non-negative integers")
+    if any(not 0 <= v <= MAX_EXPONENT for v in out):
+        raise ValueError(f"{what} must be integers from 0 to {MAX_EXPONENT}")
     if length is not None and len(out) != length:
         raise ValueError(f"{what} must have length {length}, got {len(out)}")
     return out

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,6 +44,14 @@ def normalization_residual(S, xs):
     return float(np.max(np.abs(np.column_stack([j.value, j.grad[:, S.m:]])), initial=0.0))
 
 
+@pytest.fixture(autouse=True)
+def unfreeze_heap():
+    """``cli.main`` leaves its process's heap frozen; in this process every
+    test that calls it would freeze the garbage of the tests before it."""
+    yield
+    gc.unfreeze()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -49,12 +59,12 @@ def rng():
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The exponent matrices of the kernel tables built during the test, in order."""
+    """The (exponent matrix, order) of each kernel table built during the test, in order."""
     built, build = [], jets._PartialTable
 
-    def spy(E):
-        built.append(E)
-        return build(E)
+    def spy(E, order):
+        built.append((E, order))
+        return build(E, order)
 
     monkeypatch.setattr(jets, "_PartialTable", spy)
     return built

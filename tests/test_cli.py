@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import pathlib
@@ -15,7 +16,7 @@ from symgf import (Diffeo, LieStructure, PolyMap, change_coordinates, check_asso
                    poly_genfun, sample_ball, sample_box, stationary_point, symplectic_monoid)
 from symgf.cli import main
 from symgf.genfun import PolyGenFun
-from symgf.serialize import dump, genfun_to_dict
+from symgf.serialize import MAX_EXPONENT, dump, genfun_to_dict
 from symgf.verify import GROUPOID_AXIOMS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -378,6 +379,21 @@ def test_overflowing_coefficient_fails_with_one_line_on_stderr(tmp_path):
     assert "degenerate" in err[0]
 
 
+@pytest.mark.parametrize("flags, doc", [
+    (["--monoid"], {"d": 1, "terms": [{"coeff": 1.0, "p1": [1], "p2": [1], "x": [10 ** 15]}]}),
+    (["--builtin", "kontsevich", "--alpha"],
+     {"d": 2, "entries": [{"i": 0, "j": 1, "terms": [{"coeff": 1.0, "x": [10 ** 15, 0]}]}]})])
+def test_huge_exponent_exits_two_before_any_jet(tmp_path, flags, doc):
+    # a jet's power table has one column per power up to the largest exponent:
+    # 85 PiB at 10**15, so the loader refuses any exponent above MAX_EXPONENT
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "symgf.cli", "verify", *flags, str(path),
+                           "--grid-n", "2"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: x must be integers from 0 to {MAX_EXPONENT}\n"
+
+
 def test_compose_dimension_mismatch_exits_two(capsys):
     code = main(["compose", "--f", "builtin:identity:2", "--g",
                  "builtin:identity:3", "--p", "0,0,0", "--x", "0,0"])
@@ -551,6 +567,21 @@ def test_verify_calls_each_check_through_the_cli_module(monkeypatch):
         monkeypatch.setattr(cli, name, spy)
     assert main(["verify", "--builtin", "symplectic", "--grid-n", "7"]) == 0
     assert calls == [(name, 7) for name in names]
+
+
+def test_verify_runs_its_checks_with_the_import_heap_frozen(monkeypatch):
+    # main freezes what the imports left tracked, so no collection in the
+    # checks walks it; the collector itself stays on
+    seen, check = [], cli.check_unit
+
+    def spy(*args, **kwargs):
+        seen.append((gc.get_freeze_count(), gc.isenabled()))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_unit", spy)
+    assert main(["verify", "--builtin", "symplectic", "--grid-n", "4"]) == 0
+    (count, enabled), = seen
+    assert count > 0 and enabled
 
 
 def test_non_finite_residual_is_written_and_exits_one(tmp_path):

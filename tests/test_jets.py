@@ -206,10 +206,10 @@ def _reference_table(E, C, order, P):
     return out, sorted(pairs)
 
 
-def _assert_table_matches_reference(E, C, order):
-    # order o's prefix of the shared coefficient-free table, and of the
-    # coefficients the kernel scales it by
-    kernel = PolyKernel(E, C)
+def _assert_table_matches_reference(E, C, order, built=3):
+    # order o's prefix of the shared coefficient-free table, built to order
+    # `built`, and of the coefficients the kernel scales it by
+    kernel = PolyKernel(E, C, built)
     kernel.jet(np.zeros(kernel.n), order)
     got, scaled = kernel._table
     entries, runs, fills, monomials = got.ends[order]
@@ -238,7 +238,8 @@ def test_partial_table_matches_per_term_loop(data):
                                              min_size=n, max_size=n),
                                     min_size=T, max_size=T)), dtype=np.int64).reshape(T, n)
     C = np.array(data.draw(st.lists(coeffs, min_size=T * k, max_size=T * k))).reshape(T, k)
-    _assert_table_matches_reference(E, C, data.draw(st.integers(0, 3), label="order"))
+    order = data.draw(st.integers(0, 3), label="order")
+    _assert_table_matches_reference(E, C, order, data.draw(st.integers(order, 3), label="built"))
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -342,7 +343,7 @@ def test_partial_table_memory_at_the_dimension_bound():
     kernel = symplectic_monoid(MAX_DIM)._kernel
     tracemalloc.start()
     try:
-        _PartialTable(kernel.E)
+        _PartialTable(kernel.E, kernel.order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -286,6 +286,16 @@ def test_fit_makes_no_newton_solve(monkeypatch):
     assert fit.c2 == pytest.approx(+1.0 / 12.0, abs=1e-15)
 
 
+def test_fit_builds_each_table_to_the_order_it_reads(table_builds):
+    # the bivectors' tables to order 1 (alpha and its derivative), the tree
+    # symbols' to order 0; a kernel refuses a jet above its order
+    fit_tree_weights.__wrapped__()
+    assert [order for _, order in table_builds] == [1, 0, 1, 0]
+    alpha = PolyPoisson.linear_from_structure(LieStructure.so3())
+    with pytest.raises(ValueError, match=r"jet order must be in \[0, 1\], got 2"):
+        alpha._kernel.jet(np.zeros(3), 2)
+
+
 def _fit_samples(seed=11, n_points=24):
     """(alpha, ps, xs) for each fit instance, sampled as ``_fit_rows`` does."""
     for inst_idx, alpha in enumerate(_fit_instances()):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from symgf import LieStructure, PolyPoisson, lie_monoid, symplectic_monoid
-from symgf.serialize import (MAX_DIM, dump, dumps, format_float, genfun_from_dict,
-                             genfun_to_dict, load_genfun, load_poisson,
+from symgf.serialize import (MAX_DIM, MAX_EXPONENT, dump, dumps, format_float,
+                             genfun_from_dict, genfun_to_dict, load_genfun, load_poisson,
                              load_structure, poisson_from_dict, poisson_to_dict,
                              structure_from_dict, structure_to_dict)
 
@@ -80,6 +80,22 @@ def test_json_dimensions_are_bounded_by_max_dim():
             from_dict({"d": MAX_DIM + 1})
     with pytest.raises(ValueError, match=f"m \\+ n <= {3 * MAX_DIM}"):
         genfun_from_dict({"m": 2 * MAX_DIM + 1, "n": MAX_DIM})
+
+
+def test_json_exponents_are_bounded_by_max_exponent():
+    # the largest accepted exponent loads; one more is rejected, in every slot
+    top = {"coeff": 1.0, "p1": [MAX_EXPONENT], "p2": [1], "x": [MAX_EXPONENT]}
+    S = genfun_from_dict({"d": 1, "terms": [top]})
+    assert S.terms == {((MAX_EXPONENT, 1), (MAX_EXPONENT,)): 1.0}
+    for key in ("p1", "p2", "x"):
+        with pytest.raises(ValueError, match=f"{key} must be integers from 0 to {MAX_EXPONENT}"):
+            genfun_from_dict({"d": 1, "terms": [{**top, key: [MAX_EXPONENT + 1]}]})
+    entry = {"i": 0, "j": 1, "terms": [{"coeff": 1.0, "x": [MAX_EXPONENT, 0]}]}
+    alpha = poisson_from_dict({"d": 2, "entries": [entry]})
+    assert alpha.entries == {(0, 1): {(MAX_EXPONENT, 0): 1.0}}
+    entry["terms"][0]["x"] = [0, MAX_EXPONENT + 1]
+    with pytest.raises(ValueError, match=f"x must be integers from 0 to {MAX_EXPONENT}"):
+        poisson_from_dict({"d": 2, "entries": [entry]})
 
 
 def test_structure_round_trip_and_completion():
