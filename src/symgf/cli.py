@@ -35,6 +35,10 @@ class UserInputError(Exception):
     pass
 
 
+class OverflowBreakdown(Exception):
+    """A value a command prints or records is not finite: exit 1."""
+
+
 DEFAULT_TOLS = {
     "unit": 1e-10,
     "associativity": 1e-9,
@@ -178,6 +182,14 @@ def _finish(reports, args, config_keys, extra=None) -> int:
     return 0 if passed else 1
 
 
+def _require_finite(what, at, *stacks):
+    """Raise :class:`OverflowBreakdown` naming ``at(i)``, the first row i at
+    which one of ``stacks`` (arrays with one row per point) is not finite."""
+    ok = np.logical_and.reduce([np.isfinite(a.reshape(len(a), -1)).all(axis=1) for a in stacks])
+    if not ok.all():
+        raise OverflowBreakdown(f"{what} is not finite (overflow) {at(int(np.argmin(ok)))}")
+
+
 def _warn_beyond_domain(args, S):
     if args.p_radius > S.domain_radius:
         print(f"warning: --p-radius {args.p_radius:g} exceeds the monoid's domain radius "
@@ -230,12 +242,15 @@ def cmd_poisson(args) -> int:
         xs = sample_box(args.grid_n, d, -args.x_box, args.x_box, seed + 1)
     ps = sample_ball(min(args.grid_n, len(xs)), d, args.p_radius, seed)
 
-    alpha = field.matrix(xs)
+    pxs = xs[:len(ps)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value exits 1 below
+        alpha = field.matrix(xs)
+        (src, _, _), (tgt, _, _) = gm._jets(ps, pxs, "st")
+    _require_finite("the bivector", lambda i: f"at x={xs[i]}", alpha)
+    _require_finite("the source/target map", lambda i: f"at p={ps[i]}, x={pxs[i]}", src, tgt)
     # the report emitter writes numpy arrays and scalars as JSON lists and numbers
     alpha_rows = [{"x": x, "entries": [[i, j, a[i, j]] for i in range(d) for j in range(i + 1, d)]}
                   for x, a in zip(xs, alpha)]
-    pxs = xs[:len(ps)]
-    (src, _, _), (tgt, _, _) = gm._jets(ps, pxs, "st")
     st_rows = [{"p": p, "x": x, "source": s, "target": t} for p, x, s, t in zip(ps, pxs, src, tgt)]
 
     print(f"monoid: {S.label}  (d={d})")
@@ -268,8 +283,6 @@ def cmd_compose(args) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 raise UserInputError(
                     f"{args.points}: each point needs number lists 'p' and 'x' ({exc!r})") from exc
-            if not (np.isfinite(p).all() and np.isfinite(x).all()):
-                raise UserInputError(f"{args.points}: point coordinates must be finite")
             points.append((p, x))
     if args.p or args.x:
         if not (args.p and args.x):
@@ -279,15 +292,19 @@ def cmd_compose(args) -> int:
     if not points:
         raise UserInputError("give a point with --p/--x or --points FILE")
 
-    rows = []
     for p, x in points:
         if p.shape != (C.m,) or x.shape != (C.n,):
             raise UserInputError(
                 f"point has shape ({p.shape[0]}, {x.shape[0]}), need ({C.m}, {C.n})")
-        # the jet and the Newton statistics come from one solve of the point
-        j, sol = C._solve_jet(p[None], x[None], 1)
-        value, grad = float(j.value[0]), j.grad[0]
-        iterations, residual = int(sol.iterations[0]), float(sol.residuals[0])
+    P, X = (np.array(a) for a in zip(*points))
+    # one stacked solve; each point keeps its own iterate and statistics
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value exits 1 below
+        j, sol = C._solve_jet(P, X, 1)
+    _require_finite("the composite", lambda i: f"at p={P[i]}, x={X[i]}",
+                    j.value, j.grad, sol.residuals)
+    rows = []
+    for p, x, value, grad, iterations, residual in zip(
+            P, X, j.value.tolist(), j.grad, sol.iterations.tolist(), sol.residuals.tolist()):
         rows.append({"p": p, "x": x, "value": value, "grad_p": grad[:C.m], "grad_x": grad[C.m:],
                      "iterations": iterations, "residual": residual})
         print(f"p = {np.array2string(p, precision=6)}  x = {np.array2string(x, precision=6)}")
@@ -457,6 +474,9 @@ def main(argv=None) -> int:
         return 1
     except CompositionError as exc:
         print(f"composition failed: {exc}", file=sys.stderr)
+        return 1
+    except OverflowBreakdown as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

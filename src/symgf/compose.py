@@ -45,6 +45,7 @@ import numpy as np
 
 from .genfun import GenFun, cotangent_lift, tensor
 from .jets import Jet, jet_sum
+from .maps import InverseMap
 
 __all__ = [
     "NewtonOptions", "StationaryPoint", "CompositionError", "ConvergenceError",
@@ -264,10 +265,8 @@ class ComposedGenFun(GenFun):
         if F.m != G.n:
             raise ValueError(
                 f"cannot compose: F has {F.m} momenta but G has base dimension {G.n}")
-        radius = 0.5 * min(F.domain_radius, G.domain_radius)
-        if not np.isfinite(radius):
-            radius = np.inf
-        super().__init__(G.m, F.n, radius, label or f"({F.label}) o ({G.label})")
+        super().__init__(G.m, F.n, 0.5 * min(F.domain_radius, G.domain_radius),
+                         label or f"({F.label}) o ({G.label})")
         self.F = F
         self.G = G
         self.opts = opts
@@ -341,7 +340,6 @@ class Diffeo:
         if self.forward.d_in != self.forward.d_out:
             raise ValueError("a diffeomorphism must preserve dimension")
         if self.inverse is None:
-            from .maps import InverseMap
             self.inverse = InverseMap(self.forward)
 
 

@@ -54,9 +54,6 @@ class PolyMap:
     def identity(cls, n):
         return cls.linear(np.eye(n))
 
-    def __call__(self, x):
-        return self.jet(x, 0).value
-
     def jet(self, x, order) -> MapJet:
         return MapJet(order, *self._kernel.jet(x, order))
 
@@ -76,10 +73,8 @@ class InverseMap:
             raise ValueError("only same-dimension maps can be inverted")
         self.d_in = self.d_out = base.d_in
 
-    def __call__(self, y):
-        return self.jet(y, 0).value
-
     def jet(self, y, order) -> MapJet:
+        # late: genfun imports this module, and compose imports genfun
         from .compose import NewtonOptions, _damped_newton
         y = np.asarray(y, dtype=float)
         Y = np.atleast_2d(y)
@@ -118,7 +113,7 @@ class InverseMap:
 class GenFunBaseMap:
     """Base map of a generating function: phi(x) = grad_p S(0, x).
 
-    Supports jets to order 2 (enough for Poisson-map checks); order r uses
+    Supports jets to order 1 (the Poisson-map check's order); order r uses
     derivatives of S up to order r + 1.
     """
 
@@ -127,18 +122,13 @@ class GenFunBaseMap:
         self.d_in = genfun.n
         self.d_out = genfun.m
 
-    def __call__(self, x):
-        return self.jet(x, 0).value
-
     def jet(self, x, order) -> MapJet:
-        if order > 2:
-            raise ValueError("GenFunBaseMap supports jets to order 2 only")
+        if order > 1:
+            raise ValueError("GenFunBaseMap supports jets to order 1 only")
         x = np.asarray(x, dtype=float)
         m = self.d_out
         sj = self.genfun.eval_jet(np.zeros(x.shape[:-1] + (m,)), x, order + 1)
         out = MapJet(order, sj.grad[..., :m].copy())
-        if order >= 1:
+        if order == 1:
             out.jac = sj.hess[..., :m, m:].copy()
-        if order >= 2:
-            out.hess = sj.third[..., :m, m:, m:].copy()
         return out

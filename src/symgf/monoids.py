@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .genfun import PolyGenFun
+from .grids import sample_ball, sample_box
 from .jets import PolyKernel, canonical_poly, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
@@ -285,9 +286,6 @@ class PolyPoisson:
         dalpha[..., cols, rows, :] = -upper[1]
         return alpha, dalpha
 
-    def __call__(self, x):
-        return self.matrix_jet(x, 0)[0]
-
     def jacobi_residual(self, xs) -> float:
         """max over sample points of the cyclic Jacobi sum, evaluated as one
         stack."""
@@ -356,7 +354,6 @@ def _symbols(alpha: PolyPoisson):
     (antisymmetry of alpha makes every other (2,2)-contraction a linear
     combination of these two).
     """
-    from .grids import sample_box
     d = alpha.d
     jr = alpha.jacobi_residual(sample_box(32, d, -1.0, 1.0, seed=7))
     if jr > 1e-10:
@@ -462,8 +459,6 @@ def _fit_rows(seed, n_points):
     g_y = d alpha(x)[p1, p2] / 2 on the left, g_q = alpha(x)^T p1 / 2 and
     g_y = d alpha(x)[p2, p3] / 2 on the right.
     """
-    from .grids import sample_ball, sample_box
-
     cols, consts = [], []
     for inst_idx, alpha in enumerate(_fit_instances()):
         d = alpha.d

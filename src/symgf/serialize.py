@@ -16,6 +16,7 @@ import numpy as np
 
 from .genfun import PolyGenFun, poly_genfun
 from .monoids import LieStructure, PolyPoisson
+from .verify import bracket_sign
 
 # The order-3 jet of a monoid genfun on R^d holds (3d)^3 floats: 57 MB at d = 64.
 MAX_DIM = 64
@@ -279,8 +280,6 @@ def load_poisson(path) -> PolyPoisson:
 # --------------------------------------------------------------------------
 
 def reports_to_dict(reports, config=None, extra=None) -> dict:
-    from .verify import bracket_sign
-
     passed = all(r.passed for r in reports)
     out = {"config": config or {}, "bracket_sign": bracket_sign()}
     if extra:

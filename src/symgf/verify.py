@@ -139,21 +139,21 @@ def poisson_bivector(S: GenFun) -> PoissonField:
 # Canonical bracket
 # --------------------------------------------------------------------------
 
-def canonical_bracket(f, g, p, x, sign=None) -> float:
-    """{f, g} at (p, x) for jet-evaluable scalars on phase space.
+def _brackets(f, g):
+    """Canonical brackets {f_i, g_j} of all component pairs of two stacked
+    jets ``(value, d/dp, d/dx)``: bracket_sign() * (Df_x Dg_p^T - Df_p Dg_x^T)."""
+    _, fp, fx = f
+    _, gp, gx = g
+    return bracket_sign() * (fx @ gp.swapaxes(-1, -2) - fp @ gx.swapaxes(-1, -2))
 
-    Computed as sign * sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i); the sign
-    defaults to :func:`bracket_sign`.
-    """
-    if sign is None:
-        sign = bracket_sign()
+
+def canonical_bracket(f, g, p, x) -> float:
+    """{f, g} at (p, x) for jet-evaluable scalars on phase space:
+    bracket_sign() * sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i)."""
     p = np.asarray(p, dtype=float).ravel()
     d = p.shape[0]
-    jf = f(p, x)
-    jg = g(p, x)
-    fp, fx = jf.grad[:d], jf.grad[d:]
-    gp, gx = jg.grad[:d], jg.grad[d:]
-    return sign * float(fx @ gp - fp @ gx)
+    jf, jg = ((j.value, j.grad[None, :d], j.grad[None, d:]) for j in (f(p, x), g(p, x)))
+    return float(_brackets(jf, jg)[0, 0])
 
 
 def bracket_sign() -> int:
@@ -267,7 +267,8 @@ def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
     # shape, since its evaluator is always passed
     C = compose(GenFun(d, 2 * d), S, opts)
     swap = np.r_[d:2 * d, :d, 2 * d:3 * d]  # the variables of S^op in S's order
-    grids = [(slice(None),) + np.ix_(*(swap,) * q) for q in (1, 2, 3)]  # swap jet axes
+    # swap the jet axes of the orders the solve reads (F at order 2)
+    grids = [(slice(None),) + np.ix_(*(swap,) * q) for q in (1, 2)]
 
     def defect(p, x):
         P = np.stack([p, np.roll(p, -d, axis=1)], axis=1).reshape(-1, 3 * d)
@@ -277,7 +278,7 @@ def _associativity_defect(S: GenFun, opts=DEFAULT_NEWTON):
         def Fev(rows, Q, o):
             flip, Q = idx[rows] % 2 == 1, np.concatenate([Q, X[rows, :d]], axis=1)
             j = S_at(idx[rows] // 2, np.where(flip[:, None], Q[:, swap[:2 * d]], Q), o)
-            for t, grid in zip((j.grad, j.hess, j.third)[:o], grids):
+            for t, grid in zip((j.grad, j.hess)[:o], grids):
                 t[flip] = t[flip][grid]
             return j
 
@@ -325,13 +326,9 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
     iu, ju = np.triu_indices(S.n, 1)
 
     def residuals(p, x):
-        (s, dps, dxs), (t, dpt, dxt) = gm._jets(p, x, "st")
-        alpha_s, alpha_t = np.split(fld.matrix(np.concatenate([s, t])), 2)
-        # canonical brackets of all component pairs:
-        # {f_i, g_j} = (Df_x Dg_p^T - Df_p Dg_x^T)[i, j]
-        bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
-        btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
-        bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
+        js, jt = gm._jets(p, x, "st")
+        alpha_s, alpha_t = np.split(fld.matrix(np.concatenate([js[0], jt[0]])), 2)
+        bss, btt, bst = _brackets(js, js), _brackets(jt, jt), _brackets(js, jt)
         return (np.max(np.abs(bss - alpha_s)[:, iu, ju], axis=1, initial=0.0),
                 np.max(np.abs(btt + alpha_t)[:, iu, ju], axis=1, initial=0.0),
                 np.max(np.abs(bst), axis=(1, 2), initial=0.0))

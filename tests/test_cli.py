@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symgf import (Diffeo, LieStructure, PolyMap, change_coordinates, check_associativity,
-                   check_groupoid, check_jacobi, check_unit, cli, identity_genfun, lie_monoid,
-                   poly_genfun, sample_ball, sample_box, stationary_point, symplectic_monoid)
+                   check_groupoid, check_jacobi, check_unit, cli, compose, identity_genfun,
+                   lie_monoid, poly_genfun, sample_ball, sample_box, stationary_point,
+                   symplectic_monoid)
 from symgf.cli import main
 from symgf.genfun import PolyGenFun
 from symgf.serialize import MAX_EXPONENT, dump, genfun_to_dict
@@ -106,6 +107,11 @@ def test_non_finite_json_number_exits_two(tmp_path, number, capsys):
     path.write_text('{"d": 2, "terms": [{"coeff": %s, "p1": [1, 0], "p2": [0, 0], '
                     '"x": [1, 0]}]}' % number)
     assert main(["verify", "--monoid", str(path), "--grid-n", "3"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    points = tmp_path / "points.json"
+    points.write_text('[{"p": [%s, 0, 0, 0], "x": [0, 0]}]' % number)
+    assert main(["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
+                 "--points", str(points)]) == 2
     assert "non-finite" in capsys.readouterr().err
 
 
@@ -325,12 +331,19 @@ def test_compose_solves_each_point_once(monkeypatch, tmp_path, capsys):
     code = main(["compose", "--f", "builtin:symplectic:2", "--g", "builtin:identity:4",
                  "--points", str(path), "--out", str(out)])
     assert code == 0
-    assert calls == [1, 1]
+    assert calls == [2]
     # the Newton statistics are those of the point's own solve
     F, G = symplectic_monoid(2), identity_genfun(4)
     for row, point in zip(json.loads(out.read_text())["points"], points):
         sp = stationary_point(F, G, point["p"], point["x"])
         assert (row["iterations"], row["residual"]) == (sp.iterations, sp.residual)
+    # and every row is that point solved alone, as a stack of one
+    C = compose(F, G)
+    for row, point in zip(json.loads(out.read_text())["points"], points):
+        j, sol = C._solve_jet(np.array([point["p"]]), np.array([point["x"]]), 1)
+        assert row["value"] == j.value[0]
+        assert row["grad_p"] + row["grad_x"] == j.grad[0].tolist()
+        assert (row["iterations"], row["residual"]) == (sol.iterations[0], sol.residuals[0])
 
 
 @pytest.mark.parametrize("coordinate", ['"0.5"', "true"], ids=["string", "boolean"])
@@ -617,6 +630,32 @@ def test_a_box_too_wide_for_finite_points_exits_two(tmp_path, capsys):
                  "--x-box", "1e308", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: the box [-1e+308, 1e+308]^2 is too wide for finite sample points"]
+    assert not out.exists()
+
+
+OVERFLOWING_COMMANDS = {
+    # a quadratic bivector overflows at |x| ~ 1e200
+    "poisson": ["poisson", "--builtin", "kontsevich", "--alpha",
+                str(DATA / "alpha_quadratic_d2.json"), "--eps", "0.1", "--x-box", "1e200",
+                "--grid-n", "3"],
+    # <p, x> overflows: the composite value is inf + inf - inf
+    "compose": ["compose", "--f", "builtin:identity:2", "--g", "builtin:identity:2",
+                "--p", "1e200,1e200", "--x", "1e200,1e200"],
+}
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", list(OVERFLOWING_COMMANDS))
+def test_overflow_exits_one_with_one_line_and_no_report(tmp_path, capsys, command, write):
+    # valid input whose values overflow is a numerical breakdown: it printed
+    # inf or nan and exited 0, or exited 2 only when --out could not write it
+    out = tmp_path / "report.json"
+    argv = OVERFLOWING_COMMANDS[command] + (["--out", str(out)] if write else [])
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "is not finite (overflow) at " in err
     assert not out.exists()
 
 

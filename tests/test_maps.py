@@ -78,6 +78,16 @@ def test_inverse_map_nonconvergence_raises_convergence_error():
         InverseMap(phi).jet(np.array([-0.6]), 0)
 
 
+def test_inverse_map_line_search_keeps_the_near_preimage():
+    # the full first Newton step overshoots; without backtracking Newton
+    # lands on the far preimage (3.8221, -1.7823) of the same point
+    g = PolyMap([{(1, 0): 1, (2, 0): 1.2221, (0, 2): -3.4224, (0, 3): 1.9807},
+                 {(0, 1): 1, (1, 1): 2.5067, (3, 0): 1.0278, (1, 2): -3.0672}], d_in=2)
+    y = np.array([-0.4111, 1.2888])
+    np.testing.assert_allclose(InverseMap(g).jet(y, 0).value, [0.08433536, 1.63235431],
+                               rtol=0, atol=1e-7)
+
+
 def test_inverse_map_stack_matches_one_point_jets():
     # a stack is solved by one Newton with a line search per row: every row
     # equals the one-point jet
