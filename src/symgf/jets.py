@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, permutations
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -189,46 +189,31 @@ class _PartialTable:
     runs that ``reduceat`` sums; run ``src[i]`` fills position ``dst[i]`` of
     the flattened dense tensors of all orders, order q at ``offsets[q]``,
     once per distinct permutation of its ``w``.  Monomials are numbered by first
-    use, so orders 0..o are a prefix of each array, of lengths ``ends[o]``; the
-    table is built by array operations over all terms, each on its own support.
+    use, so orders 0..o are a prefix of each array, of lengths ``ends[o]``.  Order
+    0 is the terms themselves, and order q is order q - 1 differentiated once more.
     """
 
     def __init__(self, E, order):
         T, n = E.shape
         P = int(E.max(initial=0)) + 1
         self.offsets = np.array([0, *accumulate(n ** q for q in range(order + 1))])
-        # support[t, a]: the a-th column where E[t] > 0; the negative slots that
-        # pad a tuple w to MAX_ORDER places are column n, of exponent 1
-        size = (E > 0).sum(axis=1)
-        smax = int(size.max(initial=0))
-        support = np.full((T, smax + MAX_ORDER), n)
-        support[:, :smax] = np.argsort(E == 0, axis=1, kind="stable")[:, :smax]
-        E1 = np.concatenate((E, np.ones((T, 1), np.int64)), axis=1)
-        # the sorted tuples of at most `order` slots, right-aligned, by largest slot (the first
-        # comb(s + order, order) use s slots); before: earlier places of the same slot
-        tuples = [()] + [w + (s,) for s in range(smax) for q in range(order)
-                         for w in combinations_with_replacement(range(s + 1), q)]
-        slots = np.array([tuple(range(len(w) - MAX_ORDER, 0)) + w for w in tuples], dtype=np.int64)
-        before = np.tril(slots[:, :, None] == slots[:, None, :], -1).sum(axis=2)
-        # term t enumerates the tuples over its own support
-        count = np.array([comb(s + order, order) for s in range(smax + 1)])[size]
-        term, begin = np.repeat(np.arange(T), count), np.cumsum(count) - count
-        m = np.arange(term.size) - np.repeat(begin, count)
-        cols = support[term[:, None], slots[m]]
-        # the falling factorial of E[t] along w, zero where w exceeds an exponent
-        factor = (E1[term[:, None], cols] - before[m]).prod(axis=1)
-        keep = np.flatnonzero(factor)
-        term, cols, factor = term[keep], cols[keep], factor[keep]
-        # w of order q sits at offsets[q] + digits @ place, with digit 0 on the padding
-        q, digits = (cols < n).sum(axis=1), cols * (cols < n)
-        place = n ** np.arange(MAX_ORDER - 1, -1, -1)
-        key = self.offsets[q] + digits @ place
-        rank = np.lexsort((term, key))  # by (q, w), then by term
-        term, cols, factor, q, key, digits = (a[rank] for a in (term, cols, factor, q, key, digits))
-        self.starts, self.term, self.factor = _firsts(key), term, factor
-        reduced = E1[term]
-        np.subtract.at(reduced, (np.arange(term.size)[:, None], cols), 1)
-        support = reduced[:, :n] > 0
+        # order q differentiates each entry of order q - 1 once more along every variable i
+        # at or after the last of its w where its reduced exponent is positive; code is the
+        # base-n code of w, so w of order q sits at offsets[q] + code
+        term, factor, reduced, code = np.arange(T), np.ones(T, np.int64), E, np.zeros(T, np.int64)
+        orders = [(term, factor, reduced, code)]
+        for _ in range(order):
+            rows, i = np.nonzero((reduced > 0) & (np.arange(n) >= code[:, None] % n))
+            rank = np.argsort(code[rows] * n + i, kind="stable")  # by w, then by term
+            rows, i = rows[rank], i[rank]
+            factor, term, code = factor[rows] * reduced[rows, i], term[rows], code[rows] * n + i
+            reduced = reduced[rows]
+            reduced[np.arange(rows.size), i] -= 1
+            orders.append((term, factor, reduced, code))
+        q = np.repeat(np.arange(order + 1), [len(o[0]) for o in orders])
+        term, factor, reduced, code = (np.concatenate(a) for a in zip(*orders))
+        self.starts, self.term, self.factor = _firsts(self.offsets[q] + code), term, factor
+        support = reduced > 0
         width = int(support.sum(axis=1).max(initial=0))
         cols = np.argsort(~support, axis=1, kind="stable")[:, :width]
         flat = cols * P + reduced[np.arange(term.size)[:, None], cols]
@@ -242,8 +227,9 @@ class _PartialTable:
         self.flat, self.inv = flat[used], np.searchsorted(used, first)[inv]
         # run i fills the position of each distinct permutation of its w: sort
         # each run's positions and drop repeats (runs fill disjoint positions)
-        run_q = q[self.starts]
-        codes = digits[self.starts[:, None, None], _PERMUTATIONS[run_q]] @ place
+        run_q, place = q[self.starts], n ** np.arange(MAX_ORDER - 1, -1, -1)
+        digits = code[self.starts, None] // place % n  # w, padded on the left with 0
+        codes = digits[np.arange(run_q.size)[:, None, None], _PERMUTATIONS[run_q]] @ place
         dst = np.sort(self.offsets[run_q, None] + codes, axis=1).ravel()
         first = _firsts(dst)
         self.dst, self.src = dst[first], first // _PERMUTATIONS.shape[1]

@@ -336,10 +336,19 @@ def test_kernel_table_is_read_only():
     assert not any(arr.flags.writeable for arr in vars(kernel._table[0]).values())
 
 
+def test_partial_table_at_the_dimension_bound_matches_per_term_loop():
+    # n = 192, the most the CLI accepts: its tuple codes and dense offsets
+    # (order 3 starts past n**2) are the widest any table reaches
+    kernel = symplectic_monoid(MAX_DIM)._kernel
+    for order in range(4):
+        _assert_table_matches_reference(kernel.E, kernel.C, order)
+
+
 def test_partial_table_memory_at_the_dimension_bound():
     # symplectic_monoid(MAX_DIM) has n = 192 variables; the per-term loop
     # peaked at 3.6 MB for its order-3 table, an enumeration of the index
-    # tuples over range(n) instead of each term's support at 155 MB
+    # tuples over range(n) at 155 MB; the order-by-order build, which carries
+    # each entry's reduced exponents over all n variables, peaks at 3.7 MB
     kernel = symplectic_monoid(MAX_DIM)._kernel
     tracemalloc.start()
     try:
