@@ -19,7 +19,7 @@ from .genfun import (GenFun, LiftGenFun, NormalizationError, PolyGenFun,
                      poly_genfun, tensor, unit_genfun)
 from .grids import halton, sample_ball, sample_box
 from .jets import Jet
-from .maps import InverseMap, MapJet, PolyMap
+from .maps import InverseMap, PolyMap
 from .monoids import (LieStructure, Order2GateError, PolyPoisson, TreeWeightFit,
                       abelian_monoid, fit_tree_weights, kontsevich_monoid,
                       lie_monoid, standard_bivector, symplectic_monoid,
@@ -40,7 +40,7 @@ __all__ = [
     "base_map", "cotangent_lift", "identity_genfun", "poly_genfun", "tensor",
     "unit_genfun",
     "halton", "sample_ball", "sample_box",
-    "Jet", "InverseMap", "MapJet", "PolyMap",
+    "Jet", "InverseMap", "PolyMap",
     "LieStructure", "Order2GateError", "PolyPoisson", "TreeWeightFit",
     "abelian_monoid", "fit_tree_weights", "kontsevich_monoid", "lie_monoid",
     "standard_bivector", "symplectic_monoid", "truncated_group_law",

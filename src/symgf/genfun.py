@@ -24,7 +24,7 @@ import numpy as np
 from .jets import Jet, PolyKernel, canonical_poly, jet_sum, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
-from .maps import GenFunBaseMap, MapJet, PolyMap
+from .maps import GenFunBaseMap, PolyMap
 
 
 class NormalizationError(ValueError):
@@ -137,19 +137,19 @@ class LiftGenFun(GenFun):
 
     def at_base(self, X, order):
         mj = self.phi.jet(X, order)  # once: the evaluator slices it by rows
-        ts = (mj.value, mj.jac, mj.hess, mj.third)
-        return lambda rows, P, o: self._pair(P, MapJet(o, *(t[rows] for t in ts[:o + 1])))
+        ts = (mj.value, mj.grad, mj.hess, mj.third)
+        return lambda rows, P, o: self._pair(P, Jet(o, *(t[rows] for t in ts[:o + 1])))
 
     def _pair(self, p, mj) -> Jet:
         m, n, order = self.m, self.n, mj.order
         row = p[..., None, :]
         out = Jet(order, (row @ mj.value[..., None])[..., 0, 0])
         if order >= 1:
-            out.grad = np.concatenate([mj.value, (row @ mj.jac)[..., 0, :]], axis=-1)
+            out.grad = np.concatenate([mj.value, (row @ mj.grad)[..., 0, :]], axis=-1)
         if order >= 2:
             H = np.zeros(p.shape[:-1] + (m + n, m + n))
-            H[..., :m, m:] = mj.jac
-            H[..., m:, :m] = mj.jac.swapaxes(-1, -2)
+            H[..., :m, m:] = mj.grad
+            H[..., m:, :m] = mj.grad.swapaxes(-1, -2)
             H[..., m:, m:] = np.einsum("...i,...imn->...mn", p, mj.hess)
             out.hess = H
         if order >= 3:

@@ -14,9 +14,10 @@ Conventions
 * ``hess[i, j] = d^2 F / dv_i dv_j`` (symmetric)
 * ``third[i, j, k] = d^3 F / dv_i dv_j dv_k`` (fully symmetric)
 
-Derivative tensors above ``order`` are ``None``.  A jet may carry a leading
-stack axis of B points: ``value`` of shape ``(B,)``, ``grad`` ``(B, n)`` and
-so on; the indices above then count from the end.
+Derivative tensors above ``order`` are ``None``.  A jet may carry leading
+axes, and the indices above then count from the end: a stack of B points
+(``value (B,)``, ``grad (B, n)``, ...) and, for a map R^n -> R^k, its k
+outputs (``value (k,)``, ``grad (k, n)`` the Jacobian), the stack first.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ MAX_ORDER = 3
 
 @dataclass
 class Jet:
-    """Taylor data of a scalar function of several variables at a point,
-    or at each point of a stack (``value`` then has shape ``(B,)``)."""
+    """Taylor data of a scalar function, or of a map's k outputs, at a point
+    or at each point of a stack (leading axes as in the module docstring)."""
 
     order: int
     value: float | np.ndarray
@@ -146,7 +147,7 @@ class PolyKernel:
         return cls(np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars), C, order)
 
     def jet(self, v, order) -> list:
-        """``[value (k,), jac (k, n), hess (k, n, n), third (k, n, n, n)]`` at
+        """``[value (k,), grad (k, n), hess (k, n, n), third (k, n, n, n)]`` at
         ``v``, truncated after ``order``.  For a stack ``v`` of shape
         ``(B, n)`` every output gets a leading ``B`` axis."""
         v = np.asarray(v, dtype=float)

@@ -5,31 +5,20 @@ derivative tensors, numerically inverted diffeomorphisms (Newton solve plus
 implicit differentiation of the inverse), and the base map read off a
 generating function.  Every map exposes
 
-    jet(x, order) -> MapJet
+    jet(x, order) -> Jet
 
-with ``value (k,)``, ``jac (k, n)``, ``hess (k, n, n)``, ``third
-(k, n, n, n)`` (entries above ``order`` are None), where k = d_out and
-n = d_in.  ``x`` may also be a stack ``(B, n)`` of points; every entry then
-carries the leading stack axis.
+a :class:`~symgf.jets.Jet` with a leading output axis of k = d_out: ``value
+(k,)``, ``grad (k, n)`` (the Jacobian), ``hess (k, n, n)``, ``third (k, n, n,
+n)`` (entries above ``order`` are None), where n = d_in.  ``x`` may also be
+a stack ``(B, n)`` of points; every entry then carries the leading stack axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .jets import PolyKernel, canonical_poly, unit_exponents
+from .jets import Jet, PolyKernel, canonical_poly, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
-
-
-@dataclass
-class MapJet:
-    order: int
-    value: np.ndarray
-    jac: np.ndarray | None = None
-    hess: np.ndarray | None = None
-    third: np.ndarray | None = None
 
 
 class PolyMap:
@@ -54,8 +43,8 @@ class PolyMap:
     def identity(cls, n):
         return cls.linear(np.eye(n))
 
-    def jet(self, x, order) -> MapJet:
-        return MapJet(order, *self._kernel.jet(x, order))
+    def jet(self, x, order) -> Jet:
+        return Jet(order, *self._kernel.jet(x, order))
 
 
 class InverseMap:
@@ -73,7 +62,7 @@ class InverseMap:
             raise ValueError("only same-dimension maps can be inverted")
         self.d_in = self.d_out = base.d_in
 
-    def jet(self, y, order) -> MapJet:
+    def jet(self, y, order) -> Jet:
         # late: genfun imports this module, and compose imports genfun
         from .compose import NewtonOptions, _damped_newton
         y = np.asarray(y, dtype=float)
@@ -81,17 +70,17 @@ class InverseMap:
 
         def system(rows, Z):
             bj = self.base.jet(Z, 1)
-            return bj.value - Y[rows], bj.jac, ()
+            return bj.value - Y[rows], bj.grad, ()
 
         sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=60),
                              "inverse-map", lambda i: f"at y={Y[i]}", np.linalg.cond).checked()
-        out = MapJet(order, sol.Z.reshape(y.shape))
+        out = Jet(order, sol.Z.reshape(y.shape))
         if order == 0:
             return out
         bj = self.base.jet(out.value, min(3, order))
-        A = bj.jac
+        A = bj.grad
         zy = np.linalg.solve(A, np.broadcast_to(np.eye(self.d_in), A.shape))
-        out.jac = zy
+        out.grad = zy
         # matmul chains contract one slot at a time, broadcast over components
         Z = zy[..., None, :, :]
         Zt = Z.swapaxes(-1, -2)
@@ -122,13 +111,13 @@ class GenFunBaseMap:
         self.d_in = genfun.n
         self.d_out = genfun.m
 
-    def jet(self, x, order) -> MapJet:
+    def jet(self, x, order) -> Jet:
         if order > 1:
             raise ValueError("GenFunBaseMap supports jets to order 1 only")
         x = np.asarray(x, dtype=float)
         m = self.d_out
         sj = self.genfun.eval_jet(np.zeros(x.shape[:-1] + (m,)), x, order + 1)
-        out = MapJet(order, sj.grad[..., :m].copy())
+        out = Jet(order, sj.grad[..., :m].copy())
         if order == 1:
-            out.jac = sj.hess[..., :m, m:].copy()
+            out.grad = sj.hess[..., :m, m:].copy()
         return out

@@ -61,7 +61,8 @@ class LieStructure:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         if self.c.shape != (self.d, self.d, self.d):
-            raise ValueError(f"structure constants must have shape (d,d,d)={self.d}")
+            raise ValueError(f"structure constants must have shape (d, d, d) = "
+                             f"{(self.d,) * 3}, got {self.c.shape}")
         if not np.array_equal(self.c, -self.c.transpose(0, 2, 1)):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
         worst = _jacobi_residual(self.c)
@@ -179,22 +180,15 @@ def standard_bivector(d) -> np.ndarray:
     return jinv
 
 
-def symplectic_monoid(d, jinv=None) -> PolyGenFun:
-    """S = <p1 + p2, x> + (1/2) p1^T jinv p2 for a constant invertible
-    antisymmetric jinv (defaults to the block-standard one)."""
-    jinv = standard_bivector(d) if jinv is None else np.asarray(jinv, dtype=float)
-    if jinv.shape != (d, d):
-        raise ValueError(f"jinv must be {d}x{d}")
-    if not np.allclose(jinv, -jinv.T, atol=0.0):
-        raise ValueError("jinv must be antisymmetric")
-    if abs(np.linalg.det(jinv)) < 1e-300:
-        raise ValueError("jinv must be invertible")
+def symplectic_monoid(d) -> PolyGenFun:
+    """S = <p1 + p2, x> + (1/2) p1^T J p2 for the block-standard bivector J."""
+    J = standard_bivector(d)
     terms = dict(abelian_monoid(d).terms)
     xe0 = (0,) * d
     for i in range(d):
         for j in range(d):
-            if jinv[i, j] != 0.0:
-                terms[(unit_exponents(2 * d, i, d + j), xe0)] = 0.5 * jinv[i, j]
+            if J[i, j] != 0.0:
+                terms[(unit_exponents(2 * d, i, d + j), xe0)] = 0.5 * J[i, j]
     return PolyGenFun(terms, 2 * d, d, np.inf, label=f"symplectic-{d}")
 
 
@@ -240,8 +234,8 @@ class PolyPoisson:
     def from_constant(cls, A):
         A = np.asarray(A, dtype=float)
         d = A.shape[0]
-        if not np.allclose(A, -A.T, atol=0.0):
-            raise ValueError("constant bivector must be antisymmetric")
+        if A.ndim != 2 or not np.array_equal(A, -A.T):
+            raise ValueError("constant bivector must be an antisymmetric matrix")
         ent = {}
         for i in range(d):
             for j in range(i + 1, d):

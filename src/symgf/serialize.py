@@ -251,7 +251,7 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
     if not isinstance(data, dict) or "d" not in data:
         raise ValueError('bivector JSON must be an object with "d"')
     d = _dimension(data)
-    entries = {}
+    entries = {}  # (i, j) with i < j -> {from the lower triangle: summed polynomial}
     for ent in data.get("entries", []):
         i, j = _integer(ent["i"], "i"), _integer(ent["j"], "j")
         if not (0 <= i < d and 0 <= j < d):
@@ -263,11 +263,16 @@ def poisson_from_dict(data: dict) -> PolyPoisson:
             e = _int_tuple(t["x"], "x", d)
             xpoly[e] = xpoly.get(e, 0.0) + _number(t["coeff"], "coeff")
         if i > j:  # store upper-triangular with the sign folded in
-            i, j = j, i
             xpoly = {e: -c for e, c in xpoly.items()}
-        merged = entries.setdefault((i, j), {})
+        merged = entries.setdefault((min(i, j), max(i, j)), {}).setdefault(i > j, {})
         for e, c in xpoly.items():
             merged[e] = merged.get(e, 0.0) + c
+    for (i, j), halves in entries.items():  # both triangles give one entry: read it once
+        first, *other = ({e: c for e, c in h.items() if c != 0.0} for h in halves.values())
+        if other and other[0] != first:
+            raise ValueError(f"bivector entries ({i}, {j}) and ({j}, {i}) disagree: "
+                             "the lower one must negate the upper one")
+        entries[(i, j)] = first
     return PolyPoisson(d=d, entries=entries)
 
 

@@ -365,7 +365,7 @@ def check_poisson_map(phi, source_field, target_field, xs, tol=1e-8) -> Verifica
 
     def residual(x):
         mj = phi.jet(x, 1)
-        rhs = mj.jac @ source.matrix(x) @ mj.jac.swapaxes(-1, -2)
+        rhs = mj.grad @ source.matrix(x) @ mj.grad.swapaxes(-1, -2)
         return (np.max(np.abs(target.matrix(mj.value) - rhs), axis=(1, 2), initial=0.0),)
 
     return _sweep({"poisson-map": tol}, residual, xs)[0]

@@ -254,7 +254,7 @@ def test_criterion_6_coordinate_covariance(capsys):
     worst_alpha = worst_st = 0.0
     for q, y in zip(qs, ys):
         x = ginv.jet(y, 0).value
-        Dg = g.jet(x, 1).jac
+        Dg = g.jet(x, 1).grad
         worst_alpha = max(worst_alpha,
                           np.max(np.abs(fC.matrix(y) - Dg @ fS.matrix(x) @ Dg.T)))
         p = Dg.T @ q

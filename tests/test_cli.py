@@ -149,6 +149,28 @@ def test_warns_once_when_sampling_beyond_the_domain_radius(tmp_path, capsys, com
     assert b"warning" not in a.read_bytes()
 
 
+def _bivector_file(tmp_path, name, *entries):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"d": 2, "entries": [
+        {"i": i, "j": j, "terms": [{"coeff": c, "x": [0, 0]}]} for i, j, c in entries]}))
+    return str(path)
+
+
+def test_bivector_in_both_triangles_is_read_once(tmp_path):
+    # a constant alpha^{01} = 0.5 written out as a full antisymmetric matrix
+    alpha = _bivector_file(tmp_path, "alpha", (0, 1, 0.5), (1, 0, -0.5))
+    out = tmp_path / "poisson.json"
+    assert main(["poisson", "--builtin", "kontsevich", "--alpha", alpha, "--eps", "1",
+                 "--at-x", "0,0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["alpha"][0]["entries"] == [[0, 1, 0.5]]
+
+
+def test_bivector_triangles_that_disagree_exit_two(tmp_path, capsys):
+    alpha = _bivector_file(tmp_path, "alpha", (0, 1, 0.5), (1, 0, 0.5))
+    assert main(["verify", "--builtin", "kontsevich", "--alpha", alpha]) == 2
+    assert "bivector entries (0, 1) and (1, 0) disagree" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["verify", "--monoid", str(tmp_path / "nope.json")])
     assert code == 2

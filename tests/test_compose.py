@@ -510,7 +510,7 @@ def test_quadratic_change_of_coordinates_covariance():
     ginv = InverseMap(g)
     for y in sample_box(8, 2, -0.25, 0.25, 5):
         x = ginv.jet(y, 0).value
-        Dg = g.jet(x, 1).jac
+        Dg = g.jet(x, 1).grad
         want = Dg @ fS.matrix(x) @ Dg.T
         np.testing.assert_allclose(fC.matrix(y), want, atol=1e-9)
 
@@ -526,7 +526,7 @@ def test_change_of_coordinates_transports_source_target():
     ys = sample_box(6, 2, -0.25, 0.25, 5)
     for q, y in zip(qs, ys):
         x = ginv.jet(y, 0).value
-        p = g.jet(x, 1).jac.T @ q
+        p = g.jet(x, 1).grad.T @ q
         np.testing.assert_allclose(gmC.source(q, y),
                                    g.jet(gmS.source(p, x), 0).value, atol=1e-9)
         np.testing.assert_allclose(gmC.target(q, y),

@@ -93,7 +93,7 @@ def test_base_map_is_p_gradient_at_zero():
     bm = base_map(L)
     x = np.array([0.6, -0.8])
     np.testing.assert_allclose(bm.jet(x, 0).value, phi.jet(x, 0).value, rtol=1e-13)
-    np.testing.assert_allclose(bm.jet(x, 1).jac, phi.jet(x, 1).jac, rtol=1e-12)
+    np.testing.assert_allclose(bm.jet(x, 1).grad, phi.jet(x, 1).grad, rtol=1e-12)
 
 
 def test_lift_genfun_jets_match_fd():

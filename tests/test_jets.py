@@ -96,7 +96,7 @@ def _kernel_cases():
 
     def map_jets(v, order):
         mj = phi.jet(v, order)
-        return [mj.value, mj.jac, mj.hess, mj.third][:order + 1]
+        return [mj.value, mj.grad, mj.hess, mj.third][:order + 1]
 
     def poisson_jets(v, order):
         A, dA = alpha.matrix_jet(v, min(order, 1))

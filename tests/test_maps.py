@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symgf import ConvergenceError, DegeneracyError
+from symgf import ConvergenceError, DegeneracyError, Jet, base_map, cotangent_lift
 from symgf.maps import InverseMap, PolyMap
 
 from conftest import fd_jac
@@ -11,14 +11,28 @@ def test_polymap_identity_and_linear():
     I = PolyMap.identity(3)
     x = np.array([0.2, -0.5, 1.0])
     np.testing.assert_array_equal(I.jet(x, 1).value, x)
-    np.testing.assert_array_equal(I.jet(x, 1).jac, np.eye(3))
+    np.testing.assert_array_equal(I.jet(x, 1).grad, np.eye(3))
 
     A = np.array([[2.0, 1.0], [0.0, -1.0]])
     L = PolyMap.linear(A)
     y = np.array([0.4, 0.9])
     np.testing.assert_allclose(L.jet(y, 2).value, A @ y, rtol=1e-14)
-    np.testing.assert_array_equal(L.jet(y, 2).jac, A)
+    np.testing.assert_array_equal(L.jet(y, 2).grad, A)
     assert np.all(L.jet(y, 2).hess == 0.0)
+
+
+WIDE = PolyMap([{(1, 0, 0): 1.0, (0, 2, 1): 0.3}, {(0, 1, 0): 1.0}], d_in=3)
+SQUARE = PolyMap([{(1, 0): 1.0, (0, 2): 0.25}, {(0, 1): 1.0, (2, 0): 0.1}], d_in=2)
+
+
+@pytest.mark.parametrize("phi", [WIDE, InverseMap(SQUARE), base_map(cotangent_lift(WIDE))],
+                         ids=["poly", "inverse", "genfun-base"])
+def test_every_map_jet_is_a_jet_with_a_leading_output_axis(phi):
+    x = np.full(phi.d_in, 0.1)
+    for pts in (x, np.stack([x, 0.5 * x])):  # one point, then a stack of two
+        mj = phi.jet(pts, 1)
+        assert isinstance(mj, Jet)
+        assert mj.grad.shape == pts.shape[:-1] + (phi.d_out, phi.d_in)
 
 
 def test_linear_polymap_keeps_its_term_order():
@@ -33,7 +47,7 @@ def test_polymap_jacobian_matches_fd():
     x = np.array([0.35, -0.6])
     mj = phi.jet(x, 1)
     jac = fd_jac(lambda z: phi.jet(z, 0).value, x)
-    np.testing.assert_allclose(mj.jac, jac, atol=1e-8)
+    np.testing.assert_allclose(mj.grad, jac, atol=1e-8)
 
 
 def test_inverse_map_round_trip():
@@ -51,9 +65,9 @@ def test_inverse_map_jets_are_derivatives_of_the_inverse():
     mj = inv.jet(y, 3)
 
     jac = fd_jac(lambda w: inv.jet(w, 0).value, y)
-    np.testing.assert_allclose(mj.jac, jac, atol=1e-7)
+    np.testing.assert_allclose(mj.grad, jac, atol=1e-7)
 
-    hess = fd_jac(lambda w: inv.jet(w, 1).jac, y, h=1e-5)
+    hess = fd_jac(lambda w: inv.jet(w, 1).grad, y, h=1e-5)
     np.testing.assert_allclose(mj.hess, hess, atol=1e-6)
 
     third = fd_jac(lambda w: inv.jet(w, 2).hess, y, h=1e-4)
@@ -66,7 +80,7 @@ def test_inverse_of_linear_is_exact():
     y = np.array([0.5, -0.4])
     mj = inv.jet(y, 2)
     np.testing.assert_allclose(mj.value, np.linalg.solve(A, y), rtol=1e-13)
-    np.testing.assert_allclose(mj.jac, np.linalg.inv(A), rtol=1e-13)
+    np.testing.assert_allclose(mj.grad, np.linalg.inv(A), rtol=1e-13)
     np.testing.assert_allclose(mj.hess, 0.0, atol=1e-12)
 
 
@@ -98,7 +112,7 @@ def test_inverse_map_stack_matches_one_point_jets():
         stacked = inv.jet(ys, order)
         for b, y in enumerate(ys):
             one = inv.jet(y, order)
-            for f in ("value", "jac", "hess", "third")[:order + 1]:
+            for f in ("value", "grad", "hess", "third")[:order + 1]:
                 assert np.array_equal(getattr(stacked, f)[b], getattr(one, f)), (order, f, b)
 
 

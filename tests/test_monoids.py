@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -28,6 +29,12 @@ def test_structure_constants_validated():
     c[0, 0, 1] = 1.0  # not antisymmetric: c[0,1,0] missing
     with pytest.raises(ValueError):
         LieStructure(2, c, name="broken")
+
+
+def test_structure_constants_shape_error_names_both_shapes():
+    with pytest.raises(ValueError, match=re.escape(
+            "structure constants must have shape (d, d, d) = (3, 3, 3), got (3, 3)")):
+        LieStructure(3, np.zeros((3, 3)))
 
 
 def test_jacobi_violation_rejected():
@@ -162,14 +169,14 @@ def test_symplectic_monoid_closed_form_value():
     assert S(np.concatenate([p1, p2]), x) == pytest.approx(want, rel=1e-14)
 
 
-def test_symplectic_monoid_rejects_bad_jinv():
-    with pytest.raises(ValueError):
-        symplectic_monoid(2, jinv=np.array([[0.0, 1.0], [1.0, 0.0]]))  # symmetric
-    with pytest.raises(ValueError):
-        symplectic_monoid(2, jinv=np.zeros((2, 2)))  # singular
-
-
 # -- polynomial bivectors ---------------------------------------------------
+
+@pytest.mark.parametrize("A", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.000001, 0.0]],
+                               [0.0, 0.0]], ids=["symmetric", "off-by-1e-6", "vector"])
+def test_from_constant_rejects_what_is_not_an_exactly_antisymmetric_matrix(A):
+    with pytest.raises(ValueError, match="must be an antisymmetric matrix"):
+        PolyPoisson.from_constant(A)
+
 
 def test_poly_poisson_antisymmetry_and_eval():
     alpha = PolyPoisson(2, {(0, 1): {(0, 0): 0.4, (1, 0): 0.3}})

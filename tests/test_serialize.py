@@ -125,6 +125,24 @@ def test_poisson_round_trip_with_lower_triangle_input():
     assert flipped.entries == alpha.entries
 
 
+def _bivector_doc(*entries):
+    return {"d": 2, "entries": [{"i": i, "j": j, "terms": [{"coeff": c, "x": [1, 0]}]}
+                                for i, j, c in entries]}
+
+
+def test_poisson_entry_written_in_both_triangles_is_read_once():
+    # one antisymmetric matrix written out in full: alpha^{01} = x_1, not 2 x_1
+    full = poisson_from_dict(_bivector_doc((0, 1, 1.0), (1, 0, -1.0)))
+    assert full.entries == {(0, 1): {(1, 0): 1.0}}
+    # duplicates within one triangle still sum, before the halves are compared
+    halves = poisson_from_dict(_bivector_doc((0, 1, 0.5), (0, 1, 0.5), (1, 0, -1.0)))
+    assert halves.entries == {(0, 1): {(1, 0): 1.0}}
+    assert poisson_from_dict(_bivector_doc((0, 1, 0.5), (0, 1, 0.5))).entries == {
+        (0, 1): {(1, 0): 1.0}}
+    with pytest.raises(ValueError, match=r"entries \(0, 1\) and \(1, 0\) disagree"):
+        poisson_from_dict(_bivector_doc((0, 1, 1.0), (1, 0, 1.0)))
+
+
 def test_bundled_data_files_load():
     st = load_structure(DATA / "so3.json")
     assert st.name == "so3" and st.d == 3

@@ -146,7 +146,7 @@ def test_blocked_morphism_and_poisson_map_match_one_stack(alpha):
     field = poisson_bivector(S) if alpha is None else PoissonField.from_poly(
         load_poisson(DATA / alpha))
     mj = base_map(F).jet(xs, 1)
-    rhs = mj.jac @ field.matrix(xs) @ mj.jac.swapaxes(-1, -2)
+    rhs = mj.grad @ field.matrix(xs) @ mj.grad.swapaxes(-1, -2)
     want = np.max(np.abs(field.matrix(mj.value) - rhs), axis=(1, 2), initial=0.0)
     rep = check_poisson_map(base_map(F), field, field, xs, tol=-1.0)
     assert rep.n == 40
