@@ -26,7 +26,7 @@ from .genfun import GenFun, NormalizationError, base_map, identity_genfun
 from .grids import sample_ball, sample_box
 from .monoids import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                       kontsevich_monoid, lie_monoid, symplectic_monoid)
-from .verify import (check_associativity, check_groupoid, check_jacobi,
+from .verify import (GROUPOID_AXIOMS, check_associativity, check_groupoid, check_jacobi,
                      check_morphism, check_poisson_map, check_unit,
                      poisson_bivector, source_target)
 
@@ -49,6 +49,10 @@ DEFAULT_TOLS = {
     "morphism": 1e-9,
     "poisson-map": 1e-8,
 }
+
+# The axioms that verify and morphism check: the names their --tol takes.
+VERIFY_AXIOMS = ("unit", "associativity", *GROUPOID_AXIOMS, "jacobi")
+MORPHISM_AXIOMS = ("morphism", "poisson-map")
 
 
 # Built-in Lie algebras, by the name that --lie, --alpha and builtin:lie:NAME take.
@@ -110,6 +114,9 @@ def parse_genfun_source(token: str, flag: str | None = None) -> GenFun:
         builders = {"identity": identity_genfun, "abelian": abelian_monoid,
                     "symplectic": symplectic_monoid}
         try:
+            if len(rest) > (2 if kind == "lie" else 1):
+                raise ValueError("too many fields (forms: builtin:identity|abelian|"
+                                 "symplectic[:d], builtin:lie:NAME[:trunc])")
             if kind in builders:
                 S = builders[kind](_dimension(rest[0] if rest else "2"))
             elif kind != "lie":
@@ -138,8 +145,8 @@ def _parse_floats(text, what, expect=None):
     return vals
 
 
-def _parse_tols(pairs):
-    tols = dict(DEFAULT_TOLS)
+def _parse_tols(pairs, axioms):
+    tols = {a: DEFAULT_TOLS[a] for a in axioms}
     for item in pairs or []:
         if "=" not in item:
             raise UserInputError(f"--tol expects AXIOM=VALUE, got {item!r}")
@@ -220,7 +227,7 @@ def cmd_verify(args) -> int:
     S = build_monoid(args)
     _warn_beyond_domain(args, S)
     reports = verify_monoid(S, args.grid_n, args.p_radius, args.x_box, args.seed,
-                            _parse_tols(args.tol), NewtonOptions(tol=args.newton_tol))
+                            _parse_tols(args.tol, VERIFY_AXIOMS), NewtonOptions(tol=args.newton_tol))
 
     fit = getattr(S, "order2_fit", None)
     extra = None if fit is None else {"order2_gate": {
@@ -248,7 +255,7 @@ def cmd_poisson(args) -> int:
         (src, _, _), (tgt, _, _) = gm._jets(ps, pxs, "st")
     _require_finite("the bivector", lambda i: f"at x={xs[i]}", alpha)
     _require_finite("the source/target map", lambda i: f"at p={ps[i]}, x={pxs[i]}", src, tgt)
-    # the report emitter writes numpy arrays and scalars as JSON lists and numbers
+    # serialize.dumps writes numpy arrays and scalars as JSON lists and numbers
     alpha_rows = [{"x": x, "entries": [[i, j, a[i, j]] for i in range(d) for j in range(i + 1, d)]}
                   for x, a in zip(xs, alpha)]
     st_rows = [{"p": p, "x": x, "source": s, "target": t} for p, x, s, t in zip(ps, pxs, src, tgt)]
@@ -325,7 +332,7 @@ def cmd_morphism(args) -> int:
         raise UserInputError(
             f"morphism genfun must have m={d_M}, n={d_N}; got m={F.m}, n={F.n}")
     _warn_beyond_domain(args, S_M)
-    tols = _parse_tols(args.tol)
+    tols = _parse_tols(args.tol, MORPHISM_AXIOMS)
     n, seed = args.grid_n, args.seed
     ps = sample_ball(n, 2 * d_M, args.p_radius, seed)
     xs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 1)

@@ -1,10 +1,10 @@
 """JSON input/output.
 
-Two concerns drive the hand-rolled emitter instead of plain ``json.dump``:
-floats are rendered as their ``repr``, the shortest string that round-trips
-exactly, and key order is fixed by construction, so a report generated from
-the same configuration and seed is byte-identical across runs.  Input fields
-must have their JSON type: ``true`` or ``2.0`` is no integer, ``"0.5"`` no number.
+Output is ``json.dumps``: each float as its ``repr``, the shortest string that
+round-trips exactly, and keys in the order the dict was built, so a report
+from the same configuration and seed is byte-identical across runs.  Input
+fields must have their JSON type: ``true`` or ``2.0`` is no integer, ``"0.5"``
+no number.
 """
 from __future__ import annotations
 
@@ -24,58 +24,15 @@ MAX_DIM = 64
 MAX_EXPONENT = 64
 
 
-# --------------------------------------------------------------------------
-# Deterministic emitter
-# --------------------------------------------------------------------------
-
-def format_float(v) -> str:
-    v = float(v)
-    if math.isnan(v) or math.isinf(v):
-        raise ValueError(f"cannot serialize non-finite float {v!r}")
-    if v == 0.0:
-        return "0"  # normalize -0.0 as well
-    # repr of a float is the shortest digit string that round-trips exactly
-    return repr(v)
-
-
-def _emit(obj, level):
-    pad = "  " * level
-    inner = pad + "  "
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_emit(v, level + 1) for v in obj]
-        if all("\n" not in s and len(s) <= 20 for s in items) and sum(map(len, items)) <= 72:
-            return "[" + ", ".join(items) + "]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            rows.append(inner + json.dumps(k) + ": " + _emit(v, level + 1))
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+def _tolist(obj):
+    """``json.dumps``' fallback: a numpy array or scalar as a list or number."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    return _emit(obj, 0) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, default=_tolist) + "\n"
 
 
 def dump(obj, path):

@@ -100,6 +100,19 @@ def test_non_finite_or_non_positive_tolerance_exits_two(value, capsys):
     assert "finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, axiom, axioms", [
+    (["verify", "--builtin", "symplectic", "--d", "2"], "morphism",
+     "unit, associativity, source-poisson, target-anti-poisson, source-target-commute, jacobi"),
+    (["morphism", "--f", str(DATA / "lift_shear_d2.json"), "--dom", "builtin:symplectic:2",
+      "--cod", "builtin:symplectic:2"], "jacobi", "morphism, poisson-map"),
+], ids=["verify", "morphism"])
+def test_tolerance_of_an_unchecked_axiom_exits_two(argv, axiom, axioms, capsys):
+    # such a tolerance used to be accepted and ignored, with exit code 0
+    assert main(argv + ["--grid-n", "4", "--tol", f"{axiom}=1e-30"]) == 2
+    assert capsys.readouterr().err == (f"error: unknown axiom {axiom!r} in --tol "
+                                       f"(choose from {axioms})\n")
+
+
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
                                     pytest.param("9" * 401, id="401-digit-int")])
 def test_non_finite_json_number_exits_two(tmp_path, number, capsys):
@@ -376,6 +389,22 @@ def test_compose_points_must_be_numbers(tmp_path, capsys, coordinate):
                  "--points", str(path)])
     assert code == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "--f", "builtin:identity:2:7", "--g", "builtin:symplectic:2",
+     "--p", "0.1,0.2,0.3,0.4", "--x", "1,2"],
+    ["compose", "--f", "builtin:identity:2", "--g", "builtin:symplectic:2:x:y",
+     "--p", "0.1,0.2,0.3,0.4", "--x", "1,2"],
+    ["verify", "--monoid", "builtin:lie:so3:4:junk", "--grid-n", "4"],
+    ["poisson", "--monoid", "builtin:abelian:2:", "--grid-n", "4"],
+    ["morphism", "--f", str(DATA / "lift_shear_d2.json"), "--dom", "builtin:symplectic:2:2",
+     "--cod", "builtin:symplectic:2", "--grid-n", "4"],
+], ids=["identity", "symplectic", "lie", "abelian-empty", "morphism-dom"])
+def test_builtin_token_with_extra_fields_exits_two(argv, capsys):
+    # the fields past builtin:KIND[:d] and builtin:lie:NAME[:trunc] used to be dropped
+    assert main(argv) == 2
+    assert "bad builtin token" in capsys.readouterr().err
 
 
 def test_compose_builtin_tokens(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symgf import LieStructure, PolyPoisson, lie_monoid, symplectic_monoid
-from symgf.serialize import (MAX_DIM, MAX_EXPONENT, dump, dumps, format_float,
+from symgf.serialize import (MAX_DIM, MAX_EXPONENT, dump, dumps,
                              genfun_from_dict, genfun_to_dict, load_genfun, load_poisson,
                              load_structure, poisson_from_dict, poisson_to_dict,
                              structure_from_dict, structure_to_dict)
@@ -14,14 +14,22 @@ DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def test_float_formatting_round_trips():
-    for v in (0.1, -0.3, 1.0, 1e-17, 2**-52, 0.4 + 0.3, np.pi):
-        assert float(format_float(v)) == v
-    assert format_float(0.0) == "0"
-    assert format_float(-0.0) == "0"
-    with pytest.raises(ValueError):
-        format_float(float("nan"))
-    with pytest.raises(ValueError):
-        format_float(float("inf"))
+    # every float, a zero of either sign too, reads back as the float it was
+    for v in (0.1, -0.3, 1.0, 1e-17, 2**-52, 0.4 + 0.3, np.pi, 1e300, 5e-324, 0.0, -0.0):
+        back = json.loads(dumps(v))
+        assert type(back) is float and repr(back) == repr(v)
+    assert dumps([0.0, -0.0]) == "[\n  0.0,\n  -0.0\n]\n"
+    for v in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("-inf")):
+        with pytest.raises(ValueError):
+            dumps({"max": [v]})
+    # numpy scalars and arrays come out as numbers and lists, np.float64 not as its repr
+    doc = json.loads(dumps({"f": np.float64(0.1), "f32": np.float32(0.5), "i": np.int64(-3),
+                            "b": np.bool_(True), "a": np.arange(4).reshape(2, 2) / 2}))
+    assert doc == {"f": 0.1, "f32": 0.5, "i": -3, "b": True, "a": [[0.0, 0.5], [1.0, 1.5]]}
+    assert type(doc["i"]) is int and type(doc["f32"]) is float
+    for obj in (object(), {1, 2}, b"x", 1j, np.complex128(1j)):
+        with pytest.raises(TypeError):
+            dumps({"x": [obj]})
 
 
 def test_dumps_is_valid_json_and_deterministic():
