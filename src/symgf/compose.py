@@ -55,6 +55,7 @@ __all__ = [
 
 DAMPING = 0.5       # backtracking factor of the Newton line search
 COND_LIMIT = 1e10   # a Jacobian worse conditioned than this is degenerate
+CERTIFIED = 0.75    # ||J - I||_2 <= this bounds cond_2(J) by (1 + 3/4) / (1 - 3/4) = 7
 
 
 class CompositionError(RuntimeError):
@@ -81,6 +82,8 @@ DEFAULT_NEWTON = NewtonOptions()
 
 @dataclass
 class StationaryPoint:
+    """One solved critical point; ``condition`` is exact, or a certified bound <= 7."""
+
     p_mid: np.ndarray
     x_mid: np.ndarray
     iterations: int
@@ -119,10 +122,10 @@ def _at(P1, X3, i):
 
 @dataclass
 class _Solution:
-    """Per-point results of one stacked damped Newton: iterates ``Z (B, q)``,
-    iterations, final residuals, condition numbers, the stacked order-2 jets
-    of the accepted iterates (maybe none), and the error that ended each
-    point's solve (None where it converged)."""
+    """Per-point results of one stacked damped Newton: iterates ``Z (B, q)``, iterations,
+    final residuals, condition numbers (exact, or the certified bound <= 7, see
+    :func:`_damped_newton`), the stacked order-2 jets of the accepted iterates (maybe none),
+    and the error that ended each point's solve (None where it converged)."""
 
     Z: np.ndarray
     iterations: np.ndarray
@@ -154,11 +157,11 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     ``system(rows, Z)`` gives residuals ``(b, q)``, Jacobians ``(b, q, q)``
     and a tuple of stacked order-2 jets (maybe empty) for the points
     ``rows`` at ``Z``; ``start`` is that triple at ``Z``, if known.  Every
-    point keeps its own iterate, backtracking line search and convergence
-    test, and ``cond`` checks the conditioning of all live Jacobians at
-    every iterate (a non-finite one has condition inf).  A point that is
-    degenerate, finds no descent step or runs out of iterations records its
-    error, named by ``at(i)``, and the rest go on.
+    point keeps its own iterate, backtracking line search and convergence test.  At each
+    iterate a live Jacobian whose bound nu = sqrt(||J - I||_1 ||J - I||_inf) >= ||J - I||_2 is
+    at most ``CERTIFIED`` gets the condition bound (1 + nu) / (1 - nu); ``cond`` computes the
+    rest exactly (a non-finite one has condition inf).  A point that is degenerate, finds no
+    descent step or runs out of iterations records its error, named by ``at(i)``; the rest go on.
     """
     B = len(Z)
     z = np.array(Z, dtype=float)
@@ -167,9 +170,14 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     rows = np.arange(B)  # the points still iterating, in stack order
     for it in range(opts.max_iter + 1):
         Ja = J[rows]
-        finite = np.isfinite(Ja).all(axis=(1, 2))
-        conds = np.full(rows.size, np.inf)
-        conds[finite] = cond(Ja[finite])
+        D = np.abs(Ja - np.eye(Ja.shape[-1]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nu = np.sqrt(D.sum(axis=1).max(axis=1) * D.sum(axis=2).max(axis=1))
+            exact = ~(nu <= CERTIFIED)  # huge or non-finite rows fail the bound too
+            conds = np.where(exact, np.inf, (1.0 + nu) / (1.0 - nu))
+        if exact.any():
+            exact &= np.isfinite(Ja).all(axis=(1, 2))
+            conds[exact] = cond(Ja[exact])
         res = np.abs(r[rows]).max(axis=1)
         sol.iterations[rows], sol.residuals[rows], sol.conditions[rows] = it, res, conds
         bad = ~(conds <= COND_LIMIT)

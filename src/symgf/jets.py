@@ -117,8 +117,8 @@ class PolyKernel:
     partials that do not vanish identically: per term, the sorted index tuples over
     its support that its exponents allow.  Evaluation is a handful of array operations
     for all orders together, whatever the term count, on one point or a stack of
-    points: the powers ``v_i**r`` by repeated products, one gather and product per
-    distinct monomial of the partials (a common subexpression), then the scaled sums.
+    points: the powers ``v_i**r`` by repeated products, each distinct monomial of the
+    partials (a common subexpression) as a product taken column by column, then the sums.
     """
 
     def __init__(self, E, C, order=MAX_ORDER):
@@ -160,18 +160,20 @@ class PolyKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             if self._table is None:
                 tab = _PartialTable(self.E, self.order)
-                self._table = tab, tab.factor[:, None].astype(float) * self.C[tab.term]
+                self._table = tab, tab.factor[:, None] * self.C[tab.term]
             tab, scaled = self._table
             N, R, F, M = tab.ends[order]  # the prefix: entries, runs, fills, monomials
             dense = np.zeros((len(stack), self.k, tab.offsets[order + 1]))
-            # powers[b, i, r] = v_bi**r, one IEEE product per step, with 0**0 = 1
-            powers = np.ones((len(stack), self.n, self._P))
-            for r in range(1, self._P):
-                np.multiply(powers[..., r - 1], stack, out=powers[..., r])
-            if R:
-                mono = np.multiply.reduce(powers.reshape(len(stack), -1)[:, tab.flat[:M]], axis=2)
-                sums = np.add.reduceat(mono[:, tab.inv[:N], None] * scaled[:N], tab.starts[:R], 1)
-                dense[:, :, tab.dst[:F]] = sums[:, tab.src[:F]].transpose(0, 2, 1)
+            # powers[b, i * P + r] = v_bi**r, one IEEE product per step, with 0**0 = 1
+            P, powers = self._P, np.ones((len(stack), self.n * self._P))
+            for r in range(1, P):
+                np.multiply(powers[:, r - 1::P], stack, out=powers[:, r::P])
+            mono = powers[:, tab.flat[:M, 0]] if tab.flat.shape[1] else np.ones((len(stack), M))
+            for col in tab.flat[:M, 1:].T:
+                mono *= powers[:, col]
+            ent = mono[:, np.tile(tab.inv[:N], self.k)].reshape(len(stack), self.k, N)
+            ent *= scaled[:N].T  # in place: one entries-sized array per call
+            dense[:, :, tab.dst[:F]] = np.add.reduceat(ent, tab.starts[:R], 2)[:, :, tab.src[:F]]
         lead = v.shape[:-1] + (self.k,)
         return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (self.n,) * q)
                 for q in range(order + 1)]

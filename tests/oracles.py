@@ -10,6 +10,12 @@ followed by a Mercator series.  Matrices are plain ``numpy.ndarray``;
 inputs here are tiny (<= 10 x 10 group representations), so simplicity and
 verifiable series truncation beat cleverness.
 
+The polynomial-kernel oracle: ``gather_reduce_jet`` evaluates a
+:class:`symgf.jets.PolyKernel` from the kernel's own partial table by one
+gather of every monomial's power columns, a product over them and scaled
+sums in an entries-then-outputs layout: the evaluation the kernel's
+column-by-column products must reproduce bit for bit.
+
 The order-2 associativity oracle: ``composite_defect_eps2`` measures the
 eps^2 coefficient of a semiclassical monoid's associativity defect through
 the composition engine, by Newton solves at eps / 2^i and Richardson
@@ -164,6 +170,30 @@ def group_law_poly_eval(A, p1, p2):
     """Evaluate a truncated group law at numeric (p1, p2)."""
     pt = np.concatenate([np.asarray(p1, float), np.asarray(p2, float)])
     return PolyKernel.from_polys(A, pt.size).jet(pt, 0)[0]
+
+
+def gather_reduce_jet(kernel, v, order):
+    """``kernel.jet(v, order)`` by the ``(B, M, width)`` gather of the power
+    columns, ``np.multiply.reduce`` over its last axis and ``np.add.reduceat``
+    over the entries of a ``(B, N, k)`` layout, from the kernel's partial table."""
+    kernel.jet(np.zeros(kernel.n), 0)  # the table, built on first use
+    tab = kernel._table[0]
+    scaled = tab.factor[:, None].astype(float) * kernel.C[tab.term]
+    v = np.asarray(v, dtype=float)
+    stack = v.reshape(-1, kernel.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        N, R, F, M = tab.ends[order]
+        dense = np.zeros((len(stack), kernel.k, tab.offsets[order + 1]))
+        powers = np.ones((len(stack), kernel.n, kernel._P))
+        for r in range(1, kernel._P):
+            np.multiply(powers[..., r - 1], stack, out=powers[..., r])
+        if R:
+            mono = np.multiply.reduce(powers.reshape(len(stack), -1)[:, tab.flat[:M]], axis=2)
+            sums = np.add.reduceat(mono[:, tab.inv[:N], None] * scaled[:N], tab.starts[:R], 1)
+            dense[:, :, tab.dst[:F]] = sums[:, tab.src[:F]].transpose(0, 2, 1)
+    lead = v.shape[:-1] + (kernel.k,)
+    return [dense[:, :, tab.offsets[q]:tab.offsets[q + 1]].reshape(lead + (kernel.n,) * q)
+            for q in range(order + 1)]
 
 
 def richardson_leading(values, eps, leading=2):

@@ -569,6 +569,16 @@ def test_fit_tree_weights_script_recovers_twelfths(monkeypatch, capsys):
     assert float(weights["c2"]) == pytest.approx(+1.0 / 12.0, abs=1e-6)
 
 
+def test_make_data_script_writes_the_committed_data(monkeypatch, capsys, tmp_path):
+    # data/ holds exactly what scripts/make_data.py writes, byte for byte
+    monkeypatch.setattr(sys, "argv", ["make_data.py", "--dir", str(tmp_path)])
+    _script("make_data").main()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in DATA.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 def test_bch_truncation_study_prints_one_row_per_trunc(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["bch_truncation_study.py", "--n", "8", "--truncs", "1,2,4"])
     _script("bch_truncation_study").main()

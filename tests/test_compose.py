@@ -2,19 +2,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symgf import (ConvergenceError, DegeneracyError, Diffeo,
                    LieStructure, NewtonOptions, PolyMap, PolyPoisson, change_coordinates,
                    compose, identity_genfun, kontsevich_monoid, lie_monoid, poisson_bivector,
                    poly_genfun, sample_ball, sample_box, source_target,
                    standard_bivector, stationary_point, symplectic_monoid, tensor)
-from symgf.compose import COND_LIMIT, _damped_newton, _pair, _phase_condition, _residual_and_jac
+from symgf.compose import (CERTIFIED, COND_LIMIT, _damped_newton, _pair, _phase_condition,
+                           _residual_and_jac)
 from symgf.genfun import GenFun, LiftGenFun, TensorGenFun
 from symgf.jets import Jet
 from symgf.maps import InverseMap
 from symgf.verify import check_associativity, check_groupoid, check_jacobi, check_unit
 
-from conftest import fd_grad, fd_jac, normalization_residual
+from conftest import fd_grad, fd_jac, normalization_residual, recorded_conditions
 
 
 # -- closed-form oracle -----------------------------------------------------
@@ -338,6 +340,64 @@ def test_phase_condition_toward_a_singular_system():
     Z = sample_box(12, 4, -0.5, 0.5, 3)
     J = _residual_and_jac(G, ps, Z, F.eval_jet(Z[:, :2], xs, 2))[1]
     np.testing.assert_allclose(_phase_condition(J), np.linalg.cond(J), rtol=1e-12, atol=0)
+
+
+def _phase_jacobians(A, B):
+    """Stationary Jacobians ``[[I, -A], [-B, I]]`` of stacks of k x k blocks."""
+    I = np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+    return np.block([[I, -A], [-B, I]])
+
+
+@given(data=st.data())
+def test_certified_phase_condition_is_never_below_the_exact_one(data):
+    # symmetric Hessian blocks of random size and spread, some rows past 3/4;
+    # the exact condition rounds too, and where the bound is sharp (k = 1)
+    # it may exceed the bound by a few units of rounding
+    k = data.draw(st.integers(1, 3), label="k")
+    spread = data.draw(st.floats(0.0, 0.9), label="spread")
+    entries = data.draw(st.lists(st.floats(-1, 1), min_size=8 * k * k, max_size=8 * k * k))
+    A, B = spread * np.array(entries).reshape(2, 4, k, k)
+    J = _phase_jacobians(A + A.swapaxes(1, 2), B + B.swapaxes(1, 2))
+    sol, nu = recorded_conditions(J, _phase_condition)
+    certified = nu <= CERTIFIED
+    exact = np.linalg.cond(J)
+    assert np.all(sol.conditions[certified] >= exact[certified] * (1 - 16 * np.finfo(float).eps))
+    assert np.all(sol.conditions[certified] <= 7.0)
+    assert np.array_equal(sol.conditions[~certified], _phase_condition(J[~certified]))
+
+
+def test_condition_is_exact_only_where_the_bound_cannot_certify():
+    # J = [[1, -t], [-t, 1]] has norm bound t and condition (1 + t) / (1 - t):
+    # t = 3/4 is certified at 7, t = 0.8 takes the exact path at 9, and the
+    # non-finite row goes to neither
+    calls = []
+
+    def cond(J):
+        calls.append(J.copy())
+        return _phase_condition(J)
+
+    t = np.array([0.5, 0.75, 0.8, np.inf])[:, None, None]
+    J = _phase_jacobians(t, t)
+    sol, nu = recorded_conditions(J, cond)
+    assert nu[:3].tolist() == [0.5, 0.75, 0.8]
+    assert sol.conditions.tolist() == [3.0, 7.0, _phase_condition(J[2:3])[0], np.inf]
+    assert sol.conditions[2] == pytest.approx(9.0, rel=1e-14)
+    assert len(calls) == 1 and np.array_equal(calls[0], J[2:3])
+    assert [type(e) for e in sol.errors] == [type(None)] * 3 + [DegeneracyError]
+
+
+def test_a_row_near_the_condition_limit_is_flagged_with_its_exact_condition():
+    # condition (1 + t) / (1 - t): about 2e11 at t = 1 - 1e-11, past the
+    # limit, and about 5e9 at t = 1 - 4e-10, below it
+    t = 1.0 - np.array([1e-11, 4e-10])[:, None, None]
+    J = _phase_jacobians(t, t)
+    sol, _ = recorded_conditions(J, _phase_condition)
+    exact = _phase_condition(J)
+    assert exact[0] > COND_LIMIT > exact[1]
+    assert np.array_equal(sol.conditions, exact)
+    assert str(sol.errors[0]) == (f"test system is degenerate (condition {exact[0]:.3e} "
+                                  f"exceeds {COND_LIMIT:.1e}) at row 0")
+    assert sol.errors[1] is None
 
 
 class _WrongHessian(GenFun):

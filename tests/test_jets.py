@@ -12,6 +12,7 @@ from symgf.cli import MAX_DIM
 from symgf.jets import PolyKernel, _PartialTable, jet_sum, poly_term_jet
 
 from conftest import fd_grad
+from oracles import gather_reduce_jet
 
 
 coeffs = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
@@ -150,6 +151,48 @@ def test_kernel_matches_sum_of_term_jets(case, data):
         for b, v in enumerate(stack):
             for q, want in enumerate(jets(v, order)):
                 assert np.array_equal(got[q][b], want), (order, q, b)
+
+
+def _bit_kernels():
+    """``(kernel, width of its table's flat)``: widths 0 (without and with runs), 1, 2, 4
+    and 5, k = 1, 2 and 3 outputs, and kernels of order 3 and, for a ``PolyPoisson``, 1."""
+    so3 = LieStructure.so3()
+    phi = PolyMap([{(1, 0, 0): 1.0, (0, 2, 1): 0.3, (3, 0, 0): -0.1},
+                   {(2, 0, 0): 0.0},
+                   {(0, 1, 0): 1.0, (1, 1, 0): -0.2, (0, 0, 0): 0.7}], 3)
+    alpha = PolyPoisson(3, {(0, 1): {(0, 0, 1): 1.0, (2, 0, 0): 0.4},
+                            (1, 2): {(1, 0, 0): 1.0, (0, 0, 0): 0.3, (0, 1, 2): -0.5}})
+    return {
+        "empty-genfun": (unit_genfun(3)._kernel, 0),
+        "constant": (PolyKernel(np.zeros((1, 2), dtype=np.int64), np.array([[2.0, -0.5]])), 0),
+        "linear-polymap": (PolyMap.linear(np.array([[2.0, 1.0], [0.0, -1.0]]))._kernel, 1),
+        "symplectic-d2": (symplectic_monoid(2)._kernel, 2),
+        "kontsevich-order2": (kontsevich_monoid(PolyPoisson.linear_from_structure(so3), eps=0.5,
+                                                order=2, weights=(-1.0 / 12.0, 1.0 / 12.0))._kernel, 4),
+        "lie-so3-trunc4": (lie_monoid(so3, trunc=4)._kernel, 5),
+        "polymap-3-outputs": (phi._kernel, 2),
+        "polypoisson": (alpha._kernel, 2),
+    }
+
+
+BIT_KERNELS = _bit_kernels()
+
+
+@pytest.mark.parametrize("case", sorted(BIT_KERNELS))
+def test_kernel_gives_the_gather_reduce_bits(case):
+    # the column-by-column monomial products and the (B, k, N) sums give the
+    # bits of one (B, M, width) gather, its product and (B, N, k) sums
+    kernel, width = BIT_KERNELS[case]
+    rng = np.random.default_rng(36)
+    points = [np.zeros(kernel.n), rng.uniform(-1.2, 1.2, kernel.n)]
+    points += [rng.uniform(-1.2, 1.2, (B, kernel.n)) for B in (1, 6, 64)]
+    for v in points:
+        for order in range(kernel.order + 1):
+            got, want = kernel.jet(v, order), gather_reduce_jet(kernel, v, order)
+            assert len(got) == len(want) == order + 1
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b), (v.shape, order)
+    assert kernel._table[0].flat.shape[1] == width
 
 
 def test_negative_exponents_rejected_by_every_polynomial_type():

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from symgf import ConvergenceError, DegeneracyError, Jet, base_map, cotangent_lift
 from symgf.maps import InverseMap, PolyMap
 
-from conftest import fd_jac
+from symgf.compose import CERTIFIED, COND_LIMIT
+
+from conftest import fd_jac, recorded_conditions
 
 
 def test_polymap_identity_and_linear():
@@ -135,3 +140,29 @@ def test_non_finite_jacobian_raises_degeneracy():
     g = PolyMap([{(1,): 1.0, (300,): 1.0, (301,): -1.0}], d_in=1)
     with pytest.raises(DegeneracyError, match=r"condition inf .* at y=\[20\.\]$"):
         InverseMap(g).jet(np.array([20.0]), 1)
+
+
+@given(data=st.data())
+def test_certified_inverse_map_condition_is_never_below_the_exact_one(data):
+    # Jacobians I + E of random size and spread, some rows past 3/4; the
+    # exact condition rounds too, so it may pass a sharp bound by a few units
+    q = data.draw(st.integers(1, 4), label="q")
+    spread = data.draw(st.floats(0.0, 0.9), label="spread")
+    E = data.draw(st.lists(st.floats(-1, 1), min_size=4 * q * q, max_size=4 * q * q))
+    J = np.eye(q) + spread * np.array(E).reshape(4, q, q)
+    sol, nu = recorded_conditions(J, np.linalg.cond)
+    certified = nu <= CERTIFIED
+    exact = np.linalg.cond(J)
+    assert np.all(sol.conditions[certified] >= exact[certified] * (1 - 16 * np.finfo(float).eps))
+    assert np.all(sol.conditions[certified] <= 7.0)
+    assert np.array_equal(sol.conditions[~certified], exact[~certified])
+
+
+def test_near_singular_inverse_reports_its_exact_condition():
+    # A = I + [[0, 1], [1, 1e-11 - 1]] is past the bound and has condition
+    # about 4e11; the message gives np.linalg.cond's number
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]])
+    c = np.linalg.cond(A)
+    assert c > COND_LIMIT
+    with pytest.raises(DegeneracyError, match=re.escape(f"(condition {c:.3e} exceeds")):
+        InverseMap(PolyMap.linear(A)).jet(np.array([0.3, -0.2]), 0)
