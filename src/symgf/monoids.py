@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -31,18 +32,48 @@ from .jets import PolyKernel, canonical_poly, unit_exponents
 # perfbench/tracer.py patches poly_term_jet here by name
 from .jets import poly_term_jet  # noqa: F401
 
-STRUCTURE_JACOBI_TOL = 1e-12
 ORDER2_GATE_FLOOR = 1e-8
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _jacobi_residual(c) -> float:
-    """max |c^m_ij c^l_mk + c^m_jk c^l_mi + c^m_ki c^l_mj| over l, i, j, k,
-    one upper index l at a time, so no temporary exceeds (d, d, d)."""
-    worst = [0.0]
-    for cl in c:
-        t = np.tensordot(c, cl, axes=(0, 0))  # t[i, j, k] = c^m_ij c^l_mk
-        worst.append(np.abs(t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)).max())
-    return float(np.max(worst))
+def rounding_floor(size, n):
+    """gamma_n * size, with gamma_n = n u / (1 - n u) and u the unit roundoff: the
+    bound on the rounding error of a computed sum of products that rounds each product
+    at most n times, ``size`` being the sum of their absolute values (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 3)."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF) * size
+
+
+def _jacobi_gate(what, blocks):
+    """Refuse ``what`` when a coefficient of its Jacobiator, which vanishes for a Poisson
+    bivector, exceeds its rounding floor, naming the one with the largest |J| / floor.
+    In a block (jac, size, n, name), coefficient r is J = jac[r], its floor is
+    rounding_floor(size[r], n[r]), and name(r) = ((i, j, k), x-exponents)."""
+    worst = (0.0, 0.0, 0.0, None)
+    for jac, size, n, name in blocks:
+        floor = np.maximum(rounding_floor(size, n), np.finfo(float).tiny)
+        with np.errstate(invalid="ignore"):  # a non-finite J reads inf
+            ratio = np.nan_to_num(np.abs(jac) / floor, nan=np.inf)
+        if ratio.size and ratio.max() > worst[0]:
+            r = int(np.argmax(ratio))
+            worst = (ratio[r], jac[r], floor[r], name(r))
+    if worst[0] > 1.0:
+        _, value, floor, (ijk, xe) = worst
+        raise ValueError(f"{what} the Jacobi identity: its {ijk} coefficient of x^{xe} is "
+                         f"{value:.3e}, above its rounding floor {floor:.3e}")
+
+
+def _jacobi_residual(c):
+    """The Jacobiator of structure constants c as :func:`_jacobi_gate`'s blocks, one per
+    upper index l, so no temporary exceeds (d, d, d).  With t[i, j, k] = c^m_ij c^l_mk,
+    its (i, j, k) coefficient of x_l is t[i, j, k] + t[j, k, i] + t[k, i, j], a sum of 3d
+    products; s is t computed from |c|, the sum of their absolute values."""
+    d, absc = len(c), np.abs(c)
+    i, j, k = np.array(list(combinations(range(d), 3)), dtype=int).reshape(-1, 3).T
+    for l in range(d):
+        t, s = (np.tensordot(a, a[l], axes=(0, 0)) for a in (c, absc))
+        yield (t[i, j, k] + t[j, k, i] + t[k, i, j], s[i, j, k] + s[j, k, i] + s[k, i, j], 3 * d,
+               lambda r, l=l: ((int(i[r]), int(j[r]), int(k[r])), unit_exponents(d, l)))
 
 
 # --------------------------------------------------------------------------
@@ -65,9 +96,7 @@ class LieStructure:
                              f"{(self.d,) * 3}, got {self.c.shape}")
         if not np.array_equal(self.c, -self.c.transpose(0, 2, 1)):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
-        worst = _jacobi_residual(self.c)
-        if worst > STRUCTURE_JACOBI_TOL:
-            raise ValueError(f"structure constants violate the Jacobi identity (residual {worst:.3e})")
+        _jacobi_gate("structure constants violate", _jacobi_residual(self.c))
 
     def bracket(self, u, v):
         return np.einsum("kij,i,j->k", self.c, np.asarray(u, float), np.asarray(v, float))
@@ -212,8 +241,8 @@ class PolyPoisson:
     ``entries[(i, j)]`` with i < j maps x-exponent tuples to coefficients of
     alpha^{ij}; the lower triangle is the exact negation, the diagonal is
     identically zero.  Construction does not enforce the Jacobi identity
-    (verification code must be able to represent broken bivectors);
-    ``jacobi_residual`` measures it and the monoid builders require it.
+    (verification code must be able to represent broken bivectors); the
+    semiclassical builder requires it, read from the coefficients.
     """
 
     def __init__(self, d, entries):
@@ -280,11 +309,6 @@ class PolyPoisson:
         dalpha[..., cols, rows, :] = -upper[1]
         return alpha, dalpha
 
-    def jacobi_residual(self, xs) -> float:
-        """max over sample points of the cyclic Jacobi sum, evaluated as one
-        stack."""
-        return float(jacobi_defect(*self.matrix_jet(np.atleast_2d(xs), 1)))
-
     def coeff_scale(self) -> float:
         return max((abs(c) for poly in self.entries.values() for c in poly.values()),
                    default=0.0)
@@ -337,7 +361,7 @@ def _poly_derivative(poly, l):
 
 def _symbols(alpha: PolyPoisson):
     """The eps-free parts of the semiclassical expansion of a bivector,
-    after checking the Jacobi identity on a small deterministic grid.
+    after checking the Jacobi identity on its coefficients.
 
     Returns the abelian terms, the first-order symbol
     (1/2) alpha^{ij}(x) p1_i p2_j, and the two tree symbols
@@ -346,13 +370,11 @@ def _symbols(alpha: PolyPoisson):
         T2 = sum d_l alpha^{ij} alpha^{lk} p1_i p2_j p2_k
 
     (antisymmetry of alpha makes every other (2,2)-contraction a linear
-    combination of these two).
+    combination of these two).  Their sums over the cyclic turns of i < j < k
+    are the Jacobiator's coefficients, which :func:`_jacobi_gate` reads.
     """
     d = alpha.d
-    jr = alpha.jacobi_residual(sample_box(32, d, -1.0, 1.0, seed=7))
-    if jr > 1e-10:
-        raise ValueError(f"bivector violates the Jacobi identity (residual {jr:.3e})")
-    first, t1, t2 = {}, {}, {}
+    first, t1, t2, jac = {}, {}, {}, {}
     for i in range(d):
         for j in range(d):
             aij = alpha.entry_poly(i, j)
@@ -372,6 +394,16 @@ def _symbols(alpha: PolyPoisson):
                         pk = unit_exponents(2 * d, i, d + j, slot)
                         for xe, c in prod.items():
                             tree[(pk, xe)] = tree.get((pk, xe), 0.0) + c
+                    if (i < j) + (j < k) + (k < i) == 2:  # a cyclic turn of i < j < k
+                        for (ea, ca), (eb, cb) in product(dij.items(), alk.items()):
+                            key = (tuple(sorted((i, j, k))), tuple(x + y for x, y in zip(ea, eb)))
+                            # J, the sum of |products|, and the roundings of a product: its
+                            # own, its derivative factor's, and one per addition
+                            acc = jac.setdefault(key, [0.0, 0.0, 1])
+                            acc[:] = acc[0] + ca * cb, acc[1] + abs(ca * cb), acc[2] + 1
+    keys = list(jac)
+    J, size, n = np.array(list(jac.values())).reshape(-1, 3).T
+    _jacobi_gate("bivector violates", [(J, size, n, keys.__getitem__)])
     return abelian_monoid(d).terms, first, (t1, t2)
 
 
@@ -388,7 +420,7 @@ def _expansion(alpha: PolyPoisson, symbols, eps, weights, order) -> PolyGenFun:
             for key, c in tree.items():
                 terms[key] = terms.get(key, 0.0) + e2 * (cw * c)
     d = alpha.d
-    kappa = eps * alpha.coeff_scale()
+    kappa = abs(eps) * alpha.coeff_scale()
     radius = np.inf if kappa == 0.0 else 0.5 / kappa
     return PolyGenFun(terms, 2 * d, d, radius,
                       label=f"kontsevich-d{d}-order{order}-eps{eps:g}")
@@ -402,9 +434,9 @@ def kontsevich_monoid(alpha: PolyPoisson, eps: float = 1.0, order: int = 1,
     order=2:  adds eps^2 (c1 T1 + c2 T2) with (c1, c2) from the
               associativity fit (or ``weights``, taken at order 2 only).
 
-    The bivector must satisfy the Jacobi identity, checked on a small
-    deterministic grid.  Raises :class:`Order2GateError` when the fit
-    floor exceeds the gate.
+    The bivector must satisfy the Jacobi identity, which :func:`_symbols`
+    reads from its coefficients.  Raises :class:`Order2GateError` when the
+    fit floor exceeds the gate.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")

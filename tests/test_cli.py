@@ -169,6 +169,41 @@ def _bivector_file(tmp_path, name, *entries):
     return str(path)
 
 
+def _poly_bivector_file(tmp_path, name, d, *entries):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"d": d, "entries": [
+        {"i": i, "j": j, "terms": [{"coeff": c, "x": x}]} for i, j, c, x in entries]}))
+    return str(path)
+
+
+def test_verify_accepts_a_poisson_bivector_with_large_coefficients(tmp_path, capsys):
+    # alpha^{ij} = 1000 x_i x_j: its Jacobiator's coefficients are exactly 0
+    alpha = _poly_bivector_file(tmp_path, "quadratic", 3, (0, 1, 1000.0, [1, 1, 0]),
+                                (0, 2, 1000.0, [1, 0, 1]), (1, 2, 1000.0, [0, 1, 1]))
+    assert main(["verify", "--builtin", "kontsevich", "--alpha", alpha, "--eps", "1e-5",
+                 "--order", "2", "--grid-n", "16"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_bivector_with_a_small_jacobiator(tmp_path, capsys):
+    # alpha^{01} = 1e-6, alpha^{12} = 1e-6 x_1: the constant Jacobiator 1e-12
+    alpha = _poly_bivector_file(tmp_path, "tiny", 3, (0, 1, 1e-6, [0, 0, 0]),
+                                (1, 2, 1e-6, [0, 1, 0]))
+    assert main(["verify", "--builtin", "kontsevich", "--alpha", alpha, "--eps", "1",
+                 "--grid-n", "16"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bivector violates the Jacobi identity: its (0, 1, 2) coefficient of "
+        "x^(0, 0, 0) is -1.000e-12, above its rounding floor 2.220e-28\n")
+
+
+def test_negative_eps_prints_no_domain_warning(capsys):
+    # the order-1 truncation fails the order-2 checks either way: exit 1
+    for eps in ("0.1", "-0.1"):
+        assert main(["verify", "--builtin", "kontsevich", "--alpha", "so3", "--eps", eps,
+                     "--grid-n", "8"]) == 1
+        assert "warning" not in capsys.readouterr().err
+
+
 def test_bivector_in_both_triangles_is_read_once(tmp_path):
     # a constant alpha^{01} = 0.5 written out as a full antisymmetric matrix
     alpha = _bivector_file(tmp_path, "alpha", (0, 1, 0.5), (1, 0, -0.5))

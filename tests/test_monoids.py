@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from symgf import (LieStructure, Order2GateError, PolyPoisson, abelian_monoid,
                    fit_tree_weights, kontsevich_monoid, lie_monoid, sample_ball, sample_box,
                    standard_bivector, symplectic_monoid, truncated_group_law)
-from symgf.monoids import _fit_instances, _fit_rows, _jacobi_residual
+from symgf.jets import unit_exponents
+from symgf.monoids import (_fit_instances, _fit_rows, _jacobi_gate, _jacobi_residual,
+                           _symbols, rounding_floor)
 
 from oracles import (builtin_rep, composite_defect_eps2, group_law_poly_eval, group_log,
                      richardson_leading)
@@ -53,10 +56,14 @@ def _random_antisymmetric(d, seed):
 
 
 def _jacobi_reference(c):
-    # the cyclic sum as one (d, d, d, d) array
-    jac = (np.einsum("mij,lmk->lijk", c, c) + np.einsum("mjk,lmi->lijk", c, c)
-           + np.einsum("mki,lmj->lijk", c, c))
-    return float(np.max(np.abs(jac), initial=0.0))
+    """The Jacobiator's coefficients and the sums of their terms' absolute
+    values, from the cyclic sum as one (d, d, d, d) array, as (d, triples)
+    arrays: row l holds the coefficients of x_l, column t the triple
+    (i, j, k) = triples[t], i < j < k."""
+    triples = list(combinations(range(len(c)), 3))
+    i, j, k = np.array(triples, dtype=int).reshape(-1, 3).T
+    return [(np.einsum("mij,lmk->lijk", a, a) + np.einsum("mjk,lmi->lijk", a, a)
+             + np.einsum("mki,lmj->lijk", a, a))[:, i, j, k] for a in (c, np.abs(c))], triples
 
 
 @pytest.mark.parametrize("c, lie", [(LieStructure.so3().c, True),
@@ -64,9 +71,22 @@ def _jacobi_reference(c):
                                      (_random_antisymmetric(5, seed=7), False)],
                          ids=["so3", "heisenberg", "random"])
 def test_jacobi_residual_matches_the_four_index_sum(c, lie):
-    want = _jacobi_reference(c)
-    assert (want == 0.0) == lie
-    assert _jacobi_residual(c) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # the blocks hold the reference's coefficients and absolute sums, and the
+    # gate names the coefficient furthest above its floor (all have n = 3d)
+    (jac, size), triples = _jacobi_reference(c)
+    blocks = list(_jacobi_residual(c))
+    for col, want in enumerate((jac, size)):
+        assert np.all(np.abs(np.stack([b[col] for b in blocks]) - want) <= 1e-14 * size)
+    assert (not jac.any()) == lie
+    if lie:
+        _jacobi_gate("structure constants violate", _jacobi_residual(c))
+        return
+    l, t = np.unravel_index(np.argmax(np.abs(jac) / size), jac.shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"structure constants violate the Jacobi identity: its {triples[t]} coefficient "
+            f"of x^{unit_exponents(len(c), l)} is {jac[l, t]:.3e}, above its rounding floor "
+            f"{rounding_floor(size[l, t], 3 * len(c)):.3e}")):
+        _jacobi_gate("structure constants violate", _jacobi_residual(c))
 
 
 def test_jacobi_check_memory_at_the_dimension_bound():
@@ -210,12 +230,16 @@ def test_linear_from_structure_is_kirillov_kostant():
 
 
 def test_jacobi_residual_flags_broken_bivector():
+    # the gate reads the Jacobiator's coefficients: so(3)'s vanish, and the
+    # broken bivector's (0, 1, 2) component is 2 x0 x1, one product
     good = PolyPoisson.linear_from_structure(LieStructure.so3())
     bad = PolyPoisson(3, {(0, 1): {(2, 0, 0): 1.0}, (0, 2): {(0, 1, 0): 1.0},
                           (1, 2): {(1, 0, 0): 1.0}})
-    xs = sample_box(30, 3, -1.0, 1.0, 5)
-    assert good.jacobi_residual(xs) < 1e-14
-    assert bad.jacobi_residual(xs) > 1e-2
+    _symbols(good)
+    with pytest.raises(ValueError, match=re.escape(
+            "bivector violates the Jacobi identity: its (0, 1, 2) coefficient of "
+            "x^(1, 1, 0) is 2.000e+00, above its rounding floor")):
+        _symbols(bad)
 
 
 # -- semiclassical monoids --------------------------------------------------
@@ -233,6 +257,110 @@ def test_kontsevich_rejects_non_jacobi_bivector():
                           (1, 2): {(1, 0, 0): 1.0}})
     with pytest.raises(ValueError):
         kontsevich_monoid(bad, eps=0.1)
+
+
+def _quadratic_poisson():
+    # alpha^{ij} = 1000 x_i x_j: Poisson, every Jacobiator coefficient is exactly 0
+    return PolyPoisson(3, {(i, j): {tuple(int(v in (i, j)) for v in range(3)): 1000.0}
+                           for i, j in combinations(range(3), 2)})
+
+
+def _tiny_non_poisson():
+    # alpha^{01} = 1e-6, alpha^{12} = 1e-6 x_1: the constant Jacobiator 1e-12
+    return PolyPoisson(3, {(0, 1): {(0, 0, 0): 1e-6}, (1, 2): {(0, 1, 0): 1e-6}})
+
+
+def _so3_in_a_random_basis():
+    # so(3) in the basis B, times 100: constants near 260, Jacobi sums rounded
+    c, B = LieStructure.so3().c, np.random.default_rng(0).standard_normal((3, 3))
+    c = 100 * np.einsum("ka,aij,ip,jq->kpq", np.linalg.inv(B), c, B, B)
+    return (c - c.transpose(0, 2, 1)) / 2
+
+
+def _log_canonical_in_a_random_basis(d=4):
+    # alpha^{ij} = m_ij x_i x_j is Poisson for any antisymmetric m; in the
+    # coordinates y = A x its rounded coefficients have a rounded Jacobiator
+    rng = np.random.default_rng(2)
+    m, A = rng.standard_normal((2, d, d))
+    M = np.linalg.inv(A)
+    Q = np.einsum("ki,lj,ij,ia,jb->klab", A, A, m - m.T, M, M)
+    return PolyPoisson(d, {(k, l): {tuple(np.bincount([a, b], minlength=d)):
+                                    Q[k, l, a, b] + (Q[k, l, b, a] if a != b else 0.0)
+                                    for a in range(d) for b in range(a, d)}
+                           for k, l in combinations(range(d), 2)})
+
+
+def _tiny_non_jacobi():
+    # the structure of test_jacobi_violation_rejected, times 1e-7
+    c = np.zeros((3, 3, 3))
+    for (k, i, j) in ((2, 0, 1), (0, 0, 2), (1, 1, 2)):
+        c[k, i, j], c[k, j, i] = 1e-7, -1e-7
+    return c
+
+
+def _builds(make):
+    try:
+        make()
+    except ValueError as exc:
+        assert "the Jacobi identity" in str(exc)
+        return False
+    return True
+
+
+def _bivector_gate(alpha):
+    return lambda s=1.0: kontsevich_monoid(alpha.scaled(s), eps=1e-5)
+
+
+def _structure_gate(c):
+    return lambda s=1.0: LieStructure(len(c), s * c)
+
+
+JACOBI_VERDICTS = {
+    "quadratic-1000": (_bivector_gate(_quadratic_poisson()), True),
+    "constant-1e-12": (_bivector_gate(_tiny_non_poisson()), False),
+    "so3-random-basis": (_structure_gate(_so3_in_a_random_basis()), True),
+    "non-jacobi-1e-7": (_structure_gate(_tiny_non_jacobi()), False),
+}
+
+
+@pytest.mark.parametrize("name", JACOBI_VERDICTS)
+def test_jacobi_gate_reads_the_coefficients_against_their_rounding(name):
+    # a Poisson input builds at any size of its coefficients, a broken one is
+    # refused however small its defect
+    make, poisson = JACOBI_VERDICTS[name]
+    assert _builds(make) == poisson
+
+
+def test_jacobi_verdict_is_invariant_under_exact_rescaling():
+    # scaling by 2^k scales every product, sum and floor exactly
+    gates = dict(JACOBI_VERDICTS)
+    for name in ("so3", "heisenberg"):
+        c = getattr(LieStructure, name)().c
+        gates[name] = (_structure_gate(c), True)
+        gates[f"{name}-linear"] = (
+            _bivector_gate(PolyPoisson.linear_from_structure(LieStructure(3, c))), True)
+    for n, alpha in enumerate(_fit_instances()):
+        gates[f"fit-{n}"] = (_bivector_gate(alpha), True)
+    gates["log-canonical-random-basis"] = (_bivector_gate(_log_canonical_in_a_random_basis()), True)
+    for name, (make, poisson) in gates.items():
+        verdicts = {k: _builds(lambda: make(2.0 ** k)) for k in range(-40, 41)}
+        assert verdicts == dict.fromkeys(range(-40, 41), poisson), name
+
+
+def test_jacobi_gate_refuses_a_jacobiator_that_overflows():
+    # products of coefficients near 1e200 overflow, so the gate cannot certify
+    # the identity; a nan coefficient must not pass as below its floor
+    with pytest.raises(ValueError, match=re.escape(
+            "bivector violates the Jacobi identity: its (0, 1, 2) coefficient of "
+            "x^(1, 1, 1) is nan, above its rounding floor inf")):
+        kontsevich_monoid(_quadratic_poisson().scaled(1e197), eps=1e-300)
+
+
+def test_negative_eps_gives_the_same_domain_radius():
+    alpha = PolyPoisson.linear_from_structure(LieStructure.so3())
+    radius = kontsevich_monoid(alpha, eps=0.1).domain_radius
+    assert radius == 5.0
+    assert kontsevich_monoid(alpha, eps=-0.1).domain_radius == radius
 
 
 def test_kontsevich_linear_order2_matches_lie_monoid_trunc3():
@@ -267,7 +395,7 @@ def _counting(monkeypatch):
             return f(*args, **kwargs)
         return counted
 
-    for owner, name, key in ((PolyPoisson, "jacobi_residual", "gate"),
+    for owner, name, key in ((monoids, "_jacobi_gate", "gate"),
                              (monoids, "kontsevich_monoid", "builder"),
                              (composition, "_solve", "solve")):
         monkeypatch.setattr(owner, name, counter(key, getattr(owner, name)))
@@ -276,11 +404,12 @@ def _counting(monkeypatch):
 
 def test_fit_gates_each_bivector_once(monkeypatch):
     # the fit takes its tree symbols from symbols built once per instance:
-    # one Jacobi gate per bivector, no call into the builder, and no solve
+    # one Jacobi gate per bivector, one on the structure constants of so(3)
+    # behind the linear instance, no call into the builder, and no solve
     calls = _counting(monkeypatch)
     fit = fit_tree_weights.__wrapped__()
     assert fit.passed
-    assert calls == {"gate": 2, "builder": 0, "solve": 0}
+    assert calls == {"gate": 3, "builder": 0, "solve": 0}
 
 
 def test_fit_makes_no_newton_solve(monkeypatch):
