@@ -58,9 +58,10 @@ MORPHISM_AXIOMS = ("morphism", "poisson-map")
 # Built-in Lie algebras, by the name that --lie, --alpha and builtin:lie:NAME take.
 STRUCTURES = {"so3": LieStructure.so3, "heisenberg": LieStructure.heisenberg}
 
-# The arguments of verify and poisson that their reports' config records.
-MONOID_CONFIG = ("builtin", "monoid", "d", "lie", "trunc", "alpha", "eps", "order",
-                 "grid_n", "p_radius", "x_box", "seed")
+# The arguments of verify and poisson that their reports' config records;
+# the overrides --weights and --newton-tol only when they are given.
+MONOID_CONFIG = ("builtin", "monoid", "d", "lie", "trunc", "alpha", "eps", "order", "weights",
+                 "grid_n", "p_radius", "x_box", "seed", "newton_tol")
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +169,13 @@ def _parse_tols(pairs, axioms):
 # Subcommands
 # --------------------------------------------------------------------------
 
+def _newton(args) -> NewtonOptions:
+    return DEFAULT_NEWTON if args.newton_tol is None else NewtonOptions(tol=args.newton_tol)
+
+
 def _config_dict(args, keys):
     given = vars(args)
-    return {"command": args.command, **{k: given[k] for k in keys if given[k] is not None}}
+    return {"command": args.command, **{k: given[k] for k in keys if given.get(k) is not None}}
 
 
 def _write_report(args, doc):
@@ -227,7 +232,7 @@ def cmd_verify(args) -> int:
     S = build_monoid(args)
     _warn_beyond_domain(args, S)
     reports = verify_monoid(S, args.grid_n, args.p_radius, args.x_box, args.seed,
-                            _parse_tols(args.tol, VERIFY_AXIOMS), NewtonOptions(tol=args.newton_tol))
+                            _parse_tols(args.tol, VERIFY_AXIOMS), _newton(args))
 
     fit = getattr(S, "order2_fit", None)
     extra = None if fit is None else {"order2_gate": {
@@ -277,7 +282,7 @@ def cmd_compose(args) -> int:
     if F.m != G.n:
         raise UserInputError(
             f"cannot compose: F has m={F.m} but G has n={G.n} (need F.m == G.n)")
-    C = compose(F, G, NewtonOptions(tol=args.newton_tol))
+    C = compose(F, G, _newton(args))
     points = []
     if args.points:
         data = serialize.load(args.points)
@@ -319,7 +324,7 @@ def cmd_compose(args) -> int:
         print(f"  grad_p  = {np.array2string(grad[:C.m], precision=8)}")
         print(f"  grad_x  = {np.array2string(grad[C.m:], precision=8)}")
         print(f"  newton: {iterations} iterations, residual {residual:.3e}")
-    _write_report(args, {"config": _config_dict(args, ("f", "g")), "points": rows})
+    _write_report(args, {"config": _config_dict(args, ("f", "g", "newton_tol")), "points": rows})
     return 0
 
 
@@ -338,12 +343,12 @@ def cmd_morphism(args) -> int:
     xs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 1)
     pxs = sample_box(n, d_N, -args.x_box, args.x_box, seed + 2)
 
-    reports = [check_morphism(F, S_M, S_N, ps, xs, tols["morphism"],
-                              NewtonOptions(tol=args.newton_tol)),
+    reports = [check_morphism(F, S_M, S_N, ps, xs, tols["morphism"], _newton(args)),
                check_poisson_map(base_map(F), poisson_bivector(S_N),
                                  poisson_bivector(S_M), pxs, tols["poisson-map"])]
     print(f"morphism candidate: {F.label or args.f}  ({S_M.label} -> {S_N.label})")
-    return _finish(reports, args, ("f", "dom", "cod", "grid_n", "p_radius", "x_box", "seed"))
+    return _finish(reports, args, ("f", "dom", "cod", "grid_n", "p_radius", "x_box", "seed",
+                                   "newton_tol"))
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +417,8 @@ def _add_grid_flags(sp):
 def _add_common(sp):
     sp.add_argument("--tol", action="append", metavar="AXIOM=VAL",
                     help="override a tolerance (repeatable)")
-    sp.add_argument("--newton-tol", type=_positive, default=DEFAULT_NEWTON.tol,
-                    dest="newton_tol", help="stationary-point solver tolerance")
+    sp.add_argument("--newton-tol", type=_positive, dest="newton_tol",
+                    help=f"stationary-point solver tolerance (default {DEFAULT_NEWTON.tol:g})")
     sp.add_argument("--out", help="write a JSON report here")
 
 
@@ -443,8 +448,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", help="momentum coordinates, comma-separated")
     sp.add_argument("--x", help="base coordinates, comma-separated")
     sp.add_argument("--points", help="JSON file with a list of {p, x} points")
-    sp.add_argument("--newton-tol", type=_positive, default=DEFAULT_NEWTON.tol,
-                    dest="newton_tol")
+    sp.add_argument("--newton-tol", type=_positive, dest="newton_tol")
     sp.add_argument("--out", help="write a JSON report here")
     sp.set_defaults(func=cmd_compose)
 

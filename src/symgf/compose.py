@@ -82,7 +82,7 @@ DEFAULT_NEWTON = NewtonOptions()
 
 @dataclass
 class StationaryPoint:
-    """One solved critical point; ``condition`` is exact, or a certified bound <= 7."""
+    """One solved critical point; ``condition`` is exact (``np.linalg.cond``) or a bound <= 7."""
 
     p_mid: np.ndarray
     x_mid: np.ndarray
@@ -123,7 +123,7 @@ def _at(P1, X3, i):
 @dataclass
 class _Solution:
     """Per-point results of one stacked damped Newton: iterates ``Z (B, q)``, iterations,
-    final residuals, condition numbers (exact, or the certified bound <= 7, see
+    final residuals, condition numbers (``np.linalg.cond``'s, or the certified bound <= 7, see
     :func:`_damped_newton`), the stacked order-2 jets of the accepted iterates (maybe none),
     and the error that ended each point's solve (None where it converged)."""
 
@@ -142,16 +142,7 @@ class _Solution:
         return self
 
 
-def _phase_condition(J):
-    """2-norm condition numbers of Jacobians ``[[I, -G_xx], [-F_pp, I]]`` from the eigenvalues
-    of the symmetric phase Hessian their column-block swap gives (Golub & Van Loan, 8.6)."""
-    k = J.shape[-1] // 2
-    lam = np.abs(np.linalg.eigvalsh(np.concatenate([J[..., k:], J[..., :k]], axis=-1)))
-    with np.errstate(divide="ignore", over="ignore"):
-        return lam.max(axis=-1) / lam.min(axis=-1)
-
-
-def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
+def _damped_newton(system, Z, opts, label, at, start=None) -> _Solution:
     """Damped Newton on a stack of square systems from the iterates ``Z (B, q)``.
 
     ``system(rows, Z)`` gives residuals ``(b, q)``, Jacobians ``(b, q, q)``
@@ -159,9 +150,10 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
     ``rows`` at ``Z``; ``start`` is that triple at ``Z``, if known.  Every
     point keeps its own iterate, backtracking line search and convergence test.  At each
     iterate a live Jacobian whose bound nu = sqrt(||J - I||_1 ||J - I||_inf) >= ||J - I||_2 is
-    at most ``CERTIFIED`` gets the condition bound (1 + nu) / (1 - nu); ``cond`` computes the
-    rest exactly (a non-finite one has condition inf).  A point that is degenerate, finds no
-    descent step or runs out of iterations records its error, named by ``at(i)``; the rest go on.
+    at most ``CERTIFIED`` gets the condition bound (1 + nu) / (1 - nu); the other rows, of
+    any system, take ``np.linalg.cond`` (a non-finite one has condition inf).  A point that is
+    degenerate, finds no descent step or runs out of iterations records its error, named by
+    ``at(i)``; the rest go on.
     """
     B = len(Z)
     z = np.array(Z, dtype=float)
@@ -177,7 +169,7 @@ def _damped_newton(system, Z, opts, label, at, cond, start=None) -> _Solution:
             conds = np.where(exact, np.inf, (1.0 + nu) / (1.0 - nu))
         if exact.any():
             exact &= np.isfinite(Ja).all(axis=(1, 2))
-            conds[exact] = cond(Ja[exact])
+            conds[exact] = np.linalg.cond(Ja[exact])
         res = np.abs(r[rows]).max(axis=1)
         sol.iterations[rows], sol.residuals[rows], sol.conditions[rows] = it, res, conds
         bad = ~(conds <= COND_LIMIT)
@@ -239,7 +231,7 @@ def _solve(Fev, G, P1, X3, opts, linear) -> _Solution:
         jF = Fev(slice(None), Z[:, :k], 2)
     return _damped_newton(
         lambda rows, Zr: _residual_and_jac(G, P1[rows], Zr, Fev(rows, Zr[:, :k], 2)),
-        Z, opts, "stationary-point", lambda i: _at(P1, X3, i), _phase_condition,
+        Z, opts, "stationary-point", lambda i: _at(P1, X3, i),
         _residual_and_jac(G, P1, Z, jF, jG)).checked()
 
 
@@ -312,13 +304,8 @@ class ComposedGenFun(GenFun):
         for i in range(k):
             L.hess[..., i, k + i] -= 1.0
             L.hess[..., k + i, i] -= 1.0
-        Lzz = L.hess[..., :2 * k, :2 * k]
-        Lzu = L.hess[..., :2 * k, 2 * k:]
-        try:
-            zu = -np.linalg.solve(Lzz, Lzu)
-        except np.linalg.LinAlgError as exc:
-            at = _at(p1, x3, int(np.argmax(np.linalg.cond(Lzz))))
-            raise DegeneracyError(f"second-derivative block is singular {at}") from exc
+        # L_zz is the accepted iterate's Jacobian up to signed block swaps: cond <= COND_LIMIT
+        zu = -np.linalg.solve(L.hess[..., :2 * k, :2 * k], L.hess[..., :2 * k, 2 * k:])
         E = np.zeros(zu.shape[:-2] + (nv, m + n))
         E[..., :2 * k, :] = zu
         E[..., 2 * k:, :] = np.eye(m + n)

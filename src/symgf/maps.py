@@ -73,7 +73,7 @@ class InverseMap:
             return bj.value - Y[rows], bj.grad, ()
 
         sol = _damped_newton(system, Y, NewtonOptions(tol=1e-14, max_iter=60),
-                             "inverse-map", lambda i: f"at y={Y[i]}", np.linalg.cond).checked()
+                             "inverse-map", lambda i: f"at y={Y[i]}").checked()
         out = Jet(order, sol.Z.reshape(y.shape))
         if order == 0:
             return out

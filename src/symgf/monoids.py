@@ -262,9 +262,9 @@ class PolyPoisson:
     @classmethod
     def from_constant(cls, A):
         A = np.asarray(A, dtype=float)
-        d = A.shape[0]
         if A.ndim != 2 or not np.array_equal(A, -A.T):
             raise ValueError("constant bivector must be an antisymmetric matrix")
+        d = A.shape[0]
         ent = {}
         for i in range(d):
             for j in range(i + 1, d):

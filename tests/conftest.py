@@ -37,14 +37,14 @@ def fd_jac(f, z, h=1e-6):
     return np.stack(cols, axis=-1)
 
 
-def recorded_conditions(J, cond):
+def recorded_conditions(J):
     """The conditions ``_damped_newton`` records for the Jacobians ``J (B, q, q)`` of
-    systems already at their solutions, given the exact callable ``cond``, and each
-    row's norm bound ``sqrt(||J - I||_1 ||J - I||_inf)`` on ``||J - I||_2``."""
+    systems already at their solutions, and each row's norm bound
+    ``sqrt(||J - I||_1 ||J - I||_inf)`` on ``||J - I||_2``."""
     from symgf.compose import NewtonOptions, _damped_newton
     B, q = J.shape[:2]
     sol = _damped_newton(lambda rows, Z: (np.zeros((len(Z), q)), J[rows], ()), np.zeros((B, q)),
-                         NewtonOptions(), "test", lambda i: f"at row {i}", cond)
+                         NewtonOptions(), "test", lambda i: f"at row {i}")
     assert list(sol.iterations) == [0] * B
     D = np.abs(J - np.eye(q))
     return sol, np.sqrt(D.sum(axis=1).max(axis=1) * D.sum(axis=2).max(axis=1))

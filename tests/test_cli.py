@@ -60,6 +60,34 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_record_the_overrides_they_ran_with(tmp_path):
+    # --weights and --newton-tol are recorded where the subcommand takes
+    # them, and only when they are given
+    out = tmp_path / "report.json"
+    kontsevich = ["--builtin", "kontsevich", "--alpha", "so3", "--eps", "0.05", "--order", "2",
+                  "--grid-n", "4", "--out", str(out)]
+    lift = ["--f", str(DATA / "lift_shear_d2.json"), "--out", str(out)]
+    morphism = ["morphism", *lift, "--dom", "builtin:symplectic:2",
+                "--cod", "builtin:symplectic:2", "--grid-n", "4"]
+    composite = ["compose", *lift, "--g", "builtin:symplectic:2",
+                 "--p", "0.1,0.2,0,0", "--x", "0.3,-0.1"]
+    runs = [
+        (["verify", *kontsevich, "--weights", "0.5,0.5", "--newton-tol", "1e-9"], 1,
+         {"weights": "0.5,0.5", "newton_tol": 1e-9}),
+        (["verify", *kontsevich], 0, {}),
+        (["poisson", *kontsevich, "--weights", "0.5,0.5"], 0, {"weights": "0.5,0.5"}),
+        (["poisson", *kontsevich], 0, {}),
+        ([*morphism, "--newton-tol", "1e-10"], 0, {"newton_tol": 1e-10}),
+        (morphism, 0, {}),
+        ([*composite, "--newton-tol", "1e-11"], 0, {"newton_tol": 1e-11}),
+        (composite, 0, {}),
+    ]
+    for argv, code, overrides in runs:
+        assert main(argv) == code, argv
+        config = json.loads(out.read_text())["config"]
+        assert {k: config[k] for k in ("weights", "newton_tol") if k in config} == overrides
+
+
 def test_verify_failure_exits_one(tmp_path):
     S = symplectic_monoid(2)
     terms = dict(S.terms)

@@ -192,7 +192,8 @@ def test_symplectic_monoid_closed_form_value():
 # -- polynomial bivectors ---------------------------------------------------
 
 @pytest.mark.parametrize("A", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [-1.000001, 0.0]],
-                               [0.0, 0.0]], ids=["symmetric", "off-by-1e-6", "vector"])
+                               [0.0, 0.0], 1.0],
+                         ids=["symmetric", "off-by-1e-6", "vector", "scalar"])
 def test_from_constant_rejects_what_is_not_an_exactly_antisymmetric_matrix(A):
     with pytest.raises(ValueError, match="must be an antisymmetric matrix"):
         PolyPoisson.from_constant(A)
