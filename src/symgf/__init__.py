@@ -16,7 +16,7 @@ from .compose import (ComposedGenFun, CompositionError, ConvergenceError,
                       stationary_point)
 from .genfun import (GenFun, LiftGenFun, NormalizationError, PolyGenFun,
                      TensorGenFun, base_map, cotangent_lift, identity_genfun,
-                     poly_genfun, tensor, unit_genfun)
+                     poly_genfun, tensor)
 from .grids import halton, sample_ball, sample_box
 from .jets import Jet
 from .maps import InverseMap, PolyMap
@@ -24,11 +24,10 @@ from .monoids import (LieStructure, Order2GateError, PolyPoisson, TreeWeightFit,
                       abelian_monoid, fit_tree_weights, kontsevich_monoid,
                       lie_monoid, standard_bivector, symplectic_monoid,
                       truncated_group_law)
-from .verify import (GroupoidMaps, PoissonField, VerificationReport,
-                     bracket_sign, canonical_bracket, check_associativity,
-                     check_groupoid, check_jacobi, check_morphism,
-                     check_poisson_map, check_unit, poisson_bivector,
-                     source_target)
+from .verify import (PoissonField, VerificationReport, bracket_sign,
+                     canonical_bracket, check_associativity, check_groupoid,
+                     check_jacobi, check_morphism, check_poisson_map, check_unit,
+                     poisson_bivector, source_target)
 
 __version__ = "0.1.0"
 
@@ -38,15 +37,13 @@ __all__ = [
     "StationaryPoint", "change_coordinates", "compose", "stationary_point",
     "GenFun", "LiftGenFun", "NormalizationError", "PolyGenFun", "TensorGenFun",
     "base_map", "cotangent_lift", "identity_genfun", "poly_genfun", "tensor",
-    "unit_genfun",
     "halton", "sample_ball", "sample_box",
     "Jet", "InverseMap", "PolyMap",
     "LieStructure", "Order2GateError", "PolyPoisson", "TreeWeightFit",
     "abelian_monoid", "fit_tree_weights", "kontsevich_monoid", "lie_monoid",
     "standard_bivector", "symplectic_monoid", "truncated_group_law",
-    "GroupoidMaps", "PoissonField", "VerificationReport", "bracket_sign",
-    "canonical_bracket", "check_associativity", "check_groupoid", "check_jacobi",
-    "check_morphism", "check_poisson_map", "check_unit", "poisson_bivector",
-    "source_target",
+    "PoissonField", "VerificationReport", "bracket_sign", "canonical_bracket",
+    "check_associativity", "check_groupoid", "check_jacobi", "check_morphism",
+    "check_poisson_map", "check_unit", "poisson_bivector", "source_target",
     "__version__",
 ]

@@ -58,10 +58,12 @@ MORPHISM_AXIOMS = ("morphism", "poisson-map")
 # Built-in Lie algebras, by the name that --lie, --alpha and builtin:lie:NAME take.
 STRUCTURES = {"so3": LieStructure.so3, "heisenberg": LieStructure.heisenberg}
 
-# The arguments of verify and poisson that their reports' config records;
-# the overrides --weights and --newton-tol only when they are given.
-MONOID_CONFIG = ("builtin", "monoid", "d", "lie", "trunc", "alpha", "eps", "order", "weights",
-                 "grid_n", "p_radius", "x_box", "seed", "newton_tol")
+# What verify's and poisson's reports record: the arguments that build their monoid, by
+# source (--monoid or a --builtin name), then the grid's; --weights and --newton-tol if given.
+MONOID_CONFIG = {"monoid": ("monoid",), "symplectic": ("builtin", "d"),
+                 "identity": ("builtin", "d"), "lie": ("builtin", "lie", "trunc"),
+                 "kontsevich": ("builtin", "alpha", "eps", "order", "weights")}
+GRID_CONFIG = ("grid_n", "p_radius", "x_box", "seed", "newton_tol")
 
 
 # --------------------------------------------------------------------------
@@ -79,9 +81,11 @@ def _bivector(name: str) -> PolyPoisson:
 
 def build_monoid(args) -> GenFun:
     """Monoid selection shared by verify/poisson: --monoid or --builtin."""
+    b = args.builtin
+    if args.weights is not None and (args.monoid or (b, args.order) != ("kontsevich", 2)):
+        raise UserInputError("--weights needs --builtin kontsevich --order 2")
     if args.monoid:
         return parse_genfun_source(args.monoid, "--monoid")
-    b = args.builtin
     if b is None:
         raise UserInputError("choose a monoid with --builtin or --monoid")
     if b == "symplectic":
@@ -93,11 +97,7 @@ def build_monoid(args) -> GenFun:
     # argparse's choices leave kontsevich
     if args.alpha is None:
         raise UserInputError("--builtin kontsevich needs --alpha (name or JSON path)")
-    weights = None
-    if args.weights is not None:
-        if args.order != 2:
-            raise UserInputError("--weights needs --order 2")
-        weights = tuple(_parse_floats(args.weights, "--weights", 2))
+    weights = None if args.weights is None else tuple(_parse_floats(args.weights, "--weights", 2))
     return kontsevich_monoid(_bivector(args.alpha), eps=args.eps,
                              order=args.order, weights=weights)
 
@@ -173,7 +173,8 @@ def _newton(args) -> NewtonOptions:
     return DEFAULT_NEWTON if args.newton_tol is None else NewtonOptions(tol=args.newton_tol)
 
 
-def _config_dict(args, keys):
+def _config_dict(args, keys=None):
+    keys = keys or MONOID_CONFIG["monoid" if args.monoid else args.builtin] + GRID_CONFIG
     given = vars(args)
     return {"command": args.command, **{k: given[k] for k in keys if given.get(k) is not None}}
 
@@ -184,7 +185,7 @@ def _write_report(args, doc):
         print(f"report written to {args.out}")
 
 
-def _finish(reports, args, config_keys, extra=None) -> int:
+def _finish(reports, args, config_keys=None, extra=None) -> int:
     for r in reports:
         print(r.summary_line())
     passed = all(r.passed for r in reports)
@@ -239,7 +240,7 @@ def cmd_verify(args) -> int:
         "c1": fit.c1, "c2": fit.c2, "floor": fit.floor, "n_rows": fit.n_rows,
         "passed": fit.passed}}
     print(f"monoid: {S.label}  (d={S.n})")
-    return _finish(reports, args, MONOID_CONFIG, extra)
+    return _finish(reports, args, extra=extra)
 
 
 def cmd_poisson(args) -> int:
@@ -247,7 +248,6 @@ def cmd_poisson(args) -> int:
     _warn_beyond_domain(args, S)
     d, seed = S.n, args.seed
     field = poisson_bivector(S)
-    gm = source_target(S)
     if args.at_x:
         xs = np.array([_parse_floats(t, "--at-x", d) for t in args.at_x])
     else:
@@ -257,7 +257,7 @@ def cmd_poisson(args) -> int:
     pxs = xs[:len(ps)]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value exits 1 below
         alpha = field.matrix(xs)
-        (src, _, _), (tgt, _, _) = gm._jets(ps, pxs, "st")
+        (src, _, _), (tgt, _, _) = source_target(S, ps, pxs)
     _require_finite("the bivector", lambda i: f"at x={xs[i]}", alpha)
     _require_finite("the source/target map", lambda i: f"at p={ps[i]}, x={pxs[i]}", src, tgt)
     # serialize.dumps writes numpy arrays and scalars as JSON lists and numbers
@@ -271,7 +271,7 @@ def cmd_poisson(args) -> int:
     print(f"source/target at p = {np.array2string(ps[0], precision=6)}, x above:")
     print("  s =", np.array2string(src[0], precision=6))
     print("  t =", np.array2string(tgt[0], precision=6))
-    _write_report(args, {"config": _config_dict(args, MONOID_CONFIG), "alpha": alpha_rows,
+    _write_report(args, {"config": _config_dict(args), "alpha": alpha_rows,
                          "source_target": st_rows})
     return 0
 
@@ -347,8 +347,7 @@ def cmd_morphism(args) -> int:
                check_poisson_map(base_map(F), poisson_bivector(S_N),
                                  poisson_bivector(S_M), pxs, tols["poisson-map"])]
     print(f"morphism candidate: {F.label or args.f}  ({S_M.label} -> {S_N.label})")
-    return _finish(reports, args, ("f", "dom", "cod", "grid_n", "p_radius", "x_box", "seed",
-                                   "newton_tol"))
+    return _finish(reports, args, ("f", "dom", "cod", *GRID_CONFIG))
 
 
 # --------------------------------------------------------------------------

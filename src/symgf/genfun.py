@@ -177,11 +177,6 @@ def identity_genfun(d) -> PolyGenFun:
     return PolyGenFun(terms, d, d, np.inf, label=f"id_{d}")
 
 
-def unit_genfun(d) -> PolyGenFun:
-    """The genfun of the inclusion of a point: m = 0, S identically 0."""
-    return PolyGenFun({}, 0, d, np.inf, label=f"unit_{d}")
-
-
 def cotangent_lift(phi, label="") -> GenFun:
     """Genfun of the cotangent lift of a map phi (base map = phi).
 

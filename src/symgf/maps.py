@@ -39,10 +39,6 @@ class PolyMap:
                  for i in range(k)]
         return cls(comps, n)
 
-    @classmethod
-    def identity(cls, n):
-        return cls.linear(np.eye(n))
-
     def jet(self, x, order) -> Jet:
         return Jet(order, *self._kernel.jet(x, order))
 

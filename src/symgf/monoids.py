@@ -44,11 +44,19 @@ def rounding_floor(size, n):
     return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF) * size
 
 
-def _jacobi_gate(what, blocks):
+def _exponent(coeffs):
+    """e with 2^(e-1) <= max |coeffs| < 2^e; 0 when that maximum is 0 or not finite.
+    The Jacobiators are formed from the coefficients times 2^-e, so their products of
+    two cannot overflow; that leaves every |J| / floor as it is."""
+    return int(np.frexp(np.max(np.abs(coeffs), initial=0.0))[1])
+
+
+def _jacobi_gate(what, blocks, e=0):
     """Refuse ``what`` when a coefficient of its Jacobiator, which vanishes for a Poisson
     bivector, exceeds its rounding floor, naming the one with the largest |J| / floor.
     In a block (jac, size, n, name), coefficient r is J = jac[r], its floor is
-    rounding_floor(size[r], n[r]), and name(r) = ((i, j, k), x-exponents)."""
+    rounding_floor(size[r], n[r]), and name(r) = ((i, j, k), x-exponents); jac and size
+    are formed from coefficients scaled by 2^-e, so the message scales them by 2^2e."""
     worst = (0.0, 0.0, 0.0, None)
     for jac, size, n, name in blocks:
         floor = np.maximum(rounding_floor(size, n), np.finfo(float).tiny)
@@ -59,6 +67,8 @@ def _jacobi_gate(what, blocks):
             worst = (ratio[r], jac[r], floor[r], name(r))
     if worst[0] > 1.0:
         _, value, floor, (ijk, xe) = worst
+        with np.errstate(over="ignore"):  # a coefficient beyond the float range reads inf
+            value, floor = np.ldexp([value, floor], 2 * e)
         raise ValueError(f"{what} the Jacobi identity: its {ijk} coefficient of x^{xe} is "
                          f"{value:.3e}, above its rounding floor {floor:.3e}")
 
@@ -96,10 +106,8 @@ class LieStructure:
                              f"{(self.d,) * 3}, got {self.c.shape}")
         if not np.array_equal(self.c, -self.c.transpose(0, 2, 1)):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
-        _jacobi_gate("structure constants violate", _jacobi_residual(self.c))
-
-    def bracket(self, u, v):
-        return np.einsum("kij,i,j->k", self.c, np.asarray(u, float), np.asarray(v, float))
+        e = _exponent(self.c)
+        _jacobi_gate("structure constants violate", _jacobi_residual(np.ldexp(self.c, -e)), e)
 
     @classmethod
     def so3(cls):
@@ -373,7 +381,7 @@ def _symbols(alpha: PolyPoisson):
     combination of these two).  Their sums over the cyclic turns of i < j < k
     are the Jacobiator's coefficients, which :func:`_jacobi_gate` reads.
     """
-    d = alpha.d
+    d, e = alpha.d, _exponent(alpha.coeff_scale())
     first, t1, t2, jac = {}, {}, {}, {}
     for i in range(d):
         for j in range(d):
@@ -400,10 +408,11 @@ def _symbols(alpha: PolyPoisson):
                             # J, the sum of |products|, and the roundings of a product: its
                             # own, its derivative factor's, and one per addition
                             acc = jac.setdefault(key, [0.0, 0.0, 1])
-                            acc[:] = acc[0] + ca * cb, acc[1] + abs(ca * cb), acc[2] + 1
+                            q = math.ldexp(ca, -e) * math.ldexp(cb, -e)
+                            acc[:] = acc[0] + q, acc[1] + abs(q), acc[2] + 1
     keys = list(jac)
     J, size, n = np.array(list(jac.values())).reshape(-1, 3).T
-    _jacobi_gate("bivector violates", [(J, size, n, keys.__getitem__)])
+    _jacobi_gate("bivector violates", [(J, size, n, keys.__getitem__)], e)
     return abelian_monoid(d).terms, first, (t1, t2)
 
 

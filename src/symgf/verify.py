@@ -38,10 +38,9 @@ class PoissonField:
     or a stack ``(B, d)``.
     """
 
-    def __init__(self, d, backend, label=""):
+    def __init__(self, d, backend):
         self.d = int(d)
         self._backend = backend  # (x, order) -> (alpha (..,d,d), dalpha (..,d,d,d) | None)
-        self.label = label
 
     @classmethod
     def from_monoid(cls, S: GenFun):
@@ -57,11 +56,11 @@ class PoissonField:
             T = j.third[..., :d, d:2 * d, 2 * d:] if order >= 1 else None
             return A - A.swapaxes(-1, -2), None if T is None else T - T.swapaxes(-3, -2)
 
-        return cls(d, backend, label=f"bivector[{S.label}]")
+        return cls(d, backend)
 
     @classmethod
     def from_poly(cls, poly: PolyPoisson):
-        return cls(poly.d, poly.matrix_jet, label="poly-bivector")
+        return cls(poly.d, poly.matrix_jet)
 
     def matrix(self, x) -> np.ndarray:
         return self._backend(np.asarray(x, float), 0)[0]
@@ -80,55 +79,26 @@ def as_field(obj) -> PoissonField:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a Poisson field")
 
 
-class GroupoidMaps:
-    """Source and target maps of a monoid genfun:
+def source_target(S: GenFun, p, x):
+    """The jets (value, d/dp, d/dx) of the source and target maps of a monoid genfun,
 
         s(p, x) = grad_{p2} S(p, 0, x),     t(p, x) = grad_{p1} S(0, p, x),
 
-    with first derivatives with respect to (p, x) for bracket evaluation.
-    ``p`` and ``x`` may be one point ``(d,)`` each or stacks ``(B, d)``.
+    at (p, x), from one evaluation of S on the momentum pads (p, 0) and (0, p)
+    stacked.  ``p`` and ``x`` may be one point ``(d,)`` each or stacks ``(B, d)``.
     """
-
-    def __init__(self, S: GenFun):
-        d = S.n
-        if S.m != 2 * d:
-            raise ValueError("source/target extraction expects a monoid-shaped genfun")
-        self.S = S
-        self.d = d
-
-    def source(self, p, x) -> np.ndarray:
-        return self.source_jet(p, x)[0]
-
-    def target(self, p, x) -> np.ndarray:
-        return self.target_jet(p, x)[0]
-
-    def _jets(self, p, x, sides):
-        """The jets (value, d/dp, d/dx) of the maps in ``sides`` ("s", "t") at
-        (p, x), from one evaluation of S on their momentum pads stacked."""
-        d = self.d
-        lead = (len(sides),) + np.shape(p)[:-1]
-        # p sits at column c of each pad; its map reads the momentum half left at 0
-        cs = [d * "st".index(side) for side in sides]
-        pad = np.zeros(lead + (2 * d,))
-        for k, c in enumerate(cs):
-            pad[k, ..., c:c + d] = p
-        x = np.broadcast_to(np.asarray(x, dtype=float), lead + (d,))
-        j = self.S.eval_jet(pad.reshape(-1, 2 * d), x.reshape(-1, d), 2)
-        g, h = (a.reshape(lead + a.shape[1:]) for a in (j.grad, j.hess))
-        return [(g[k, ..., d - c:2 * d - c], h[k, ..., d - c:2 * d - c, c:c + d],
-                 h[k, ..., d - c:2 * d - c, 2 * d:]) for k, c in enumerate(cs)]
-
-    def source_jet(self, p, x):
-        """(s(p,x), ds/dp, ds/dx)."""
-        return self._jets(p, x, "s")[0]
-
-    def target_jet(self, p, x):
-        """(t(p,x), dt/dp, dt/dx)."""
-        return self._jets(p, x, "t")[0]
-
-
-def source_target(S: GenFun) -> GroupoidMaps:
-    return GroupoidMaps(S)
+    d = S.n
+    if S.m != 2 * d:
+        raise ValueError("source/target extraction expects a monoid-shaped genfun")
+    lead = (2,) + np.shape(p)[:-1]
+    # p sits at column c of each pad; its map reads the momentum half left at 0
+    pad = np.zeros(lead + (2 * d,))
+    pad[0, ..., :d] = pad[1, ..., d:] = p
+    x = np.broadcast_to(np.asarray(x, dtype=float), lead + (d,))
+    j = S.eval_jet(pad.reshape(-1, 2 * d), x.reshape(-1, d), 2)
+    g, h = (a.reshape(lead + a.shape[1:]) for a in (j.grad, j.hess))
+    return tuple((g[k, ..., d - c:2 * d - c], h[k, ..., d - c:2 * d - c, c:c + d],
+                  h[k, ..., d - c:2 * d - c, 2 * d:]) for k, c in enumerate((0, d)))
 
 
 def poisson_bivector(S: GenFun) -> PoissonField:
@@ -321,12 +291,11 @@ def check_groupoid(S: GenFun, ps, xs, tol=1e-10):
     :data:`GROUPOID_AXIOMS`.
     """
     tols = {a: tol[a] if isinstance(tol, Mapping) else tol for a in GROUPOID_AXIOMS}
-    gm = GroupoidMaps(S)
     fld = PoissonField.from_monoid(S)
     iu, ju = np.triu_indices(S.n, 1)
 
     def residuals(p, x):
-        js, jt = gm._jets(p, x, "st")
+        js, jt = source_target(S, p, x)
         alpha_s, alpha_t = np.split(fld.matrix(np.concatenate([js[0], jt[0]])), 2)
         bss, btt, bst = _brackets(js, js), _brackets(jt, jt), _brackets(js, jt)
         return (np.max(np.abs(bss - alpha_s)[:, iu, ju], axis=1, initial=0.0),

@@ -88,6 +88,35 @@ def test_reports_record_the_overrides_they_ran_with(tmp_path):
         assert {k: config[k] for k in ("weights", "newton_tol") if k in config} == overrides
 
 
+def test_reports_record_only_what_built_their_monoid(tmp_path):
+    # each monoid source records its own arguments, then the grid's; --weights
+    # weighs the trees of the order-2 Kontsevich monoid and applies to no other
+    out = tmp_path / "report.json"
+    grid = {"grid_n": 4, "p_radius": 0.1, "x_box": 1.0, "seed": 0}
+    lie = ["verify", "--builtin", "lie", "--lie", "so3", "--trunc", "2", "--grid-n", "4"]
+    token = ["verify", "--monoid", "builtin:symplectic:2", "--eps", "3", "--grid-n", "4"]
+    for argv in (lie, token):
+        assert main([*argv, "--weights", "0.5,0.5", "--out", str(out)]) == 2, argv
+    assert not out.exists()
+    tols = {"associativity": 1e-6, **dict.fromkeys(GROUPOID_AXIOMS, 1e-5)}
+    kontsevich = ["verify", "--builtin", "kontsevich", "--alpha", "so3", "--eps", "0.05",
+                  "--order", "2", "--p-radius", "0.05", "--grid-n", "4",
+                  *(f"--tol={axiom}={tol:g}" for axiom, tol in tols.items())]
+    runs = [
+        (lie, {"builtin": "lie", "lie": "so3", "trunc": 2}),
+        (token, {"monoid": "builtin:symplectic:2"}),
+        (kontsevich, {"builtin": "kontsevich", "alpha": "so3", "eps": 0.05, "order": 2,
+                      "p_radius": 0.05}),
+        (["poisson", "--builtin", "identity", "--d", "3", "--lie", "so3", "--grid-n", "4"],
+         {"builtin": "identity", "d": 3}),
+    ]
+    for argv, want in runs:
+        main([*argv, "--out", str(out)])
+        config = json.loads(out.read_text())["config"]
+        config.pop("tol", None)
+        assert config == {"command": argv[0], **grid, **want}, argv
+
+
 def test_verify_failure_exits_one(tmp_path):
     S = symplectic_monoid(2)
     terms = dict(S.terms)
@@ -317,7 +346,7 @@ def test_weights_below_order_2_exit_two_with_one_message(capsys):
     # without --order 2 the weights have no tree to weigh
     argv = ["verify", "--builtin", "kontsevich", "--alpha", "so3", "--weights", "1,2"]
     assert main(argv + ["--grid-n", "4"]) == 2
-    assert capsys.readouterr().err == "error: --weights needs --order 2\n"
+    assert capsys.readouterr().err == "error: --weights needs --builtin kontsevich --order 2\n"
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symgf import (GenFun, NormalizationError, PolyMap, base_map, cotangent_lift,
-                   identity_genfun, poly_genfun, sample_ball, sample_box,
-                   symplectic_monoid, tensor, unit_genfun)
+from symgf import (GenFun, NormalizationError, PolyGenFun, PolyMap, base_map,
+                   cotangent_lift, identity_genfun, poly_genfun, sample_ball, sample_box,
+                   symplectic_monoid, tensor)
 from symgf.genfun import LiftGenFun, TensorGenFun
 from symgf.maps import InverseMap
 
@@ -61,8 +61,9 @@ def test_tensor_of_polys_is_sum_on_disjoint_slots():
     np.testing.assert_allclose(j.grad, g, atol=1e-6)
 
 
-def test_unit_genfun_has_no_momenta():
-    U = unit_genfun(2)
+def test_a_genfun_without_momenta_evaluates_to_zero():
+    # the inclusion of a point: m = 0, S identically 0
+    U = PolyGenFun({}, 0, 2)
     assert (U.m, U.n) == (0, 2)
     assert U(np.zeros(0), np.array([0.4, -0.2])) == 0.0
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symgf import (LieStructure, PolyMap, PolyPoisson, kontsevich_monoid,
-                   lie_monoid, poly_genfun, symplectic_monoid, unit_genfun)
+from symgf import (LieStructure, PolyGenFun, PolyMap, PolyPoisson, kontsevich_monoid,
+                   lie_monoid, poly_genfun, symplectic_monoid)
 from symgf.cli import MAX_DIM
 from symgf.jets import PolyKernel, _PartialTable, jet_sum, poly_term_jet
 
@@ -109,7 +109,7 @@ def _kernel_cases():
         "kontsevich-order2": genfun(kontsevich_monoid(
             PolyPoisson.linear_from_structure(so3), eps=0.5, order=2,
             weights=(-1.0 / 12.0, 1.0 / 12.0))),
-        "empty": genfun(unit_genfun(3)),
+        "empty": genfun(PolyGenFun({}, 0, 3)),
         "polymap-with-zero-component": (phi.components, 3, map_jets),
         "polypoisson": (list(alpha.entries.values()), 3, poisson_jets),
     }
@@ -163,7 +163,7 @@ def _bit_kernels():
     alpha = PolyPoisson(3, {(0, 1): {(0, 0, 1): 1.0, (2, 0, 0): 0.4},
                             (1, 2): {(1, 0, 0): 1.0, (0, 0, 0): 0.3, (0, 1, 2): -0.5}})
     return {
-        "empty-genfun": (unit_genfun(3)._kernel, 0),
+        "empty-genfun": (PolyGenFun({}, 0, 3)._kernel, 0),
         "constant": (PolyKernel(np.zeros((1, 2), dtype=np.int64), np.array([[2.0, -0.5]])), 0),
         "linear-polymap": (PolyMap.linear(np.array([[2.0, 1.0], [0.0, -1.0]]))._kernel, 1),
         "symplectic-d2": (symplectic_monoid(2)._kernel, 2),

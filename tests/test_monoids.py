@@ -22,9 +22,8 @@ from oracles import (builtin_rep, composite_defect_eps2, group_law_poly_eval, gr
 def test_so3_structure_is_cross_product():
     st = LieStructure.so3()
     e1, e2, e3 = np.eye(3)
-    np.testing.assert_array_equal(st.bracket(e1, e2), e3)
-    np.testing.assert_array_equal(st.bracket(e2, e3), e1)
-    np.testing.assert_array_equal(st.bracket(e3, e1), e2)
+    for u, v, w in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        np.testing.assert_array_equal(np.einsum("kij,i,j->k", st.c, u, v), w)
 
 
 def test_structure_constants_validated():
@@ -348,13 +347,25 @@ def test_jacobi_verdict_is_invariant_under_exact_rescaling():
         assert verdicts == dict.fromkeys(range(-40, 41), poisson), name
 
 
-def test_jacobi_gate_refuses_a_jacobiator_that_overflows():
-    # products of coefficients near 1e200 overflow, so the gate cannot certify
-    # the identity; a nan coefficient must not pass as below its floor
+def _gl2():
+    # [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the matrix units E_00, E_01, E_10, E_11
+    E = np.eye(4).reshape(4, 2, 2)
+    return np.einsum("kab,iac,jcb->kij", E, E, E) - np.einsum("kab,jac,icb->kij", E, E, E)
+
+
+def test_jacobi_gate_builds_where_the_coefficient_products_overflow():
+    # products of coefficients near 1e200 overflow, so the gate forms them from the
+    # coefficients scaled by a power of two: both Poisson inputs build
+    S = kontsevich_monoid(_quadratic_poisson().scaled(1e197), eps=1e-300)
+    assert S.domain_radius == 0.5 / (1e-300 * 1e200)
+    assert LieStructure(4, 1e200 * _gl2()).d == 4
+    # an infinite coefficient must not pass as below its floor
+    alpha = PolyPoisson(3, {(0, 1): {(1, 1, 0): np.inf}, (0, 2): {(1, 0, 1): 1000.0},
+                            (1, 2): {(0, 1, 1): 1000.0}})
     with pytest.raises(ValueError, match=re.escape(
             "bivector violates the Jacobi identity: its (0, 1, 2) coefficient of "
             "x^(1, 1, 1) is nan, above its rounding floor inf")):
-        kontsevich_monoid(_quadratic_poisson().scaled(1e197), eps=1e-300)
+        kontsevich_monoid(alpha, eps=1e-300)
 
 
 def test_negative_eps_gives_the_same_domain_radius():

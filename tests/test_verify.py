@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from symgf import (DegeneracyError, Diffeo, GroupoidMaps, LieStructure, PoissonField, PolyMap,
+from symgf import (DegeneracyError, Diffeo, LieStructure, PoissonField, PolyMap,
                    PolyPoisson, VerificationReport, base_map, bracket_sign, canonical_bracket,
                    change_coordinates, check_associativity, check_groupoid, check_jacobi,
                    check_morphism, check_poisson_map, check_unit, compose, identity_genfun,
@@ -24,11 +24,10 @@ def test_bracket_sign_calibrates_positive():
     # {s_i, s_j} = alpha^{ij}(s) holds exactly on the closed-form symplectic
     # monoid for one sign only; it must be the constant bracket_sign()
     S = symplectic_monoid(2)
-    gm = GroupoidMaps(S)
     field = PoissonField.from_monoid(S)
     ps = np.array([[0.07, -0.04], [-0.05, 0.09]])
     xs = np.array([[0.31, -0.22], [-0.6, 0.45]])
-    s, dps, dxs = gm.source_jet(ps, xs)
+    (s, dps, dxs), _ = source_target(S, ps, xs)
     # {s_0, s_1} / sign at both points, from the bracket matrices
     b = (dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2))[:, 0, 1]
     a = field.matrix(s)[:, 0, 1]
@@ -51,12 +50,12 @@ def test_canonical_bracket_on_coordinates():
 
 def test_symplectic_source_target_closed_form():
     S = symplectic_monoid(2)
-    gm = source_target(S)
     J = standard_bivector(2)
     p = np.array([0.25, -0.12])
     x = np.array([0.7, 0.4])
-    np.testing.assert_allclose(gm.source(p, x), x - 0.5 * J @ p, atol=1e-14)
-    np.testing.assert_allclose(gm.target(p, x), x + 0.5 * J @ p, atol=1e-14)
+    (s, _, _), (t, _, _) = source_target(S, p, x)
+    np.testing.assert_allclose(s, x - 0.5 * J @ p, atol=1e-14)
+    np.testing.assert_allclose(t, x + 0.5 * J @ p, atol=1e-14)
 
 
 def test_symplectic_bivector_is_jinv():
@@ -97,11 +96,11 @@ def test_stacked_geometry_matches_one_point_rows(make):
     # associativity, the one-stack defect of that sample alone)
     S = make()
     d = S.n
-    gm, field = GroupoidMaps(S), poisson_bivector(S)
+    field = poisson_bivector(S)
     ps = sample_ball(40, d, 0.05, 3)
     xs = sample_box(40, d, -0.3, 0.3, 4)
     p3s = sample_ball(40, 3 * d, 0.05, 5)
-    stacked = gm.source_jet(ps, xs), gm.target_jet(ps, xs)
+    stacked = source_target(S, ps, xs)
     upper = np.triu_indices(d, 1)
     zero, defect = np.zeros(d), _associativity_defect(S)
     want_unit, want_assoc = [], []
@@ -111,7 +110,7 @@ def test_stacked_geometry_matches_one_point_rows(make):
         want_unit.append(max(abs(S.value(np.concatenate([p, zero]), x) - px),
                              abs(S.value(np.concatenate([zero, p]), x) - px)))
         want_assoc.append(abs(defect(p3s[b:b + 1], xs[b:b + 1])[0]))
-        (s, dps, dxs), (t, dpt, dxt) = one = gm.source_jet(p, x), gm.target_jet(p, x)
+        (s, dps, dxs), (t, dpt, dxt) = one = source_target(S, p, x)
         for got, row in zip(stacked, one):
             assert all(np.array_equal(g[b], r) for g, r in zip(got, row))
         bss = dxs @ dps.T - dps @ dxs.T
@@ -182,7 +181,7 @@ def test_lie_bivector_derivatives_are_structure_constants():
 def test_groupoid_maps_require_monoid_shape():
     from symgf import identity_genfun
     with pytest.raises(ValueError):
-        GroupoidMaps(identity_genfun(2))
+        source_target(identity_genfun(2), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         PoissonField.from_monoid(identity_genfun(2))
 
@@ -431,9 +430,8 @@ def test_unit_and_groupoid_evaluate_their_paired_sides_as_one_stack(monkeypatch)
     px = np.array([a @ b for a, b in zip(ps, xs)])
     unit = np.maximum(np.abs(C.value(np.concatenate([ps, zero], axis=1), xs) - px),
                       np.abs(C.value(np.concatenate([zero, ps], axis=1), xs) - px))
-    gm, fld = GroupoidMaps(C), PoissonField.from_monoid(C)
-    s, dps, dxs = gm.source_jet(ps, xs)
-    t, dpt, dxt = gm.target_jet(ps, xs)
+    fld = PoissonField.from_monoid(C)
+    (s, dps, dxs), (t, dpt, dxt) = source_target(C, ps, xs)
     bss = dxs @ dps.swapaxes(-1, -2) - dps @ dxs.swapaxes(-1, -2)
     btt = dxt @ dpt.swapaxes(-1, -2) - dpt @ dxt.swapaxes(-1, -2)
     bst = dxs @ dpt.swapaxes(-1, -2) - dps @ dxt.swapaxes(-1, -2)
