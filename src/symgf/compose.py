@@ -17,7 +17,9 @@ and the stationary value is exactly 0: the composite is normalized by
 construction and no constant is subtracted from its values.  A
 momentum-linear F = <pb, psi(x3)> (a cotangent lift) has grad_p F free of pb,
 so Newton starts at the explicit critical point xb = psi(x3), pb = grad_x G(p1,
-xb), where the residual is exactly 0, and takes 0 iterations.  Newton
+xb), where the residual is exactly 0, and takes 0 iterations; so it does,
+for any other F, when G is base-linear (x-degree <= 1): grad_x G is free of
+xb, and pb = grad_x G(p1, 0), xb = grad_p F(pb, x3).  Newton
 evaluates the operands once per iterate, at order 2, F by rows of one
 evaluator at its fixed base points x3 per stacked solve (``F.at_base``);
 the composite reads orders 0-2 off the accepted iterate's jets.  First
@@ -217,17 +219,19 @@ def _restrict(Fev, rows):
 
 
 def _solve(Fev, G, P1, X3, opts, linear) -> _Solution:
-    """:func:`_damped_newton` on the critical-point systems of F o G at a stack
-    of points ``(P1[i], X3[i])``, from the anchors; ``Fev`` is F at ``X3``,
-    ``linear`` if F is momentum-linear.  If any point fails, the error of the
-    first such point in stack order is raised."""
-    k = G.n
-    # the anchor pb = 0, xb = grad_p F(0, x3); its jets serve iterate 0
-    jF = Fev(slice(None), np.zeros((len(P1), k)), 2)
-    Z = np.concatenate([np.zeros((len(P1), k)), jF.grad[:, :k]], axis=1)
+    """:func:`_damped_newton` on the critical-point systems of F o G at a stack of points
+    ``(P1[i], X3[i])``, from the explicit critical points if F is momentum-linear
+    (``linear``) or G base-linear, else from the anchors; ``Fev`` is F at ``X3``.
+    If any point fails, the error of the first such point in stack order is raised."""
+    k, Z = G.n, np.zeros((len(P1), 2 * G.n))
+    if G.base_linear and not linear:  # grad_x G is free of xb, so pb = grad_x G(p1, 0) is final
+        Z[:, :k] = G.eval_jet(P1, Z[:, k:], 1).grad[:, G.m:]
+    # xb = grad_p F(pb, x3), the anchor's at pb = 0; the jets there serve iterate 0
+    jF = Fev(slice(None), Z[:, :k], 2)
+    Z[:, k:] = jF.grad[:, :k]
     jG = G.eval_jet(P1, Z[:, k:], 2)
     if linear:  # grad_p F is free of pb, so xb is final and pb = grad_x G(p1, xb)
-        Z[:, :k] += jG.grad[:, G.m:]
+        Z[:, :k] = jG.grad[:, G.m:]
         jF = Fev(slice(None), Z[:, :k], 2)
     return _damped_newton(
         lambda rows, Zr: _residual_and_jac(G, P1[rows], Zr, Fev(rows, Zr[:, :k], 2)),
@@ -240,8 +244,8 @@ def stationary_point(F: GenFun, G: GenFun, p1, x3,
     """Solve the critical-point system of the composition F o G at (p1, x3).
 
     Damped Newton from the canonical anchor, or from the explicit critical
-    point when F is momentum-linear.  The point is the composite's stacked
-    solve on a stack of one.  A degenerate system raises
+    point when F is momentum-linear or G base-linear.  The point is the
+    composite's stacked solve on a stack of one.  A degenerate system raises
     :class:`DegeneracyError` and a failed solve :class:`ConvergenceError`.
     """
     row = [np.asarray(a, dtype=float).reshape(1, -1) for a in (p1, x3)]

@@ -19,6 +19,8 @@ a subclass implements only the stacked ``_jet``.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .jets import Jet, PolyKernel, canonical_poly, jet_sum, unit_exponents
@@ -36,6 +38,7 @@ class GenFun:
     """Base class: a jet-evaluable generating function S(p, x)."""
 
     momentum_linear = False  # S = <p, phi(x)>: grad_p S is free of p (compose uses it)
+    base_linear = False  # S has x-degree <= 1: grad_x S is free of x (compose uses it)
 
     def __init__(self, m, n, domain_radius=np.inf, label=""):
         self.m = int(m)
@@ -98,7 +101,21 @@ class PolyGenFun(GenFun):
                     "S(0, x) = 0 requires every term to carry at least one momentum factor"
                 )
         self.momentum_linear = all(sum(pe) == 1 for pe, _ in self.terms)
+        self.base_linear = all(sum(xe) <= 1 for _, xe in self.terms)
         self._kernel = PolyKernel.from_polys([flat], self.m + self.n)
+
+    @cached_property
+    def bivector(self):
+        """The bivector of a monoid-shaped S (m = 2n) as a ``PolyPoisson`` read once from its
+        coefficients: alpha^{ij} = (x-polynomial of the p1_i p2_j terms) - (that of p1_j p2_i)."""
+        from .monoids import PolyPoisson  # monoids builds on this module
+        d, entries = self.n, {}
+        for (pe, xe), c in self.terms.items():
+            i, j = (pe.index(1), pe.index(1, d) - d) if sum(pe[:d]) == sum(pe[d:]) == 1 else (0, 0)
+            if i != j:  # a p1_i p2_j term (those with i = j cancel from alpha^{ii})
+                poly = entries.setdefault((min(i, j), max(i, j)), {})
+                poly[xe] = poly.get(xe, 0.0) + (c if i < j else -c)
+        return PolyPoisson(d, entries)
 
     def _jet(self, P, X, order) -> Jet:
         ts = self._kernel.jet(np.concatenate([P, X], axis=1), order)

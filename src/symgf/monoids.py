@@ -66,11 +66,12 @@ def _jacobi_gate(what, blocks, e=0):
             r = int(np.argmax(ratio))
             worst = (ratio[r], jac[r], floor[r], name(r))
     if worst[0] > 1.0:
-        _, value, floor, (ijk, xe) = worst
+        ratio, value, floor, (ijk, xe) = worst
         with np.errstate(over="ignore"):  # a coefficient beyond the float range reads inf
             value, floor = np.ldexp([value, floor], 2 * e)
         raise ValueError(f"{what} the Jacobi identity: its {ijk} coefficient of x^{xe} is "
-                         f"{value:.3e}, above its rounding floor {floor:.3e}")
+                         f"{value:.3e}, above its rounding floor {floor:.3e} "
+                         f"(|J| / floor = {ratio:.3e})")
 
 
 def _jacobi_residual(c):
@@ -106,6 +107,9 @@ class LieStructure:
                              f"{(self.d,) * 3}, got {self.c.shape}")
         if not np.array_equal(self.c, -self.c.transpose(0, 2, 1)):
             raise ValueError("structure constants are not antisymmetric in the lower indices")
+        if not np.isfinite(self.c).all():  # the gate's products would make it nan
+            k, i, j = np.argwhere(~np.isfinite(self.c))[0].tolist()
+            raise ValueError(f"structure constant c[{k}, {i}, {j}] is {self.c[k, i, j]}")
         e = _exponent(self.c)
         _jacobi_gate("structure constants violate", _jacobi_residual(np.ldexp(self.c, -e)), e)
 
@@ -413,6 +417,9 @@ def _symbols(alpha: PolyPoisson):
     keys = list(jac)
     J, size, n = np.array(list(jac.values())).reshape(-1, 3).T
     _jacobi_gate("bivector violates", [(J, size, n, keys.__getitem__)], e)
+    for ij, xe, c in ((ij, xe, c) for ij, poly in alpha.entries.items() for xe, c in poly.items()):
+        if not math.isfinite(c):  # passed the gate in no Jacobiator product
+            raise ValueError(f"bivector entry {ij} has the coefficient {c} of x^{xe}")
     return abelian_monoid(d).terms, first, (t1, t2)
 
 

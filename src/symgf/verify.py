@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compose import DEFAULT_NEWTON, _pair, compose
-from .genfun import GenFun, tensor
+from .genfun import GenFun, PolyGenFun, tensor
 from .monoids import PolyPoisson, jacobi_defect
 
 # Points per stacked evaluation in the blocked checks, a bound on memory:
@@ -45,10 +45,13 @@ class PoissonField:
     @classmethod
     def from_monoid(cls, S: GenFun):
         """Extract the bivector of a monoid genfun from its mixed momentum
-        Hessian at p = 0: alpha^{ij} = S_{p1_i p2_j} - S_{p1_j p2_i}."""
+        Hessian at p = 0: alpha^{ij} = S_{p1_i p2_j} - S_{p1_j p2_i}, by jets of S, or
+        exactly from the coefficients of a polynomial S (:attr:`PolyGenFun.bivector`)."""
         d = S.n
         if S.m != 2 * d:
             raise ValueError("bivector extraction expects a monoid-shaped genfun (m = 2n)")
+        if isinstance(S, PolyGenFun):
+            return cls.from_poly(S.bivector)
 
         def backend(x, order):
             j = S.eval_jet(np.zeros(x.shape[:-1] + (2 * d,)), x, 3 if order >= 1 else 2)

@@ -20,6 +20,12 @@ The order-2 associativity oracle: ``composite_defect_eps2`` measures the
 eps^2 coefficient of a semiclassical monoid's associativity defect through
 the composition engine, by Newton solves at eps / 2^i and Richardson
 elimination (``richardson_leading``), to check the closed-form fit against.
+
+The jet paths a polynomial genfun short-cuts: ``jet_bivector`` reads a
+monoid's bivector and its derivatives from the order-2 and order-3 jets of
+S at p = 0, to check the coefficient-read bivector against; ``Undeclared``
+hides a genfun's polynomial form and its base-linearity, so compositions with
+it start at the anchor and take Newton, the reference for the explicit start.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from symgf.genfun import GenFun
 from symgf.jets import PolyKernel
 
 _TAYLOR_THETA = 0.25  # scale ||A|| below this before the exp Taylor core
@@ -221,3 +228,25 @@ def composite_defect_eps2(alpha, ps, xs, weights=None, eps=0.08, levels=4):
         _expansion(alpha, symbols, eps / 2.0 ** lev, weights, order))(ps, xs)
         for lev in range(levels)], axis=-1)
     return richardson_leading(defect, eps)
+
+
+def jet_bivector(S, x):
+    """``(alpha, dalpha)`` of a monoid genfun S at base points ``x (B, d)``, with
+    alpha^{ij} = S_{p1_i p2_j} - S_{p1_j p2_i} and dalpha[..., i, j, l] its x_l
+    derivative, read from the order-3 jet of S at p = 0."""
+    d = S.n
+    j = S.eval_jet(np.zeros((len(x), 2 * d)), x, 3)
+    A, T = j.hess[:, :d, d:2 * d], j.third[:, :d, d:2 * d, 2 * d:]
+    return A - A.swapaxes(1, 2), T - T.swapaxes(1, 2)
+
+
+class Undeclared(GenFun):
+    """The jets of ``S`` behind a genfun that is no ``PolyGenFun`` and declares
+    neither momentum- nor base-linearity (the class defaults)."""
+
+    def __init__(self, S):
+        super().__init__(S.m, S.n, S.domain_radius, S.label)
+        self.S = S
+
+    def _jet(self, P, X, order):
+        return self.S.eval_jet(P, X, order)

@@ -16,6 +16,7 @@ from symgf.maps import InverseMap
 from symgf.verify import check_associativity, check_groupoid, check_jacobi, check_unit
 
 from conftest import fd_grad, fd_jac, normalization_residual, recorded_conditions
+from oracles import Undeclared
 
 
 # -- closed-form oracle -----------------------------------------------------
@@ -452,27 +453,33 @@ def test_stacked_newton_keeps_mixed_outcomes_to_their_rows():
 
 def test_operands_are_evaluated_once_per_newton_iterate(monkeypatch):
     # the anchor's F jet serves iterate 0 and the accepted iterate's jets
-    # serve orders 0-2 of the composite; only order 3 evaluates them again
-    C = _triple_product(symplectic_monoid(2))
+    # serve orders 0-2 of the composite; only order 3 evaluates them again.
+    # S (x) I is base-linear, so hidden behind Undeclared it takes Newton, and
+    # as itself it starts at the explicit critical point: G at order 1 for
+    # pb = grad_x G(p1, 0), then F and G once there, with no iterate
+    S = symplectic_monoid(2)
     p = np.array([0.1, -0.2, 0.05, 0.03, 0.07, -0.04])
     x = np.array([0.4, -0.3])
-    orders = {"F": [], "G": []}
-    for name, log in orders.items():
-        op = getattr(C, name)
+    for G, iterations, want_G in [(Undeclared(tensor(S, identity_genfun(2))), 1, [2, 2]),
+                                  (tensor(S, identity_genfun(2)), 0, [1, 2])]:
+        C = compose(S, G)
+        orders = {"F": [], "G": []}
+        for name, log in orders.items():
+            op = getattr(C, name)
 
-        def counting(q, y, order, _real=op.eval_jet, _log=log):
-            _log.append(order)
-            return _real(q, y, order)
+            def counting(q, y, order, _real=op.eval_jet, _log=log):
+                _log.append(order)
+                return _real(q, y, order)
 
-        monkeypatch.setattr(op, "eval_jet", counting)
-    sp = stationary_point(C.F, C.G, p, x, C.opts)
-    assert sp.iterations == 1
-    for order in range(4):
-        for log in orders.values():
-            log.clear()
-        C.eval_jet(p, x, order)
-        want = [2] * (sp.iterations + 1) + [3] * (order == 3)
-        assert orders == {"F": want, "G": want}, order
+            monkeypatch.setattr(op, "eval_jet", counting)
+        sp = stationary_point(C.F, C.G, p, x, C.opts)
+        assert (sp.iterations, C.G.base_linear) == (iterations, iterations == 0)
+        for order in range(4):
+            for log in orders.values():
+                log.clear()
+            C.eval_jet(p, x, order)
+            more = [3] * (order == 3)
+            assert orders == {"F": [2] * (iterations + 1) + more, "G": want_G + more}, order
 
 
 # -- solver behaviour -------------------------------------------------------
@@ -723,4 +730,27 @@ def test_explicit_start_still_checks_the_condition():
             assert sp.condition < COND_LIMIT
         else:
             with pytest.raises(DegeneracyError, match="stationary-point system is degenerate"):
+                stationary_point(F, G, p1, x3)
+
+
+def test_explicit_start_of_a_base_linear_inner_operand_still_checks_the_condition():
+    # G = <p, x> is base-linear, so pb = grad_x G(p1, 0) = p1 and xb = x3 + 2 c pb
+    # solve the system outright; the Jacobian [[1, 0], [-F_pp, 1]], F_pp = 2 c, is
+    # invertible for every finite c, but its condition grows like F_pp^2, so a huge
+    # or non-finite F_pp is degenerate at iterate 0, and the error names the point
+    G = identity_genfun(1)
+    assert G.base_linear
+    p1, x3 = np.array([0.5]), np.array([0.3])
+    for c, ok in [(1e3, True), (1e6, False), (1e200, False), (1e308, False)]:
+        F = poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): c}, 1, 1)
+        assert not F.momentum_linear
+        if ok:
+            sp = stationary_point(F, G, p1, x3)
+            assert (sp.iterations, sp.residual) == (0, 0.0)
+            assert np.array_equal(sp.p_mid, p1)
+            assert sp.x_mid == pytest.approx(x3 + 2 * c * p1, rel=1e-15)
+            assert sp.condition < COND_LIMIT
+        else:
+            with pytest.raises(DegeneracyError,
+                               match=r"system is degenerate .* at p1=\[0\.5\], x3=\[0\.3\]$"):
                 stationary_point(F, G, p1, x3)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symgf import (GenFun, NormalizationError, PolyGenFun, PolyMap, base_map,
-                   cotangent_lift, identity_genfun, poly_genfun, sample_ball, sample_box,
+from symgf import (GenFun, LieStructure, NormalizationError, PolyGenFun, PolyMap, PolyPoisson,
+                   abelian_monoid, base_map, compose, cotangent_lift, identity_genfun,
+                   kontsevich_monoid, lie_monoid, poly_genfun, sample_ball, sample_box,
                    symplectic_monoid, tensor)
 from symgf.genfun import LiftGenFun, TensorGenFun
 from symgf.maps import InverseMap
@@ -131,3 +132,25 @@ def test_momentum_linear_marks_exactly_the_lifts():
     nonlinear = [symplectic_monoid(2), bent, tensor(lift, symplectic_monoid(2)),
                  tensor(inverse_lift, bent), GenFun(2, 2)]
     assert [F.momentum_linear for F in nonlinear] == [False] * len(nonlinear)
+
+
+def test_base_linear_marks_exactly_the_polynomials_of_x_degree_at_most_one():
+    # grad_x S is free of x when every term has x-degree <= 1: the monoids of
+    # linear bivectors are; a term of x-degree 2, and every genfun that is no
+    # polynomial, are not
+    so3 = LieStructure.so3()
+    phi = PolyMap([{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2)
+    shear = cotangent_lift(PolyMap([{(1, 0): 1.0, (0, 1): 0.3}, {(0, 1): 1.0}], d_in=2))
+    linear = [identity_genfun(3), symplectic_monoid(2), abelian_monoid(3), lie_monoid(so3, 4),
+              kontsevich_monoid(PolyPoisson.linear_from_structure(so3), eps=0.1), shear,
+              tensor(shear, symplectic_monoid(2)),
+              poly_genfun({((1,), (1,)): 1.0, ((2,), (0,)): 0.5, ((3,), (1,)): 2.0}, 1, 1)]
+    assert [F.base_linear for F in linear] == [True] * len(linear)
+    quadratic = PolyPoisson(2, {(0, 1): {(2, 0): 1.0}})
+    inverse_lift = cotangent_lift(InverseMap(phi))
+    nonlinear = [cotangent_lift(phi), kontsevich_monoid(quadratic, eps=0.1),
+                 poly_genfun({((1,), (1,)): 1.0, ((1,), (2,)): 0.5}, 1, 1),
+                 tensor(cotangent_lift(phi), identity_genfun(2)), inverse_lift,
+                 tensor(inverse_lift, inverse_lift), compose(shear, identity_genfun(2)),
+                 GenFun(2, 2)]
+    assert [F.base_linear for F in nonlinear] == [False] * len(nonlinear)

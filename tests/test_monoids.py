@@ -368,6 +368,41 @@ def test_jacobi_gate_builds_where_the_coefficient_products_overflow():
         kontsevich_monoid(alpha, eps=1e-300)
 
 
+def test_an_overflowed_refusal_still_says_how_far_above_its_floor():
+    # J = 2e400 and its floor overflow to inf when scaled back, but the gate's
+    # ratio is taken on the scaled coefficients: 1 / gamma_2 for the one product
+    alpha = PolyPoisson(3, {(0, 1): {(2, 0, 0): 1e200}, (0, 2): {(0, 1, 0): 1e200},
+                            (1, 2): {(1, 0, 0): 1e200}})
+    assert 1 / rounding_floor(1.0, 2) == pytest.approx(4.504e15, rel=1e-4)
+    with pytest.raises(ValueError, match=re.escape(
+            "bivector violates the Jacobi identity: its (0, 1, 2) coefficient of "
+            "x^(1, 1, 0) is inf, above its rounding floor inf (|J| / floor = 4.504e+15)")):
+        kontsevich_monoid(alpha, eps=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [
+    PolyPoisson(2, {(0, 1): {(0, 0): np.inf}}),
+    PolyPoisson(3, {(0, 1): {(0, 0, 0): np.inf}}),
+    PolyPoisson(3, {(0, 1): {(0, 0, 0): 1.0}, (1, 2): {(0, 0, 0): np.nan}}),
+], ids=["d2", "d3", "nan"])
+def test_a_non_finite_entry_in_no_jacobiator_product_is_refused(alpha):
+    # d = 2 has no Jacobiator, and a constant entry has no derivative, so the
+    # gate never reads these coefficients; the builder refuses them by entry
+    ij, poly = list(alpha.entries.items())[-1]
+    (xe, c), = poly.items()
+    with pytest.raises(ValueError, match=re.escape(
+            f"bivector entry {ij} has the coefficient {c} of x^{xe}")):
+        kontsevich_monoid(alpha, eps=0.1)
+
+
+def test_an_infinite_structure_constant_is_refused_before_the_gate():
+    # the gate's products would turn c^2_01 = inf into nan, with a warning
+    c = np.zeros((3, 3, 3))
+    c[2, 0, 1], c[2, 1, 0] = np.inf, -np.inf
+    with pytest.raises(ValueError, match=re.escape("structure constant c[2, 0, 1] is inf")):
+        LieStructure(3, c)
+
+
 def test_negative_eps_gives_the_same_domain_radius():
     alpha = PolyPoisson.linear_from_structure(LieStructure.so3())
     radius = kontsevich_monoid(alpha, eps=0.1).domain_radius

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from symgf import (DegeneracyError, Diffeo, LieStructure, PoissonField, PolyMap,
-                   PolyPoisson, VerificationReport, base_map, bracket_sign, canonical_bracket,
-                   change_coordinates, check_associativity, check_groupoid, check_jacobi,
+                   PolyPoisson, VerificationReport, abelian_monoid, base_map, bracket_sign,
+                   canonical_bracket, change_coordinates, check_associativity, check_groupoid, check_jacobi,
                    check_morphism, check_poisson_map, check_unit, compose, identity_genfun,
                    kontsevich_monoid, lie_monoid, poisson_bivector, poly_genfun, sample_ball,
                    sample_box, source_target, standard_bivector, symplectic_monoid, tensor)
 from symgf.jets import Jet
-from symgf.monoids import jacobi_defect
+from symgf.monoids import _fit_instances, jacobi_defect
 from symgf.serialize import dumps, load_genfun, load_poisson, reports_to_dict
-from symgf.verify import BLOCK, _associativity_defect
+from symgf.verify import BLOCK, DEFAULT_NEWTON, _associativity_defect
+
+from oracles import Undeclared, jet_bivector
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -186,6 +188,40 @@ def test_groupoid_maps_require_monoid_shape():
         PoissonField.from_monoid(identity_genfun(2))
 
 
+def _coefficient_bivector_cases():
+    so3, heis = LieStructure.so3(), LieStructure.heisenberg()
+    cases = {"symplectic-2": lambda: symplectic_monoid(2),
+             "symplectic-4": lambda: symplectic_monoid(4), "abelian-3": lambda: abelian_monoid(3)}
+    for st in (so3, heis):
+        for trunc in range(1, 5):
+            cases[f"lie-{st.name}-trunc{trunc}"] = lambda st=st, trunc=trunc: lie_monoid(st, trunc)
+    alphas = {"so3": PolyPoisson.linear_from_structure(so3),
+              "heisenberg": PolyPoisson.linear_from_structure(heis),
+              "quadratic": _fit_instances()[1]}
+    for name, alpha in alphas.items():
+        for order in (1, 2):
+            cases[f"kontsevich-{name}-order{order}"] = (
+                lambda alpha=alpha, order=order: kontsevich_monoid(alpha, eps=0.3, order=order))
+    return cases
+
+
+COEFFICIENT_BIVECTOR_CASES = _coefficient_bivector_cases()
+
+
+@pytest.mark.parametrize("name", COEFFICIENT_BIVECTOR_CASES)
+def test_polynomial_bivector_read_from_coefficients_matches_its_jets(name):
+    # a PolyGenFun's bivector is its mixed p1 p2 coefficients antisymmetrized,
+    # built once per monoid; alpha and d alpha equal the jet reading to rounding
+    S = COEFFICIENT_BIVECTOR_CASES[name]()
+    d = S.n
+    xs = sample_box(6, d, -0.9, 0.9, 4)
+    field = PoissonField.from_monoid(S)
+    got, want = field.with_derivatives(xs), jet_bivector(S, xs)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=4 * np.finfo(float).eps * np.abs(w).max())
+    np.testing.assert_array_equal(field.matrix(xs), got[0])
+
+
 def test_reports_carry_failures_and_points():
     S = symplectic_monoid(2)
     ps = sample_ball(12, 2, 0.1, 0)
@@ -346,16 +382,17 @@ def test_associativity_solves_both_products_in_one_stack_per_sweep_block(monkeyp
         I = identity_genfun(3)
         return compose(S, tensor(S, I))(ps, xs) - compose(S, tensor(I, S))(ps, xs)
 
-    # the full systems of S o (S (x) I) and S o (I (x) S): 4d = 12 unknowns, two
-    # Newton steps, and the tables of S, S (x) I and I (x) S
-    assert solves_and_table_builds(two_composites, 8) == ([(8, 12, 16, 2)] * 2, 3)
-    # the identity factor composes away: d = 3 unknown pairs, whose anchor
-    # (0, grad_q S(0, c; x)) is exact at a = b = 0, so one step reaches tol;
-    # S's one table serves both operands, as no S (x) I kernel is built
-    assert solves_and_table_builds(check_associativity, 8) == ([(16, 6, 16, 1)], 1)
+    # the full systems of S o (S (x) I) and S o (I (x) S): 4d = 12 unknowns, and
+    # the tables of S, S (x) I and I (x) S; both inner operands are base-linear,
+    # so each solve starts at its explicit critical point and takes no step
+    assert solves_and_table_builds(two_composites, 8) == ([(8, 12, 0, 0)] * 2, 3)
+    # the identity factor composes away: d = 3 unknown pairs, with S, base-linear,
+    # as the inner operand; S's one table serves both operands, as no S (x) I
+    # kernel is built
+    assert solves_and_table_builds(check_associativity, 8) == ([(16, 6, 0, 0)], 1)
     got, builds = solves_and_table_builds(check_associativity, 40)
     assert [s[0] for s in got] == [2 * BLOCK, 16] and builds == 1
-    assert all(s[1] == 6 and s[3] == 1 for s in got)
+    assert all(s[1] == 6 and s[3] == 0 for s in got)
 
 
 # the monoids of the three benchmark workloads; the last is the coordinate-change
@@ -367,6 +404,29 @@ BENCH_MONOIDS = {
     "coordinate-change": lambda: change_coordinates(symplectic_monoid(2), Diffeo(PolyMap(
         [{(1, 0): 1.0, (0, 2): 0.3}, {(0, 1): 1.0, (1, 1): -0.2}], d_in=2))),
 }
+
+
+@pytest.mark.parametrize("name", ["lie-so3-trunc4", "kontsevich-order2"])
+def test_base_linear_associativity_solves_start_at_the_critical_point(monkeypatch, name):
+    # S has x-degree <= 1, so the solve's inner operand gives pb = grad_x S(a, b; 0)
+    # outright: no iterate, residual exactly 0; hidden behind Undeclared, S takes
+    # the anchor and a Newton step to the same defects, up to rounding
+    composition = sys.modules["symgf.compose"]
+    solve, solves = composition._solve, []
+
+    def recorded(*a):
+        sol = solve(*a)
+        solves.append((a[1].base_linear, int(sol.iterations.max()), float(sol.residuals.max())))
+        return sol
+
+    monkeypatch.setattr(composition, "_solve", recorded)
+    S = BENCH_MONOIDS[name]()
+    ps, xs = sample_ball(BLOCK, 9, 0.05, 2), sample_box(BLOCK, 3, -0.25, 0.25, 3)
+    explicit = _associativity_defect(S)(ps, xs)
+    newton = _associativity_defect(Undeclared(S))(ps, xs)
+    assert solves[0] == (True, 0, 0.0)
+    assert solves[1][:2] == (False, 1) and 0.0 < solves[1][2] <= DEFAULT_NEWTON.tol
+    np.testing.assert_allclose(explicit, newton, rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("name", BENCH_MONOIDS)
@@ -398,14 +458,16 @@ def test_associativity_error_names_the_first_bad_sample_of_a_block():
 
 
 @pytest.mark.parametrize("name, builds", [
-    ("lie-so3-trunc4", 1), ("kontsevich-order2", 1),
+    # the tables of S and of its bivector, read once from its coefficients
+    ("lie-so3-trunc4", 2), ("kontsevich-order2", 2),
     # the tables of g, of S and of lift(g) (+) lift(g); the inverse lift's jets
-    # solve through g's kernel
+    # solve through g's kernel, and the composite's bivector is read from its jets
     ("coordinate-change", 3),
 ], ids=list(BENCH_MONOIDS))
 def test_checks_build_one_table_per_exponent_matrix(name, builds, table_builds):
     # the four checks ask each kernel for several orders; every order reads a
-    # prefix of the kernel's one order-3 table
+    # prefix of the kernel's one table, and the groupoid and Jacobi checks share
+    # the bivector's
     S = BENCH_MONOIDS[name]()
     d = S.n
     ps, xs = sample_ball(2, d, 0.05, 0), sample_box(2, d, -0.25, 0.25, 1)
